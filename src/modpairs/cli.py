@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .blowup import BlowupClass, blowup_charts, classify
 from .correspondences import corr_minimal_twist, in_colim_mcor, in_lcor, in_mcor
 from .dsl import (
+    MAX_INT_DIGITS,
     BlowupDecl,
     CorrDecl,
     Diagnostic,
@@ -25,6 +26,7 @@ from .dsl import (
     QPairDecl,
     format_decl,
     format_diagnostic,
+    format_monomial,
     parse,
 )
 from .pairs import (
@@ -88,21 +90,26 @@ def _arg_diag(command: list[str], index: int, message: str, code: str) -> Diagno
 
 def _lookup(model: Model, kind, noun: str, command: list[str], index: int):
     name = command[index]
-    for decl in model.decls:
-        if isinstance(decl, kind) and decl.name == name:
-            return decl
-    raise _CommandError(
-        EXIT_UNKNOWN_NAME,
-        _arg_diag(command, index, f"unknown {noun} '{name}'", "E021"),
-    )
+    decl = model.namespace(kind).get(name)
+    if decl is None:
+        raise _CommandError(
+            EXIT_UNKNOWN_NAME,
+            _arg_diag(command, index, f"unknown {noun} '{name}'", "E021"),
+        )
+    return decl
 
 
 def _int_arg(command: list[str], index: int) -> int:
     text = command[index]
-    if not text.isdigit():
+    if not (text.isascii() and text.isdigit()):
         raise _CommandError(
             EXIT_INPUT,
             _arg_diag(command, index, f"expected a non-negative integer, got '{text}'", "E011"),
+        )
+    if len(text) > MAX_INT_DIGITS:
+        raise _CommandError(
+            EXIT_INPUT,
+            _arg_diag(command, index, f"integer argument longer than {MAX_INT_DIGITS} digits", "E012"),
         )
     return int(text)
 
@@ -127,145 +134,152 @@ def _pair_result_text(pair: Pair) -> str:
     return f"coords {coords}; divisor {format_divisor(pair.chart, pair.divisor)}"
 
 
+# Each report below runs one verb on a declaration the caller already holds;
+# ``echo`` is the declaration's canonical text, rendered once by the caller
+# however many verbs run on it.
+
+_MAP_VERBS = ("check-admissible", "minimal-twist", "hom-log", "check-minimal")
+
+
+def _map_report(verb: str, decl: MapDecl, echo: str) -> Report:
+    f = decl.pair_map
+    record = {"command": verb, "args": [decl.name], "inputs": {"map": echo}}
+    lines = [f"command: {verb} {decl.name}", f"map: {echo}"]
+    if verb == "minimal-twist":
+        n = minimal_twist(f)
+        record["minimal_twist"] = n
+        lines.append(f"minimal-twist: {_twist_text(n)}")
+        ok = n is not None
+    else:
+        if verb == "check-admissible":
+            label, ok = "admissible", is_admissible(f)
+        elif verb == "hom-log":
+            label, ok = "hom-log", hom_log_exists(f)
+        else:
+            label, ok = "minimal", is_minimal(f)
+        record["verdict"] = ok
+        lines.append(f"{label}: {_bool_text(ok)}")
+    return Report(EXIT_OK if ok else EXIT_FALSE, "\n".join(lines), (record,))
+
+
+def _classify_report(decl: BlowupDecl, echo: str, verdict: BlowupClass) -> Report:
+    record = {"command": "classify", "args": [decl.name], "inputs": {"blowup": echo}, "verdict": verdict.value}
+    text = f"command: classify {decl.name}\nblowup: {echo}\nclassification: {verdict.value}"
+    return Report(EXIT_OK if verdict is not BlowupClass.INVALID else EXIT_FALSE, text, (record,))
+
+
+def _blowup_report(decl: BlowupDecl, echo: str, verdict: BlowupClass) -> Report:
+    chart = decl.spec.pair.chart
+    charts = []
+    lines = [f"command: blowup {decl.name}", f"blowup: {echo}", f"classification: {verdict.value}"]
+    for bc in blowup_charts(decl.spec):
+        assigns = "; ".join(
+            f"{name} <- {format_monomial(chart, bc.chart_map.expo[j])}"
+            for j, name in enumerate(chart.coords)
+        )
+        transform = format_divisor(chart, bc.total_transform)
+        charts.append(
+            {
+                "index": bc.index,
+                "coord": chart.coords[bc.index],
+                "map": assigns,
+                "total_transform": transform,
+            }
+        )
+        lines.append(f"chart {chart.coords[bc.index]}: map {{ {assigns} }}; total-transform {transform}")
+    record = {
+        "command": "blowup",
+        "args": [decl.name],
+        "inputs": {"blowup": echo},
+        "verdict": verdict.value,
+        "charts": charts,
+    }
+    return Report(EXIT_OK, "\n".join(lines), (record,))
+
+
+def _corr_report(decl: CorrDecl, echo: str) -> Report:
+    c = decl.corr
+    memberships = {
+        "mcor": in_mcor(c),
+        "colim": in_colim_mcor(c),
+        "lcor": in_lcor(c),
+    }
+    n = corr_minimal_twist(c)
+    record = {
+        "command": "corr-check",
+        "args": [decl.name],
+        "inputs": {"corr": echo},
+        "memberships": memberships,
+        "minimal_twist": n,
+    }
+    lines = [
+        f"command: corr-check {decl.name}",
+        f"corr: {echo}",
+        f"mcor: {_bool_text(memberships['mcor'])}",
+        f"colim: {_bool_text(memberships['colim'])}",
+        f"lcor: {_bool_text(memberships['lcor'])}",
+        f"minimal-twist: {_twist_text(n)}",
+    ]
+    status = EXIT_OK if all(memberships.values()) else EXIT_FALSE
+    return Report(status, "\n".join(lines), (record,))
+
+
+def _qdiv_normalize_report(decl: QPairDecl, echo: str) -> Report:
+    result = q_normalize(decl.qpair)
+    divisor = format_divisor(result.pair.chart, result.pair.divisor)
+    record = {
+        "command": "qdiv-normalize",
+        "args": [decl.name],
+        "inputs": {"qpair": echo},
+        "level": result.level,
+        "divisor": divisor,
+    }
+    text = f"command: qdiv-normalize {decl.name}\nqpair: {echo}\nnormalized: ({result.level}, {divisor})"
+    return Report(EXIT_OK, text, (record,))
+
+
 def _run_single(model: Model, command: list[str]) -> Report:
     verb = command[0]
     args = command[1:]
 
-    if verb in ("check-admissible", "minimal-twist", "hom-log", "check-minimal"):
+    if verb in _MAP_VERBS:
         decl = _lookup(model, MapDecl, "map", command, 1)
-        f = decl.pair_map
-        record = {"command": verb, "args": list(args), "inputs": {"map": format_decl(decl)}}
-        lines = [f"command: {verb} {decl.name}", f"map: {format_decl(decl)}"]
-        if verb == "check-admissible":
-            verdict = is_admissible(f)
-            record["verdict"] = verdict
-            lines.append(f"admissible: {_bool_text(verdict)}")
-            status = EXIT_OK if verdict else EXIT_FALSE
-        elif verb == "hom-log":
-            verdict = hom_log_exists(f)
-            record["verdict"] = verdict
-            lines.append(f"hom-log: {_bool_text(verdict)}")
-            status = EXIT_OK if verdict else EXIT_FALSE
-        elif verb == "check-minimal":
-            verdict = is_minimal(f)
-            record["verdict"] = verdict
-            lines.append(f"minimal: {_bool_text(verdict)}")
-            status = EXIT_OK if verdict else EXIT_FALSE
-        else:
-            n = minimal_twist(f)
-            record["minimal_twist"] = n
-            lines.append(f"minimal-twist: {_twist_text(n)}")
-            status = EXIT_OK if n is not None else EXIT_FALSE
-        return Report(status, "\n".join(lines), (record,))
+        return _map_report(verb, decl, format_decl(decl))
 
-    if verb == "classify":
+    if verb in ("classify", "blowup"):
         decl = _lookup(model, BlowupDecl, "blowup", command, 1)
         verdict = classify(decl.spec)
-        record = {
-            "command": verb,
-            "args": list(args),
-            "inputs": {"blowup": format_decl(decl)},
-            "verdict": verdict.value,
-        }
-        text = "\n".join(
-            [f"command: classify {decl.name}", f"blowup: {format_decl(decl)}",
-             f"classification: {verdict.value}"]
-        )
-        status = EXIT_OK if verdict is not BlowupClass.INVALID else EXIT_FALSE
-        return Report(status, text, (record,))
-
-    if verb == "blowup":
-        decl = _lookup(model, BlowupDecl, "blowup", command, 1)
-        verdict = classify(decl.spec)
+        if verb == "classify":
+            return _classify_report(decl, format_decl(decl), verdict)
         if verdict is BlowupClass.INVALID:
             raise _CommandError(
                 EXIT_INVALID_BLOWUP,
                 _arg_diag(command, 1, f"blowup '{decl.name}' has a center missing the divisor support", "E072"),
             )
-        chart = decl.spec.pair.chart
-        charts = []
-        lines = [f"command: blowup {decl.name}", f"blowup: {format_decl(decl)}",
-                 f"classification: {verdict.value}"]
-        for bc in blowup_charts(decl.spec):
-            assigns = "; ".join(
-                f"{name} <- " + _monomial_text(chart, bc.chart_map.expo[j])
-                for j, name in enumerate(chart.coords)
-            )
-            transform = format_divisor(chart, bc.total_transform)
-            charts.append(
-                {
-                    "index": bc.index,
-                    "coord": chart.coords[bc.index],
-                    "map": assigns,
-                    "total_transform": transform,
-                }
-            )
-            lines.append(f"chart {chart.coords[bc.index]}: map {{ {assigns} }}; total-transform {transform}")
-        record = {
-            "command": verb,
-            "args": list(args),
-            "inputs": {"blowup": format_decl(decl)},
-            "verdict": verdict.value,
-            "charts": charts,
-        }
-        return Report(EXIT_OK, "\n".join(lines), (record,))
+        return _blowup_report(decl, format_decl(decl), verdict)
 
     if verb == "corr-check":
         decl = _lookup(model, CorrDecl, "corr", command, 1)
-        c = decl.corr
-        memberships = {
-            "mcor": in_mcor(c),
-            "colim": in_colim_mcor(c),
-            "lcor": in_lcor(c),
-        }
-        n = corr_minimal_twist(c)
-        record = {
-            "command": verb,
-            "args": list(args),
-            "inputs": {"corr": format_decl(decl)},
-            "memberships": memberships,
-            "minimal_twist": n,
-        }
-        lines = [
-            f"command: corr-check {decl.name}",
-            f"corr: {format_decl(decl)}",
-            f"mcor: {_bool_text(memberships['mcor'])}",
-            f"colim: {_bool_text(memberships['colim'])}",
-            f"lcor: {_bool_text(memberships['lcor'])}",
-            f"minimal-twist: {_twist_text(n)}",
-        ]
-        status = EXIT_OK if all(memberships.values()) else EXIT_FALSE
-        return Report(status, "\n".join(lines), (record,))
+        return _corr_report(decl, format_decl(decl))
 
     if verb == "qdiv-normalize":
         decl = _lookup(model, QPairDecl, "qpair", command, 1)
-        result = q_normalize(decl.qpair)
-        record = {
-            "command": verb,
-            "args": list(args),
-            "inputs": {"qpair": format_decl(decl)},
-            "level": result.level,
-            "divisor": format_divisor(result.pair.chart, result.pair.divisor),
-        }
-        text = "\n".join(
-            [f"command: qdiv-normalize {decl.name}", f"qpair: {format_decl(decl)}",
-             f"normalized: ({result.level}, {record['divisor']})"]
-        )
-        return Report(EXIT_OK, text, (record,))
+        return _qdiv_normalize_report(decl, format_decl(decl))
 
     if verb == "qdiv-eq":
         first = _lookup(model, QPairDecl, "qpair", command, 1)
         second = _lookup(model, QPairDecl, "qpair", command, 2)
         verdict = q_eq(first.qpair, second.qpair)
+        first_echo, second_echo = format_decl(first), format_decl(second)
         record = {
             "command": verb,
-            "args": list(args),
-            "inputs": {"first": format_decl(first), "second": format_decl(second)},
+            "args": args,
+            "inputs": {"first": first_echo, "second": second_echo},
             "verdict": verdict,
         }
         text = "\n".join(
             [f"command: qdiv-eq {first.name} {second.name}",
-             f"first: {format_decl(first)}", f"second: {format_decl(second)}",
+             f"first: {first_echo}", f"second: {second_echo}",
              f"equal: {_bool_text(verdict)}"]
         )
         return Report(EXIT_OK if verdict else EXIT_FALSE, text, (record,))
@@ -277,13 +291,14 @@ def _run_single(model: Model, command: list[str]) -> Report:
             result = cube(decl.pair, n) if verb == "cube" else twist(decl.pair, n)
         except ValueError as exc:
             raise _CommandError(EXIT_INPUT, _arg_diag(command, 2, str(exc), "E011")) from None
+        echo = format_decl(decl)
         record = {
             "command": verb,
-            "args": list(args),
-            "inputs": {"pair": format_decl(decl), "n": n},
+            "args": args,
+            "inputs": {"pair": echo, "n": n},
             "result": _pair_result(result),
         }
-        lines = [f"command: {verb} {decl.name} {n}", f"pair: {format_decl(decl)}",
+        lines = [f"command: {verb} {decl.name} {n}", f"pair: {echo}",
                  f"result: {_pair_result_text(result)}"]
         if verb == "cube":
             # the complementary interval chart carries no divisor component
@@ -296,42 +311,29 @@ def _run_single(model: Model, command: list[str]) -> Report:
     )
 
 
-def _monomial_text(chart, exps) -> str:
-    parts = [
-        name if e == 1 else f"{name}^{e}"
-        for name, e in zip(chart.coords, exps)
-        if e > 0
-    ]
-    return " * ".join(parts) if parts else "1"
-
-
 def _check_all(model: Model) -> Report:
-    status = EXIT_OK
-    texts: list[str] = []
-    records: list[dict] = []
+    """Every check on every declaration, run on the declaration itself."""
+    reports: list[Report] = []
     for decl in model.decls:
-        sub_commands: list[list[str]] = []
+        if isinstance(decl, PairDecl):
+            continue  # a pair alone has nothing to check
+        echo = format_decl(decl)
         if isinstance(decl, MapDecl):
-            sub_commands = [
-                ["check-admissible", decl.name],
-                ["minimal-twist", decl.name],
-                ["hom-log", decl.name],
-                ["check-minimal", decl.name],
-            ]
+            reports += [_map_report(verb, decl, echo) for verb in _MAP_VERBS]
         elif isinstance(decl, CorrDecl):
-            sub_commands = [["corr-check", decl.name]]
+            reports.append(_corr_report(decl, echo))
         elif isinstance(decl, BlowupDecl):
-            sub_commands = [["classify", decl.name]]
-            if classify(decl.spec) is not BlowupClass.INVALID:
-                sub_commands.append(["blowup", decl.name])
+            verdict = classify(decl.spec)
+            reports.append(_classify_report(decl, echo, verdict))
+            if verdict is not BlowupClass.INVALID:
+                reports.append(_blowup_report(decl, echo, verdict))
         elif isinstance(decl, QPairDecl):
-            sub_commands = [["qdiv-normalize", decl.name]]
-        for sub in sub_commands:
-            report = _run_single(model, sub)
-            status = max(status, report.status)
-            texts.append(report.text)
-            records.extend(report.records)
-    return Report(status, "\n\n".join(texts), tuple(records))
+            reports.append(_qdiv_normalize_report(decl, echo))
+    return Report(
+        max((r.status for r in reports), default=EXIT_OK),
+        "\n\n".join(r.text for r in reports),
+        tuple(record for r in reports for record in r.records),
+    )
 
 
 def run_command(model: Model, command) -> Report:
@@ -396,7 +398,7 @@ def main(argv=None) -> int:
 
     try:
         text = _read_model_text(ns.model)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read model: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

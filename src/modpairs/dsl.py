@@ -1,7 +1,8 @@
 """Text format for declaring pairs, maps, correspondences, levelled pairs and blowups.
 
 Grammar, one declaration per statement, ``#`` starting a line comment,
-whitespace insensitive, all integers decimal and non-negative::
+whitespace insensitive, all integers non-negative and written with at most
+``MAX_INT_DIGITS`` ASCII digits::
 
     pair NAME { dim INT; coords a b c; divisor { a: INT, ... } }
     map NAME : SRC -> DST { y <- x1^2 * x2; ... }
@@ -19,7 +20,11 @@ with zeros omitted; parsing it back gives a structurally equal model.
 
 from __future__ import annotations
 
+import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 from .blowup import BlowupSpec
 from .correspondences import CorrLocalRecord, CurveCorr, NonConstantCorr, from_monomial_param
@@ -82,6 +87,7 @@ class BlowupDecl:
 
 
 Decl = PairDecl | MapDecl | CorrDecl | QPairDecl | BlowupDecl
+_KINDS = (PairDecl, MapDecl, CorrDecl, QPairDecl, BlowupDecl)
 
 
 @dataclass(frozen=True)
@@ -90,38 +96,63 @@ class Model:
 
     decls: tuple[Decl, ...] = field(default_factory=tuple)
 
-    def _namespace(self, kind):
-        return {d.name: d for d in self.decls if isinstance(d, kind)}
+    @cached_property
+    def _names(self) -> dict[type, dict[str, Decl]]:
+        # one name index per declaration kind, built on first use; ``parse``
+        # hands over the index its parser built instead
+        names = {kind: {} for kind in _KINDS}
+        for d in self.decls:
+            names[type(d)][d.name] = d
+        return names
+
+    def namespace(self, kind: type) -> Mapping[str, Decl]:
+        """Read-only view of the declarations of one kind, by name."""
+        return MappingProxyType(self._names[kind])
 
     @property
-    def pairs(self) -> dict[str, PairDecl]:
-        return self._namespace(PairDecl)
+    def pairs(self) -> Mapping[str, PairDecl]:
+        return self.namespace(PairDecl)
 
     @property
-    def maps(self) -> dict[str, MapDecl]:
-        return self._namespace(MapDecl)
+    def maps(self) -> Mapping[str, MapDecl]:
+        return self.namespace(MapDecl)
 
     @property
-    def corrs(self) -> dict[str, CorrDecl]:
-        return self._namespace(CorrDecl)
+    def corrs(self) -> Mapping[str, CorrDecl]:
+        return self.namespace(CorrDecl)
 
     @property
-    def qpairs(self) -> dict[str, QPairDecl]:
-        return self._namespace(QPairDecl)
+    def qpairs(self) -> Mapping[str, QPairDecl]:
+        return self.namespace(QPairDecl)
 
     @property
-    def blowups(self) -> dict[str, BlowupDecl]:
-        return self._namespace(BlowupDecl)
+    def blowups(self) -> Mapping[str, BlowupDecl]:
+        return self.namespace(BlowupDecl)
 
 
 # --- lexer -----------------------------------------------------------------
 
-_PUNCT = frozenset("{}():;,=^*")
+# Longer literals are rejected (E012): every number derived from two of them
+# (a product, a ceiling ratio) then stays within Python's default limit of
+# 4 300 digits on int/str conversion.
+MAX_INT_DIGITS = 1000
 _TOP = ("pair", "map", "corr", "qpair", "blowup")
 
+# One match per token: whitespace and comments are skipped inside the match,
+# and the last match is the empty end of the text.  ``\w`` is exactly
+# ``str.isalnum()`` plus ``_``, so a word is an identifier when its first
+# character is a letter or ``_``; a word starting with any other numeral
+# (``²``, ``٣``) is not a token.
+_TOKEN = re.compile(
+    r"(?:[ \t\r\n]+|#[^\n]*)*"
+    r"(?:(?P<int>[0-9]+)|(?P<word>\w+)|(?P<punct>->|<-|[{}():;,=^*])|(?P<bad>.)|(?P<eof>\Z))",
+    re.DOTALL,
+)
 
-@dataclass(frozen=True)
+
+@dataclass(slots=True)
 class _Token:
+    # slots, not frozen: a frozen dataclass costs three times as much to build
     kind: str  # "ident", "int", "eof", or the punctuation/arrow itself
     text: str
     line: int
@@ -141,55 +172,47 @@ def _describe(tok: _Token) -> str:
 def _lex(text: str) -> tuple[list[_Token], list[Diagnostic]]:
     tokens: list[_Token] = []
     diags: list[Diagnostic] = []
-    line, col, i, n = 1, 1, 0, len(text)
-
-    def bump(k: int = 1):
-        nonlocal i, line, col
-        for _ in range(k):
-            if text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            bump()
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                bump()
-            continue
-        if ch.isalpha() or ch == "_":
-            l0, c0, j = line, col, i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                bump()
-            tokens.append(_Token("ident", text[j:i], l0, c0))
-            continue
-        if ch.isdigit():
-            l0, c0, j = line, col, i
-            while i < n and text[i].isdigit():
-                bump()
-            tokens.append(_Token("int", text[j:i], l0, c0))
-            continue
-        if ch == "-" and i + 1 < n and text[i + 1] == ">":
-            tokens.append(_Token("->", "->", line, col))
-            bump(2)
-            continue
-        if ch == "<" and i + 1 < n and text[i + 1] == "-":
-            tokens.append(_Token("<-", "<-", line, col))
-            bump(2)
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(ch, ch, line, col))
-            bump()
-            continue
-        diags.append(Diagnostic("error", line, col, 1, f"unexpected character {ch!r}", "E001"))
-        bump()
-    tokens.append(_Token("eof", "", line, col))
-    return tokens, diags
+    match, append, n = _TOKEN.match, tokens.append, len(text)
+    line, line_start, pos = 1, 0, 0
+    next_newline = text.find("\n")
+    if next_newline < 0:
+        next_newline = n
+    while True:
+        m = match(text, pos)
+        kind = m.lastgroup
+        start, pos = m.span(kind)
+        # tokens never hold a newline, so only skipped text moves the line
+        while next_newline < start:
+            line += 1
+            line_start = next_newline + 1
+            next_newline = text.find("\n", line_start)
+            if next_newline < 0:
+                next_newline = n
+        column = start - line_start + 1
+        if kind == "word":
+            ch = text[start]
+            if ch.isalpha() or ch == "_":
+                append(_Token("ident", text[start:pos], line, column))
+                continue
+            # a numeral that is not an ASCII digit: reject it and lex on from
+            # the next character, which may start a token of its own
+            diags.append(Diagnostic("error", line, column, 1, f"unexpected character {ch!r}", "E001"))
+            pos = start + 1
+        elif kind == "punct":
+            punct = text[start:pos]
+            append(_Token(punct, punct, line, column))
+        elif kind == "int":
+            if pos - start > MAX_INT_DIGITS:
+                diags.append(Diagnostic(
+                    "error", line, column, pos - start,
+                    f"integer literal longer than {MAX_INT_DIGITS} digits", "E012",
+                ))
+            append(_Token("int", text[start:pos], line, column))
+        elif kind == "bad":
+            diags.append(Diagnostic("error", line, column, 1, f"unexpected character {text[start]!r}", "E001"))
+        else:
+            append(_Token("eof", "", line, column))
+            return tokens, diags
 
 
 # --- parser ----------------------------------------------------------------
@@ -204,11 +227,8 @@ class _Parser:
         self.diags = diags
         self.i = 0
         self.decls: list[Decl] = []
-        self.pairs: dict[str, Pair] = {}
-        self.maps: dict[str, PairMap] = {}
-        self.corrs: dict[str, CurveCorr] = {}
-        self.qpairs: dict[str, QPair] = {}
-        self.blowups: dict[str, BlowupSpec] = {}
+        # the model's name index, filled as declarations are accepted
+        self.names: dict[type, dict[str, Decl]] = {kind: {} for kind in _KINDS}
 
     def peek(self) -> _Token:
         return self.toks[self.i]
@@ -237,21 +257,31 @@ class _Parser:
             self.fail(tok, code, f"expected '{word}', found {_describe(tok)}")
         return self.take()
 
+    def int_value(self, tok: _Token) -> int:
+        if len(tok.text) > MAX_INT_DIGITS:
+            raise _ParseAbort  # already reported by the lexer (E012)
+        return int(tok.text)
+
     def expect_int(self, what: str = "an integer") -> tuple[int, _Token]:
         tok = self.expect("int", what)
-        return int(tok.text), tok
+        return self.int_value(tok), tok
 
-    def fresh_name(self, namespace: dict, kind: str) -> str:
-        tok = self.expect("ident", f"a {kind} name")
-        if tok.text in namespace:
-            self.fail(tok, "E020", f"duplicate {kind} name '{tok.text}'")
+    def fresh_name(self, kind: type, noun: str) -> str:
+        tok = self.expect("ident", f"a {noun} name")
+        if tok.text in self.names[kind]:
+            self.fail(tok, "E020", f"duplicate {noun} name '{tok.text}'")
         return tok.text
 
     def resolve_pair(self, what: str = "pair") -> tuple[str, Pair, _Token]:
         tok = self.expect("ident", f"a {what} name")
-        if tok.text not in self.pairs:
+        decl = self.names[PairDecl].get(tok.text)
+        if decl is None:
             self.fail(tok, "E021", f"unknown pair '{tok.text}'")
-        return tok.text, self.pairs[tok.text], tok
+        return tok.text, decl.pair, tok
+
+    def accept(self, decl: Decl):
+        self.decls.append(decl)
+        self.names[type(decl)][decl.name] = decl
 
     # statements
 
@@ -278,7 +308,9 @@ class _Parser:
                 )
                 self.take()
                 self._sync()
-        return Model(tuple(self.decls))
+        model = Model(tuple(self.decls))
+        model.__dict__["_names"] = self.names  # the index Model would build
+        return model
 
     def _sync(self):
         while True:
@@ -289,7 +321,7 @@ class _Parser:
 
     def _stmt_pair(self):
         self.take()
-        name = self.fresh_name(self.pairs, "pair")
+        name = self.fresh_name(PairDecl, "pair")
         self.expect("{", "'{'")
         self.expect_kw("dim")
         dim, dim_tok = self.expect_int("the chart dimension")
@@ -331,15 +363,13 @@ class _Parser:
                 mults[idx], _ = self.expect_int("a multiplicity")
             self.expect("}", "'}'")
         self.expect("}", "'}' closing the pair declaration")
-        pair = Pair(chart, Divisor(tuple(mults)))
-        self.pairs[name] = pair
-        self.decls.append(PairDecl(name, pair))
+        self.accept(PairDecl(name, Pair(chart, Divisor(tuple(mults)))))
 
     def _monomial(self, chart: Chart) -> tuple[int, ...]:
         exps = [0] * chart.dim
         tok = self.peek()
         if tok.kind == "int":
-            if int(tok.text) != 1:
+            if self.int_value(tok) != 1:
                 self.fail(tok, "E042", "only the literal 1 denotes the empty monomial")
             self.take()
             return tuple(exps)
@@ -360,7 +390,7 @@ class _Parser:
 
     def _stmt_map(self):
         self.take()
-        name = self.fresh_name(self.maps, "map")
+        name = self.fresh_name(MapDecl, "map")
         self.expect(":", "':'")
         src_name, src_pair, _ = self.resolve_pair("source pair")
         self.expect("->", "'->'")
@@ -386,12 +416,11 @@ class _Parser:
                 self.fail(close, "E040", f"map does not assign target coordinate '{cname}'")
         matrix = tuple(rows[j] for j in range(dst_pair.chart.dim))
         pair_map = PairMap(MonomialMap(src_pair.chart, dst_pair.chart, matrix), src_pair, dst_pair)
-        self.maps[name] = pair_map
-        self.decls.append(MapDecl(name, src_name, dst_name, pair_map))
+        self.accept(MapDecl(name, src_name, dst_name, pair_map))
 
     def _stmt_corr(self):
         self.take()
-        name = self.fresh_name(self.corrs, "corr")
+        name = self.fresh_name(CorrDecl, "corr")
         tok = self.peek()
         if tok.kind == "ident" and tok.text == "monomial":
             self.take()
@@ -409,8 +438,7 @@ class _Parser:
             if b < 1:
                 self.fail(b_tok, "E052", "parametrization exponents must be positive")
             corr = from_monomial_param(a, b, n_x, n_y)
-            self.corrs[name] = corr
-            self.decls.append(CorrDecl(name, corr, monomial=(a, b, n_x, n_y)))
+            self.accept(CorrDecl(name, corr, monomial=(a, b, n_x, n_y)))
             return
         if tok.kind != ":":
             self.fail(tok, "E011", f"expected ':' or 'monomial' after the corr name, found {_describe(tok)}")
@@ -455,13 +483,11 @@ class _Parser:
                 self.fail(ey_tok, "E051", "ramification degrees must be positive")
             records.append(CorrLocalRecord(ltok.text, n_x, n_y, e_x, e_y))
         self.expect("}", "'}'")
-        corr = NonConstantCorr(tuple(records))
-        self.corrs[name] = corr
-        self.decls.append(CorrDecl(name, corr, src=src_name, dst=dst_name))
+        self.accept(CorrDecl(name, NonConstantCorr(tuple(records)), src=src_name, dst=dst_name))
 
     def _stmt_qpair(self):
         self.take()
-        name = self.fresh_name(self.qpairs, "qpair")
+        name = self.fresh_name(QPairDecl, "qpair")
         self.expect("=", "'='")
         self.expect("(", "'('")
         level, level_tok = self.expect_int("the level")
@@ -470,13 +496,11 @@ class _Parser:
         self.expect(")", "')'")
         if level < 1:
             self.fail(level_tok, "E060", "level must be a positive integer")
-        qpair = QPair(level, pair)
-        self.qpairs[name] = qpair
-        self.decls.append(QPairDecl(name, pair_name, qpair))
+        self.accept(QPairDecl(name, pair_name, QPair(level, pair)))
 
     def _stmt_blowup(self):
         self.take()
-        name = self.fresh_name(self.blowups, "blowup")
+        name = self.fresh_name(BlowupDecl, "blowup")
         self.expect_kw("on")
         pair_name, pair, _ = self.resolve_pair()
         center_tok = self.expect_kw("center")
@@ -497,10 +521,8 @@ class _Parser:
         self.expect("}", "'}'")
         if not indices:
             self.fail(center_tok, "E070", "blowup center must name at least one coordinate")
-        spec = BlowupSpec(pair, frozenset(indices))
         coords = tuple(pair.chart.coords[i] for i in sorted(indices))
-        self.blowups[name] = spec
-        self.decls.append(BlowupDecl(name, pair_name, coords, spec))
+        self.accept(BlowupDecl(name, pair_name, coords, BlowupSpec(pair, frozenset(indices))))
 
 
 def parse(text: str) -> Model | list[Diagnostic]:
@@ -514,7 +536,8 @@ def parse(text: str) -> Model | list[Diagnostic]:
 
 # --- canonical printer -------------------------------------------------------
 
-def _fmt_monomial(chart: Chart, exps: tuple[int, ...]) -> str:
+def format_monomial(chart: Chart, exps: tuple[int, ...]) -> str:
+    """``x^2 * y`` over the chart's coordinates, or ``1`` for the empty monomial."""
     parts = [
         name if e == 1 else f"{name}^{e}"
         for name, e in zip(chart.coords, exps)
@@ -537,7 +560,7 @@ def format_decl(decl: Decl) -> str:
     if isinstance(decl, MapDecl):
         m = decl.pair_map.map
         assigns = "; ".join(
-            f"{name} <- {_fmt_monomial(m.source, m.expo[j])}"
+            f"{name} <- {format_monomial(m.source, m.expo[j])}"
             for j, name in enumerate(m.target.coords)
         )
         return f"map {decl.name} : {decl.src} -> {decl.dst} {_fmt_block(assigns)}"

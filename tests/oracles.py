@@ -2,7 +2,8 @@
 
 The symbolic oracles substitute actual monomials with sympy and read off
 vanishing orders; they never touch the exponent-matrix arithmetic they are
-checking.  The brute-force oracles scan twist levels directly.
+checking.  The brute-force oracles scan twist levels directly.  The
+reference lexer steps through the text one character at a time.
 """
 
 import sympy
@@ -89,3 +90,61 @@ def brute_corr_minimal_twist(corr, limit=64):
         if in_mcor(scale_source_coeffs(corr, n)):
             return n
     return None
+
+
+def reference_lex(text):
+    """Tokens ``(kind, text, line, column)`` and diagnostics ``(line, column, length, message, code)``.
+
+    The DSL lexer as first written, walking one character at a time; integer
+    literals take ASCII digits only.  It knows no bound on literal length.
+    """
+    tokens, diags = [], []
+    line, col, i, n = 1, 1, 0, len(text)
+
+    def bump(k=1):
+        nonlocal i, line, col
+        for _ in range(k):
+            if text[i] == "\n":
+                line += 1
+                col = 1
+            else:
+                col += 1
+            i += 1
+
+    while i < n:
+        ch = text[i]
+        if ch in " \t\r\n":
+            bump()
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                bump()
+            continue
+        if ch.isalpha() or ch == "_":
+            l0, c0, j = line, col, i
+            while i < n and (text[i].isalnum() or text[i] == "_"):
+                bump()
+            tokens.append(("ident", text[j:i], l0, c0))
+            continue
+        if "0" <= ch <= "9":
+            l0, c0, j = line, col, i
+            while i < n and "0" <= text[i] <= "9":
+                bump()
+            tokens.append(("int", text[j:i], l0, c0))
+            continue
+        if ch == "-" and i + 1 < n and text[i + 1] == ">":
+            tokens.append(("->", "->", line, col))
+            bump(2)
+            continue
+        if ch == "<" and i + 1 < n and text[i + 1] == "-":
+            tokens.append(("<-", "<-", line, col))
+            bump(2)
+            continue
+        if ch in "{}():;,=^*":
+            tokens.append((ch, ch, line, col))
+            bump()
+            continue
+        diags.append((line, col, 1, f"unexpected character {ch!r}", "E001"))
+        bump()
+    tokens.append(("eof", "", line, col))
+    return tokens, diags

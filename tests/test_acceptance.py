@@ -236,4 +236,4 @@ def test_criterion_9_dsl_round_trip_and_corpus():
         got = [[d.code, d.line, d.column] for d in result]
         if got != want:
             violations.append(("diagnostics", name, got))
-    report(9, "200 model round-trips; 25 malformed files give frozen diagnostics", violations)
+    report(9, f"200 model round-trips; {len(expected)} malformed files give frozen diagnostics", violations)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +13,10 @@ from modpairs.cli import (
     main,
     run_command,
 )
-from modpairs.dsl import Model, parse
+from modpairs.dsl import MAX_INT_DIGITS, Model, parse
+
+EXAMPLE = Path(__file__).parent.parent / "scripts" / "example.lp"
+GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 
 DEMO = """\
 pair X { dim 1; coords t; divisor { t: 1 } }
@@ -150,6 +154,19 @@ class TestErrors:
         report = run_command(model(), ["twist", "X", "zero"])
         assert report.status == EXIT_INPUT
 
+    def test_non_ascii_digit_argument(self):
+        report = run_command(model(), ["twist", "X", "\u00b2"])
+        assert report.status == EXIT_INPUT
+        assert report.diagnostics[0].code == "E011"
+
+    def test_overlong_integer_argument(self):
+        command = ["twist", "X", "7" * (MAX_INT_DIGITS + 1)]
+        report = run_command(model(), command)
+        assert report.status == EXIT_INPUT
+        diag = report.diagnostics[0]
+        assert diag.code == "E012"
+        assert " ".join(command)[diag.column - 1 : diag.column - 1 + diag.length] == command[2]
+
     def test_diagnostic_span_inside_command_text(self):
         command = ["minimal-twist", "nope"]
         report = run_command(model(), command)
@@ -194,6 +211,27 @@ class TestMain:
         out = capsys.readouterr()
         assert status == EXIT_INPUT
         assert "E030" in out.err and not out.out
+
+    def test_model_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.lp"
+        path.write_bytes(b"pair X { dim 1; coords t; divisor { t: \xff } }\n")
+        status = main(["classify", "X", "--model", str(path)])
+        out = capsys.readouterr()
+        assert status == EXIT_INPUT
+        assert "cannot read model" in out.err and not out.out
+
+    def test_non_ascii_digit_in_model(self, tmp_path, capsys):
+        path = tmp_path / "digit.lp"
+        path.write_text("pair X { dim \u00b2; coords t; divisor { t: 1 } }\n", encoding="utf-8")
+        status = main(["classify", "X", "--model", str(path)])
+        assert status == EXIT_INPUT
+        assert "1:14: error: unexpected character '\u00b2' [E001]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, golden", [([], "check_all_example.txt"), (["--machine"], "check_all_example.jsonl")])
+    def test_check_all_golden(self, flags, golden, capsys):
+        status = main(["check-all", "--model", str(EXAMPLE), *flags])
+        assert status == EXIT_FALSE
+        assert capsys.readouterr().out == (GOLDEN_DIR / golden).read_text(encoding="utf-8")
 
     def test_missing_file(self, capsys):
         status = main(["check-all", "--model", "/nonexistent/model.lp"])

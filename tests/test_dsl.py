@@ -8,15 +8,18 @@ from hypothesis import strategies as st
 
 from modpairs.correspondences import CorrLocalRecord
 from modpairs.dsl import (
+    MAX_INT_DIGITS,
     CorrDecl,
     MapDecl,
     Model,
     PairDecl,
+    _lex,
     format_decl,
     parse,
     print_model,
 )
 from modpairs.pairs import Chart, Divisor, Pair
+from oracles import reference_lex
 from randgen import random_model
 
 MALFORMED_DIR = Path(__file__).parent / "data" / "malformed"
@@ -107,6 +110,15 @@ class TestParse:
         assert parsed("") == Model(())
         assert print_model(Model(())) == ""
 
+    def test_name_index(self):
+        model = parsed(DEMO)
+        rebuilt = Model(model.decls)  # indexes its declarations itself
+        for kind in ("pairs", "maps", "corrs", "qpairs", "blowups"):
+            assert dict(getattr(rebuilt, kind)) == dict(getattr(model, kind))
+        assert list(model.pairs) == ["X", "Y", "Z"]
+        with pytest.raises(TypeError):
+            model.pairs["W"] = model.pairs["X"]
+
 
 class TestPrint:
     def test_canonical_golden(self):
@@ -163,6 +175,34 @@ class TestDiagnostics:
     def test_forward_reference_rejected(self):
         result = parse("map f : X -> X { }\npair X { dim 0; coords; divisor {} }\n")
         assert [d.code for d in result] == ["E021"]
+
+    def test_literal_length_bound(self):
+        longest = "1" * MAX_INT_DIGITS
+        tokens, diags = _lex(longest)
+        assert diags == [] and tokens[0].text == longest
+        text = f"qpair Q = (1{longest}, X)"
+        result = parse(text)
+        assert [(d.code, d.column, d.length) for d in result] == [("E012", 12, MAX_INT_DIGITS + 1)]
+
+
+# Pieces of DSL text and odd characters: letters and numerals outside ASCII
+# (a superscript two, an Arabic-Indic three, a Roman numeral, a CJK numeral),
+# a combining mark, a non-breaking space, every line ending, comments.
+_LEX_PIECES = st.sampled_from(
+    ["pair", "map", "x1", "_t", "42", "007", " ", "\t", "\n", "\r\n", "\r", "# note", "#",
+     "->", "<-", "-", "<", ">", "{", "}", "(", ")", ":", ";", ",", "=", "^", "*", "@",
+     "\u00b2", "\u00bd", "\u0663", "\u2167", "\u4e00", "\u00e9", "\u00df", "\u0301", "\u00a0"]
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_LEX_PIECES | st.characters(), max_size=60).map("".join))
+def test_lexer_matches_reference(text):
+    tokens, diags = _lex(text)
+    want_tokens, want_diags = reference_lex(text)
+    assert [(t.kind, t.text, t.line, t.column) for t in tokens] == want_tokens
+    assert [(d.line, d.column, d.length, d.message, d.code) for d in diags] == want_diags
+    assert all(d.severity == "error" for d in diags)
 
 
 @settings(max_examples=120, deadline=None)
