@@ -3,7 +3,8 @@
 Exit statuses distinguish answers from failures to answer: 0 means every
 queried check passed or the command produced its value, 1 means a queried
 membership or verdict came back false, 2 means malformed input or usage,
-3 an unknown name, 4 a dimension/structure mismatch, 5 an invalid blowup.
+3 an unknown name, 4 a dimension/structure mismatch, 5 an invalid blowup,
+70 an internal error (a fault in modpairs itself, never an answer).
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ EXIT_INPUT = 2
 EXIT_UNKNOWN_NAME = 3
 EXIT_DIMENSION = 4
 EXIT_INVALID_BLOWUP = 5
+EXIT_INTERNAL = 70  # EX_SOFTWARE in sysexits.h
 
 COMMANDS = {
     "check-admissible": ("name",),
@@ -289,6 +291,8 @@ def _run_single(model: Model, command: list[str]) -> Report:
         n = _int_arg(command, 2)
         try:
             result = cube(decl.pair, n) if verb == "cube" else twist(decl.pair, n)
+        except StructureError:
+            raise  # a fresh-coordinate collision: reported like every structure error
         except ValueError as exc:
             raise _CommandError(EXIT_INPUT, _arg_diag(command, 2, str(exc), "E011")) from None
         echo = format_decl(decl)
@@ -383,6 +387,14 @@ def _read_model_text(path: str) -> str:
 
 
 def main(argv=None) -> int:
+    try:
+        return _main(argv)
+    except Exception as exc:  # a fault in modpairs, which must not read as a verdict
+        print(f"error: internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
+
+
+def _main(argv) -> int:
     parser = argparse.ArgumentParser(
         prog="modpairs",
         description="Checks on declared pairs, maps, correspondences, levelled pairs and blowups.",

@@ -137,82 +137,113 @@ class Model:
 # 4 300 digits on int/str conversion.
 MAX_INT_DIGITS = 1000
 _TOP = ("pair", "map", "corr", "qpair", "blowup")
+_PUNCT = frozenset(("->", "<-", "{", "}", "(", ")", ":", ";", ",", "=", "^", "*"))
 
-# One match per token: whitespace and comments are skipped inside the match,
-# and the last match is the empty end of the text.  ``\w`` is exactly
-# ``str.isalnum()`` plus ``_``, so a word is an identifier when its first
-# character is a letter or ``_``; a word starting with any other numeral
-# (``²``, ``٣``) is not a token.
-_TOKEN = re.compile(
-    r"(?:[ \t\r\n]+|#[^\n]*)*"
-    r"(?:(?P<int>[0-9]+)|(?P<word>\w+)|(?P<punct>->|<-|[{}():;,=^*])|(?P<bad>.)|(?P<eof>\Z))",
-    re.DOTALL,
-)
+# One match per token, whitespace and comments skipped inside the match; the
+# text of a token is the only group, and the empty end of the text is the
+# last match.  ``\w`` is exactly ``str.isalnum()`` plus ``_``.  A single
+# character outside a word is punctuation or a stray character.
+_TOKEN = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*(->|<-|[0-9]+|\w+|.|\Z)", re.DOTALL)
 
 
-@dataclass(slots=True)
-class _Token:
-    # slots, not frozen: a frozen dataclass costs three times as much to build
-    kind: str  # "ident", "int", "eof", or the punctuation/arrow itself
-    text: str
-    line: int
-    column: int
+def _plain(tok: str) -> bool:
+    """Kept as it is: the end, punctuation, a name or a literal within the bound."""
+    first = tok[:1]
+    return (
+        tok in _PUNCT or first.isalpha() or first == "_" or not tok
+        or ("0" <= first <= "9" and len(tok) <= MAX_INT_DIGITS)
+    )
 
 
-def _describe(tok: _Token) -> str:
-    if tok.kind == "eof":
-        return "end of input"
-    if tok.kind == "ident":
-        return f"name '{tok.text}'"
-    if tok.kind == "int":
-        return f"integer '{tok.text}'"
-    return f"'{tok.text}'"
-
-
-def _lex(text: str) -> tuple[list[_Token], list[Diagnostic]]:
-    tokens: list[_Token] = []
-    diags: list[Diagnostic] = []
-    match, append, n = _TOKEN.match, tokens.append, len(text)
-    line, line_start, pos = 1, 0, 0
-    next_newline = text.find("\n")
-    if next_newline < 0:
-        next_newline = n
-    while True:
-        m = match(text, pos)
-        kind = m.lastgroup
-        start, pos = m.span(kind)
-        # tokens never hold a newline, so only skipped text moves the line
-        while next_newline < start:
-            line += 1
-            line_start = next_newline + 1
-            next_newline = text.find("\n", line_start)
-            if next_newline < 0:
-                next_newline = n
-        column = start - line_start + 1
-        if kind == "word":
-            ch = text[start]
-            if ch.isalpha() or ch == "_":
-                append(_Token("ident", text[start:pos], line, column))
-                continue
-            # a numeral that is not an ASCII digit: reject it and lex on from
-            # the next character, which may start a token of its own
-            diags.append(Diagnostic("error", line, column, 1, f"unexpected character {ch!r}", "E001"))
-            pos = start + 1
-        elif kind == "punct":
-            punct = text[start:pos]
-            append(_Token(punct, punct, line, column))
-        elif kind == "int":
-            if pos - start > MAX_INT_DIGITS:
-                diags.append(Diagnostic(
-                    "error", line, column, pos - start,
-                    f"integer literal longer than {MAX_INT_DIGITS} digits", "E012",
-                ))
-            append(_Token("int", text[start:pos], line, column))
-        elif kind == "bad":
-            diags.append(Diagnostic("error", line, column, 1, f"unexpected character {text[start]!r}", "E001"))
+def _pieces(tok: str) -> list[tuple[int, str, str | None]]:
+    """(offset in ``tok``, text, code) of the parts of a token that is not plain:
+    code None for a token, "E001" for a stray character, "E012" for an over-long
+    literal (still a token).  A word led by a numeral other than an ASCII digit
+    (``²x``, only in a text that is not ASCII) is lexed on from its second character."""
+    pieces, i = [], 0
+    while i < len(tok):
+        piece = _TOKEN.match(tok, i)[1]
+        if _plain(piece):
+            code = None
+        elif "0" <= piece[0] <= "9":
+            code = "E012"
         else:
-            append(_Token("eof", "", line, column))
-            return tokens, diags
+            piece, code = piece[0], "E001"
+        pieces.append((i, piece, code))
+        i += len(piece)
+    return pieces
+
+
+def _lex(text: str) -> tuple[list[str], set[str]]:
+    """The token texts of ``text``, ending with "", and the set of matched
+    texts that are not plain (each gives the lexer's diagnostics)."""
+    tokens = _TOKEN.findall(text)
+    if len(tokens) > 1 and not tokens[-2]:
+        tokens.pop()  # trailing blanks match with the end, then the end again
+    odd = {tok for tok in set(tokens) if not _plain(tok)}
+    if odd:
+        kept = []
+        for tok in tokens:
+            if tok in odd:
+                kept += [piece for _, piece, code in _pieces(tok) if code != "E001"]
+            else:
+                kept.append(tok)
+        tokens = kept
+    return tokens, odd
+
+
+def _diagnose(text: str, odd: set[str], problems: list) -> list[Diagnostic]:
+    """The lexer's diagnostics, then the parser's ``problems``, placed in the text.
+
+    A problem is (token index, length, message, code).  One pass over the
+    text finds the offsets in increasing order, counting the newlines between
+    them; it stops after the last problem when the lexer found nothing.
+    """
+    found, places = [], {}
+    wanted = {at for at, _, _, _ in problems}
+    last, index = max(wanted, default=-1), 0
+    line, line_start, seen = 1, 0, 0
+
+    def place(offset: int) -> tuple[int, int]:
+        nonlocal line, line_start, seen
+        crossed = text.count("\n", seen, offset)
+        if crossed:
+            line += crossed
+            line_start = text.rfind("\n", seen, offset) + 1
+        seen = offset
+        return line, offset - line_start + 1
+
+    for m in _TOKEN.finditer(text):
+        tok = m[1]
+        if tok in odd:
+            start = m.start(1)
+            for at, piece, code in _pieces(tok):
+                if code == "E001":
+                    found.append((*place(start + at), 1, f"unexpected character {piece!r}", code))
+                    continue
+                places[index] = place(start + at)
+                if code:
+                    message = f"integer literal longer than {MAX_INT_DIGITS} digits"
+                    found.append((*places[index], len(piece), message, code))
+                index += 1
+            continue
+        if index in wanted:
+            places[index] = place(m.start(1))
+        elif index > last and not odd:
+            break
+        index += 1
+    diags = found + [(*places[at], *rest) for at, *rest in problems]
+    return [Diagnostic("error", *d) for d in diags]
+
+
+def _describe(tok: str) -> str:
+    if not tok:
+        return "end of input"
+    if tok in _PUNCT:
+        return f"'{tok}'"
+    if "0" <= tok[0] <= "9":
+        return f"integer '{tok}'"
+    return f"name '{tok}'"
 
 
 # --- parser ----------------------------------------------------------------
@@ -222,62 +253,62 @@ class _ParseAbort(Exception):
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], diags: list[Diagnostic]):
+    """Reads the token texts by index; ``i`` never moves past the end ("")."""
+
+    def __init__(self, tokens: list[str], problems: list):
         self.toks = tokens
-        self.diags = diags
+        self.problems = problems
         self.i = 0
         self.decls: list[Decl] = []
         # the model's name index, filled as declarations are accepted
         self.names: dict[type, dict[str, Decl]] = {kind: {} for kind in _KINDS}
 
-    def peek(self) -> _Token:
-        return self.toks[self.i]
-
-    def take(self) -> _Token:
-        tok = self.toks[self.i]
-        if tok.kind != "eof":
-            self.i += 1
-        return tok
-
-    def fail(self, tok: _Token, code: str, message: str):
-        self.diags.append(
-            Diagnostic("error", tok.line, tok.column, len(tok.text), message, code)
-        )
+    def fail(self, at: int, code: str, message: str):
+        self.problems.append((at, len(self.toks[at]), message, code))
         raise _ParseAbort
 
-    def expect(self, kind: str, what: str, code: str = "E011") -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            self.fail(tok, code, f"expected {what}, found {_describe(tok)}")
-        return self.take()
+    def expect(self, text: str, what: str = "") -> int:
+        """Step over the punctuation or keyword ``text``; its index."""
+        at = self.i
+        if self.toks[at] != text:
+            self.fail(at, "E011", f"expected {what or repr(text)}, found {_describe(self.toks[at])}")
+        self.i = at + 1
+        return at
 
-    def expect_kw(self, word: str, code: str = "E011") -> _Token:
-        tok = self.peek()
-        if tok.kind != "ident" or tok.text != word:
-            self.fail(tok, code, f"expected '{word}', found {_describe(tok)}")
-        return self.take()
+    def name(self, what: str) -> str:
+        tok = self.toks[self.i]
+        if not (tok[:1].isalpha() or tok[:1] == "_"):
+            self.fail(self.i, "E011", f"expected {what}, found {_describe(tok)}")
+        self.i += 1
+        return tok
 
-    def int_value(self, tok: _Token) -> int:
-        if len(tok.text) > MAX_INT_DIGITS:
+    def number(self, what: str) -> int:
+        tok = self.toks[self.i]
+        if not "0" <= tok[:1] <= "9":
+            self.fail(self.i, "E011", f"expected {what}, found {_describe(tok)}")
+        self.i += 1
+        if len(tok) > MAX_INT_DIGITS:
             raise _ParseAbort  # already reported by the lexer (E012)
-        return int(tok.text)
-
-    def expect_int(self, what: str = "an integer") -> tuple[int, _Token]:
-        tok = self.expect("int", what)
-        return self.int_value(tok), tok
+        return int(tok)
 
     def fresh_name(self, kind: type, noun: str) -> str:
-        tok = self.expect("ident", f"a {noun} name")
-        if tok.text in self.names[kind]:
-            self.fail(tok, "E020", f"duplicate {noun} name '{tok.text}'")
-        return tok.text
+        name = self.name(f"a {noun} name")
+        if name in self.names[kind]:
+            self.fail(self.i - 1, "E020", f"duplicate {noun} name '{name}'")
+        return name
 
-    def resolve_pair(self, what: str = "pair") -> tuple[str, Pair, _Token]:
-        tok = self.expect("ident", f"a {what} name")
-        decl = self.names[PairDecl].get(tok.text)
+    def resolve_pair(self, what: str = "pair") -> tuple[str, Pair]:
+        name = self.name(f"a {what} name")
+        decl = self.names[PairDecl].get(name)
         if decl is None:
-            self.fail(tok, "E021", f"unknown pair '{tok.text}'")
-        return tok.text, decl.pair, tok
+            self.fail(self.i - 1, "E021", f"unknown pair '{name}'")
+        return name, decl.pair
+
+    def coord(self, chart: Chart, what: str) -> int:
+        name = self.name(what)
+        if name not in chart.coords:
+            self.fail(self.i - 1, "E032", f"unknown coordinate '{name}'")
+        return chart.index(name)
 
     def accept(self, decl: Decl):
         self.decls.append(decl)
@@ -286,131 +317,98 @@ class _Parser:
     # statements
 
     def run(self) -> Model:
-        while self.peek().kind != "eof":
-            tok = self.peek()
-            if tok.kind == "ident" and tok.text in _TOP:
-                handler = getattr(self, "_stmt_" + tok.text)
-                try:
-                    handler()
-                except _ParseAbort:
-                    self._sync()
-            else:
-                self.diags.append(
-                    Diagnostic(
-                        "error",
-                        tok.line,
-                        tok.column,
-                        max(len(tok.text), 1),
-                        "expected a declaration ('pair', 'map', 'corr', 'qpair' or "
-                        f"'blowup'), found {_describe(tok)}",
-                        "E010",
-                    )
-                )
-                self.take()
-                self._sync()
+        toks = self.toks
+        while tok := toks[self.i]:
+            try:
+                if tok not in _TOP:
+                    self.fail(self.i, "E010", "expected a declaration ('pair', 'map', 'corr', "
+                              f"'qpair' or 'blowup'), found {_describe(tok)}")
+                getattr(self, "_stmt_" + tok)()
+            except _ParseAbort:  # resynchronize at the next declaration
+                while toks[self.i] and toks[self.i] not in _TOP:
+                    self.i += 1
         model = Model(tuple(self.decls))
         model.__dict__["_names"] = self.names  # the index Model would build
         return model
 
-    def _sync(self):
-        while True:
-            tok = self.peek()
-            if tok.kind == "eof" or (tok.kind == "ident" and tok.text in _TOP):
-                return
-            self.take()
-
     def _stmt_pair(self):
-        self.take()
+        toks = self.toks
+        self.i += 1
         name = self.fresh_name(PairDecl, "pair")
-        self.expect("{", "'{'")
-        self.expect_kw("dim")
-        dim, dim_tok = self.expect_int("the chart dimension")
-        self.expect(";", "';'")
-        self.expect_kw("coords")
-        coord_toks = []
-        while self.peek().kind == "ident":
-            coord_toks.append(self.take())
+        self.expect("{")
+        self.expect("dim")
+        dim_at, dim = self.i, self.number("the chart dimension")
+        self.expect(";")
+        self.expect("coords")
+        first = self.i
+        while toks[self.i][:1].isalpha() or toks[self.i][:1] == "_":
+            self.i += 1
+        coords = tuple(toks[first:self.i])
         self.expect(";", "';' after the coordinate list")
-        if len(coord_toks) != dim:
-            self.fail(
-                dim_tok, "E030",
-                f"dim {dim} does not match the {len(coord_toks)} declared coordinate(s)",
-            )
+        if len(coords) != dim:
+            self.fail(dim_at, "E030", f"dim {dim} does not match the {len(coords)} declared coordinate(s)")
         seen: set[str] = set()
-        for tok in coord_toks:
-            if tok.text in seen:
-                self.fail(tok, "E031", f"duplicate coordinate '{tok.text}'")
-            seen.add(tok.text)
-        chart = Chart(tuple(tok.text for tok in coord_toks))
+        for at, coord in enumerate(coords, first):
+            if coord in seen:
+                self.fail(at, "E031", f"duplicate coordinate '{coord}'")
+            seen.add(coord)
+        chart = Chart(coords)
         mults = [0] * dim
         assigned: set[int] = set()
-        if self.peek().kind == "ident" and self.peek().text == "divisor":
-            self.take()
-            self.expect("{", "'{'")
-            first = True
-            while self.peek().kind != "}":
-                if not first:
+        if toks[self.i] == "divisor":
+            self.i += 1
+            self.expect("{")
+            while toks[self.i] != "}":
+                if assigned:
                     self.expect(",", "',' between divisor entries")
-                first = False
-                ctok = self.expect("ident", "a coordinate name")
-                if ctok.text not in chart.coords:
-                    self.fail(ctok, "E032", f"unknown coordinate '{ctok.text}'")
-                idx = chart.index(ctok.text)
+                idx = self.coord(chart, "a coordinate name")
                 if idx in assigned:
-                    self.fail(ctok, "E033", f"coordinate '{ctok.text}' appears twice in the divisor")
+                    self.fail(self.i - 1, "E033", f"coordinate '{toks[self.i - 1]}' appears twice in the divisor")
                 assigned.add(idx)
-                self.expect(":", "':'")
-                mults[idx], _ = self.expect_int("a multiplicity")
-            self.expect("}", "'}'")
+                self.expect(":")
+                mults[idx] = self.number("a multiplicity")
+            self.i += 1
         self.expect("}", "'}' closing the pair declaration")
         self.accept(PairDecl(name, Pair(chart, Divisor(tuple(mults)))))
 
     def _monomial(self, chart: Chart) -> tuple[int, ...]:
+        toks = self.toks
         exps = [0] * chart.dim
-        tok = self.peek()
-        if tok.kind == "int":
-            if self.int_value(tok) != 1:
-                self.fail(tok, "E042", "only the literal 1 denotes the empty monomial")
-            self.take()
+        at = self.i
+        if "0" <= toks[at][:1] <= "9":
+            if self.number("") != 1:
+                self.fail(at, "E042", "only the literal 1 denotes the empty monomial")
             return tuple(exps)
         while True:
-            ctok = self.expect("ident", "a source coordinate")
-            if ctok.text not in chart.coords:
-                self.fail(ctok, "E032", f"unknown coordinate '{ctok.text}'")
+            idx = self.coord(chart, "a source coordinate")
             e = 1
-            if self.peek().kind == "^":
-                self.take()
-                e, _ = self.expect_int("an exponent")
-            exps[chart.index(ctok.text)] += e
-            if self.peek().kind == "*":
-                self.take()
-                continue
-            break
-        return tuple(exps)
+            if toks[self.i] == "^":
+                self.i += 1
+                e = self.number("an exponent")
+            exps[idx] += e
+            if toks[self.i] != "*":
+                return tuple(exps)
+            self.i += 1
 
     def _stmt_map(self):
-        self.take()
+        toks = self.toks
+        self.i += 1
         name = self.fresh_name(MapDecl, "map")
-        self.expect(":", "':'")
-        src_name, src_pair, _ = self.resolve_pair("source pair")
-        self.expect("->", "'->'")
-        dst_name, dst_pair, _ = self.resolve_pair("destination pair")
-        self.expect("{", "'{'")
+        self.expect(":")
+        src_name, src_pair = self.resolve_pair("source pair")
+        self.expect("->")
+        dst_name, dst_pair = self.resolve_pair("destination pair")
+        self.expect("{")
         rows: dict[int, tuple[int, ...]] = {}
-        while self.peek().kind != "}":
-            tgt = self.expect("ident", "a target coordinate")
-            if tgt.text not in dst_pair.chart.coords:
-                self.fail(tgt, "E032", f"unknown coordinate '{tgt.text}'")
-            j = dst_pair.chart.index(tgt.text)
+        while toks[self.i] != "}":
+            j = self.coord(dst_pair.chart, "a target coordinate")
             if j in rows:
-                self.fail(tgt, "E041", f"target coordinate '{tgt.text}' assigned twice")
-            self.expect("<-", "'<-'")
+                self.fail(self.i - 1, "E041", f"target coordinate '{toks[self.i - 1]}' assigned twice")
+            self.expect("<-")
             rows[j] = self._monomial(src_pair.chart)
-            if self.peek().kind == ";":
-                self.take()
-            elif self.peek().kind != "}":
+            if toks[self.i] != "}":
                 self.expect(";", "';' between assignments")
-        close = self.expect("}", "'}'")
+        close = self.expect("}")
         for j, cname in enumerate(dst_pair.chart.coords):
             if j not in rows:
                 self.fail(close, "E040", f"map does not assign target coordinate '{cname}'")
@@ -418,119 +416,117 @@ class _Parser:
         pair_map = PairMap(MonomialMap(src_pair.chart, dst_pair.chart, matrix), src_pair, dst_pair)
         self.accept(MapDecl(name, src_name, dst_name, pair_map))
 
+    def _endpoint(self, what: str) -> tuple[str, Pair]:
+        name, pair = self.resolve_pair(what)
+        if pair.chart.dim != 1:
+            self.fail(self.i - 1, "E080", f"correspondence endpoint '{name}' must be a one-dimensional pair")
+        return name, pair
+
     def _stmt_corr(self):
-        self.take()
+        toks = self.toks
+        self.i += 1
         name = self.fresh_name(CorrDecl, "corr")
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text == "monomial":
-            self.take()
-            self.expect("(", "'('")
-            a, a_tok = self.expect_int("the first exponent")
-            self.expect(",", "','")
-            b, b_tok = self.expect_int("the second exponent")
-            self.expect(",", "','")
-            n_x, _ = self.expect_int("the source multiplicity")
-            self.expect(",", "','")
-            n_y, _ = self.expect_int("the destination multiplicity")
-            self.expect(")", "')'")
+        if toks[self.i] == "monomial":
+            self.i += 1
+            self.expect("(")
+            a_at, a = self.i, self.number("the first exponent")
+            self.expect(",")
+            b_at, b = self.i, self.number("the second exponent")
+            self.expect(",")
+            n_x = self.number("the source multiplicity")
+            self.expect(",")
+            n_y = self.number("the destination multiplicity")
+            self.expect(")")
             if a < 1:
-                self.fail(a_tok, "E052", "parametrization exponents must be positive")
+                self.fail(a_at, "E052", "parametrization exponents must be positive")
             if b < 1:
-                self.fail(b_tok, "E052", "parametrization exponents must be positive")
+                self.fail(b_at, "E052", "parametrization exponents must be positive")
             corr = from_monomial_param(a, b, n_x, n_y)
             self.accept(CorrDecl(name, corr, monomial=(a, b, n_x, n_y)))
             return
-        if tok.kind != ":":
-            self.fail(tok, "E011", f"expected ':' or 'monomial' after the corr name, found {_describe(tok)}")
-        self.take()
-        src_name, src_pair, src_tok = self.resolve_pair("source pair")
-        if src_pair.chart.dim != 1:
-            self.fail(src_tok, "E080", f"correspondence endpoint '{src_name}' must be a one-dimensional pair")
-        self.expect("->", "'->'")
-        dst_name, dst_pair, dst_tok = self.resolve_pair("destination pair")
-        if dst_pair.chart.dim != 1:
-            self.fail(dst_tok, "E080", f"correspondence endpoint '{dst_name}' must be a one-dimensional pair")
-        self.expect("{", "'{'")
+        self.expect(":", "':' or 'monomial' after the corr name")
+        src_name, _ = self._endpoint("source pair")
+        self.expect("->")
+        dst_name, _ = self._endpoint("destination pair")
+        self.expect("{")
         records: list[CorrLocalRecord] = []
         labels: set[str] = set()
-        while self.peek().kind == "ident" and self.peek().text == "point":
-            self.take()
-            ltok = self.peek()
-            if ltok.kind not in ("ident", "int"):
-                self.fail(ltok, "E011", f"expected a point label, found {_describe(ltok)}")
-            self.take()
-            if ltok.text in labels:
-                self.fail(ltok, "E050", f"duplicate point label '{ltok.text}'")
-            labels.add(ltok.text)
-            self.expect("{", "'{'")
-            self.expect_kw("nx")
-            n_x, _ = self.expect_int("nx")
-            self.expect(";", "';'")
-            self.expect_kw("ny")
-            n_y, _ = self.expect_int("ny")
-            self.expect(";", "';'")
-            self.expect_kw("ex")
-            e_x, ex_tok = self.expect_int("ex")
-            self.expect(";", "';'")
-            self.expect_kw("ey")
-            e_y, ey_tok = self.expect_int("ey")
-            if self.peek().kind == ";":
-                self.take()
-            self.expect("}", "'}'")
+        while toks[self.i] == "point":
+            self.i += 1
+            at = self.i
+            label = toks[at]
+            if not label or label in _PUNCT:
+                self.fail(at, "E011", f"expected a point label, found {_describe(label)}")
+            self.i += 1
+            if label in labels:
+                self.fail(at, "E050", f"duplicate point label '{label}'")
+            labels.add(label)
+            self.expect("{")
+            self.expect("nx")
+            n_x = self.number("nx")
+            self.expect(";")
+            self.expect("ny")
+            n_y = self.number("ny")
+            self.expect(";")
+            self.expect("ex")
+            ex_at, e_x = self.i, self.number("ex")
+            self.expect(";")
+            self.expect("ey")
+            ey_at, e_y = self.i, self.number("ey")
+            if toks[self.i] == ";":
+                self.i += 1
+            self.expect("}")
             if e_x < 1:
-                self.fail(ex_tok, "E051", "ramification degrees must be positive")
+                self.fail(ex_at, "E051", "ramification degrees must be positive")
             if e_y < 1:
-                self.fail(ey_tok, "E051", "ramification degrees must be positive")
-            records.append(CorrLocalRecord(ltok.text, n_x, n_y, e_x, e_y))
-        self.expect("}", "'}'")
+                self.fail(ey_at, "E051", "ramification degrees must be positive")
+            records.append(CorrLocalRecord(label, n_x, n_y, e_x, e_y))
+        self.expect("}")
         self.accept(CorrDecl(name, NonConstantCorr(tuple(records)), src=src_name, dst=dst_name))
 
     def _stmt_qpair(self):
-        self.take()
+        self.i += 1
         name = self.fresh_name(QPairDecl, "qpair")
-        self.expect("=", "'='")
-        self.expect("(", "'('")
-        level, level_tok = self.expect_int("the level")
-        self.expect(",", "','")
-        pair_name, pair, _ = self.resolve_pair()
-        self.expect(")", "')'")
+        self.expect("=")
+        self.expect("(")
+        level_at, level = self.i, self.number("the level")
+        self.expect(",")
+        pair_name, pair = self.resolve_pair()
+        self.expect(")")
         if level < 1:
-            self.fail(level_tok, "E060", "level must be a positive integer")
+            self.fail(level_at, "E060", "level must be a positive integer")
         self.accept(QPairDecl(name, pair_name, QPair(level, pair)))
 
     def _stmt_blowup(self):
-        self.take()
+        toks = self.toks
+        self.i += 1
         name = self.fresh_name(BlowupDecl, "blowup")
-        self.expect_kw("on")
-        pair_name, pair, _ = self.resolve_pair()
-        center_tok = self.expect_kw("center")
-        self.expect("{", "'{'")
+        self.expect("on")
+        pair_name, pair = self.resolve_pair()
+        center_at = self.expect("center")
+        self.expect("{")
         indices: set[int] = set()
-        first = True
-        while self.peek().kind != "}":
-            if not first:
+        while toks[self.i] != "}":
+            if indices:
                 self.expect(",", "',' between center coordinates")
-            first = False
-            ctok = self.expect("ident", "a coordinate name")
-            if ctok.text not in pair.chart.coords:
-                self.fail(ctok, "E032", f"unknown coordinate '{ctok.text}'")
-            idx = pair.chart.index(ctok.text)
+            idx = self.coord(pair.chart, "a coordinate name")
             if idx in indices:
-                self.fail(ctok, "E071", f"coordinate '{ctok.text}' appears twice in the center")
+                self.fail(self.i - 1, "E071", f"coordinate '{toks[self.i - 1]}' appears twice in the center")
             indices.add(idx)
-        self.expect("}", "'}'")
+        self.i += 1
         if not indices:
-            self.fail(center_tok, "E070", "blowup center must name at least one coordinate")
+            self.fail(center_at, "E070", "blowup center must name at least one coordinate")
         coords = tuple(pair.chart.coords[i] for i in sorted(indices))
         self.accept(BlowupDecl(name, pair_name, coords, BlowupSpec(pair, frozenset(indices))))
 
 
 def parse(text: str) -> Model | list[Diagnostic]:
     """Parse a declaration text into a model, or report every problem found."""
-    tokens, diags = _lex(text)
-    model = _Parser(tokens, diags).run()
-    if any(d.severity == "error" for d in diags):
-        return list(diags)
+    tokens, odd = _lex(text)
+    problems: list = []
+    model = _Parser(tokens, problems).run()
+    if odd or problems:
+        return _diagnose(text, odd, problems)
     return model
 
 

@@ -7,6 +7,7 @@ from modpairs.cli import (
     EXIT_DIMENSION,
     EXIT_FALSE,
     EXIT_INPUT,
+    EXIT_INTERNAL,
     EXIT_INVALID_BLOWUP,
     EXIT_OK,
     EXIT_UNKNOWN_NAME,
@@ -150,6 +151,18 @@ class TestErrors:
         report = run_command(parsed, ["qdiv-eq", "Q", "S"])
         assert report.status == EXIT_DIMENSION
 
+    def test_cube_coordinate_collision_is_structure_error(self):
+        parsed = parse("pair I { dim 1; coords inf; divisor { inf: 1 } }\n")
+        report = run_command(parsed, ["cube", "I", "2"])
+        assert report.status == EXIT_DIMENSION
+        assert report.diagnostics[0].code == "E090"
+        assert "collides" in report.text
+
+    def test_cube_zero_weight_is_input_error(self):
+        report = run_command(model(), ["cube", "X", "0"])
+        assert report.status == EXIT_INPUT
+        assert report.diagnostics[0].code == "E011"
+
     def test_bad_integer_argument(self):
         report = run_command(model(), ["twist", "X", "zero"])
         assert report.status == EXIT_INPUT
@@ -237,6 +250,18 @@ class TestMain:
         status = main(["check-all", "--model", "/nonexistent/model.lp"])
         assert status == EXIT_INPUT
         assert "cannot read model" in capsys.readouterr().err
+
+    def test_unexpected_exception_is_internal_error(self, model_file, capsys, monkeypatch):
+        def broken(model, command):
+            raise RuntimeError("broken\nkernel")
+
+        monkeypatch.setattr("modpairs.cli.run_command", broken)
+        status = main(["check-all", "--model", model_file])
+        out = capsys.readouterr()
+        assert status == EXIT_INTERNAL
+        assert status not in (EXIT_OK, EXIT_FALSE, EXIT_INPUT, EXIT_UNKNOWN_NAME, EXIT_DIMENSION, EXIT_INVALID_BLOWUP)
+        assert out.err.splitlines() == ["error: internal error: RuntimeError('broken\\nkernel')"]
+        assert not out.out
 
     def test_stdin(self, model_file, capsys, monkeypatch):
         import io

@@ -10,9 +10,11 @@ from modpairs.correspondences import CorrLocalRecord
 from modpairs.dsl import (
     MAX_INT_DIGITS,
     CorrDecl,
+    Diagnostic,
     MapDecl,
     Model,
     PairDecl,
+    _diagnose,
     _lex,
     format_decl,
     parse,
@@ -178,8 +180,8 @@ class TestDiagnostics:
 
     def test_literal_length_bound(self):
         longest = "1" * MAX_INT_DIGITS
-        tokens, diags = _lex(longest)
-        assert diags == [] and tokens[0].text == longest
+        tokens, odd = _lex(longest)
+        assert not odd and tokens[0] == longest
         text = f"qpair Q = (1{longest}, X)"
         result = parse(text)
         assert [(d.code, d.column, d.length) for d in result] == [("E012", 12, MAX_INT_DIGITS + 1)]
@@ -195,14 +197,87 @@ _LEX_PIECES = st.sampled_from(
 )
 
 
+def token_kind(tok):
+    if not tok:
+        return "eof"
+    if "0" <= tok[0] <= "9":
+        return "int"
+    if tok[0].isalpha() or tok[0] == "_":
+        return "ident"
+    return tok
+
+
+def lexed(text):
+    """``_lex``'s tokens and diagnostics in the shape of ``reference_lex``.
+
+    Positions come from ``_diagnose``, asked to place a probe at every token.
+    """
+    tokens, odd = _lex(text)
+    probes = [(i, len(tok), "probe", "P000") for i, tok in enumerate(tokens)]
+    diags = _diagnose(text, odd, probes)
+    lexer_diags, placed = diags[: -len(tokens)], diags[-len(tokens):]
+    assert all(d.severity == "error" for d in diags)
+    assert [d.length for d in placed] == [len(tok) for tok in tokens]
+    return (
+        [(token_kind(tok), tok, d.line, d.column) for tok, d in zip(tokens, placed)],
+        [(d.line, d.column, d.length, d.message, d.code) for d in lexer_diags],
+    )
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.lists(_LEX_PIECES | st.characters(), max_size=60).map("".join))
 def test_lexer_matches_reference(text):
-    tokens, diags = _lex(text)
+    assert lexed(text) == reference_lex(text)
+
+
+def test_lexer_matches_reference_on_a_long_text():
+    # positions far from offset 0: stray characters, words that start with a
+    # numeral other than an ASCII digit, and one over-long literal per 100 lines
+    rng = random.Random(3)
+    odd = ["@", "\u00b2x", "\u00b2\u00b25y", "\u0663", "-", "<", "\u00a0"]
+    lines = []
+    for n in range(1200):
+        words = [rng.choice(["pair", "p_1", "\u00e9t\u00e9", "42", "{", "}", "->", "<-", ";", "# c @ \u00b2"])
+                 for _ in range(rng.randrange(6))]
+        if n % 7 == 0:
+            words.insert(rng.randrange(len(words) + 1), rng.choice(odd))
+        if n % 100 == 50:
+            words.insert(0, "9" * (MAX_INT_DIGITS + 1 + n // 100))
+        lines.append(rng.choice([" ", "\t", ""]).join(words))
+    text = "\r\n".join(lines[:600]) + "\n" + "\n".join(lines[600:])
+    tokens, diags = lexed(text)
     want_tokens, want_diags = reference_lex(text)
-    assert [(t.kind, t.text, t.line, t.column) for t in tokens] == want_tokens
-    assert [(d.line, d.column, d.length, d.message, d.code) for d in diags] == want_diags
-    assert all(d.severity == "error" for d in diags)
+    assert tokens == want_tokens
+    long_literals = [
+        (line, column, len(tok), f"integer literal longer than {MAX_INT_DIGITS} digits", "E012")
+        for kind, tok, line, column in want_tokens
+        if kind == "int" and len(tok) > MAX_INT_DIGITS
+    ]
+    assert len(long_literals) == 12 and len(want_diags) > 150
+    assert diags == sorted(want_diags + long_literals)
+    assert tokens[-1][2] == len(lines)
+    assert parse(text)[: len(diags)] == [Diagnostic("error", *d) for d in diags]
+
+
+# Statement words, so that drawn texts also reach the parser's deeper states.
+_PARSE_PIECES = st.sampled_from(
+    ["dim", "coords", "divisor", "corr", "qpair", "blowup", "point", "nx", "ny", "ex", "ey",
+     "monomial", "on", "center", "pair X { dim 1; coords t; divisor { t: 1 } }\n", "X", "t", "1", "0"]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_LEX_PIECES | _PARSE_PIECES | st.characters(), max_size=60).map("".join))
+def test_parse_is_total_and_spans_stay_in_bounds(text):
+    result = parse(text)
+    if isinstance(result, Model):
+        return
+    assert result and all(isinstance(d, Diagnostic) and d.severity == "error" for d in result)
+    lines = text.split("\n")
+    for d in result:
+        assert 1 <= d.line <= text.count("\n") + 1
+        assert d.column >= 1 and d.length >= 0
+        assert d.column - 1 + d.length <= len(lines[d.line - 1])
 
 
 @settings(max_examples=120, deadline=None)
