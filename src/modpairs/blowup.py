@@ -10,10 +10,9 @@ chart-local, so nothing more is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
-from .pairs import Divisor, MonomialMap, Pair, StructureError, pullback
+from .pairs import Divisor, MonomialMap, Pair, StructureError, Value, pullback, setfield
 
 
 class BlowupClass(Enum):
@@ -32,36 +31,37 @@ class InvalidBlowupError(ValueError):
         self.verdict = verdict
 
 
-@dataclass(frozen=True)
-class BlowupSpec:
+class BlowupSpec(Value):
     """A pair plus the coordinate indices (0-based) cutting out the center.
 
     Validity of the center against the divisor support is decided by
     ``classify``, not at construction.
     """
 
-    pair: Pair
-    center: frozenset[int]
+    __slots__ = ("pair", "center")
 
-    def __post_init__(self):
-        center = frozenset(self.center)
-        object.__setattr__(self, "center", center)
+    def __init__(self, pair: Pair, center: frozenset[int]):
+        center = frozenset(center)
         if not center:
             raise StructureError("blowup center must name at least one coordinate")
         for i in center:
-            if not isinstance(i, int) or not 0 <= i < self.pair.chart.dim:
+            if not isinstance(i, int) or not 0 <= i < pair.chart.dim:
                 raise StructureError(
-                    f"center index {i!r} out of range for a chart of dimension {self.pair.chart.dim}"
+                    f"center index {i!r} out of range for a chart of dimension {pair.chart.dim}"
                 )
+        setfield(self, "pair", pair)
+        setfield(self, "center", center)
 
 
-@dataclass(frozen=True)
-class BlowupChart:
+class BlowupChart(Value):
     """Affine chart of the blowup in which coordinate ``index`` is exceptional."""
 
-    index: int
-    chart_map: MonomialMap
-    total_transform: Divisor
+    __slots__ = ("index", "chart_map", "total_transform")
+
+    def __init__(self, index: int, chart_map: MonomialMap, total_transform: Divisor):
+        setfield(self, "index", index)
+        setfield(self, "chart_map", chart_map)
+        setfield(self, "total_transform", total_transform)
 
 
 def classify(spec: BlowupSpec) -> BlowupClass:

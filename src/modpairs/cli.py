@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .blowup import BlowupClass, blowup_charts, classify
 from .correspondences import corr_minimal_twist, in_colim_mcor, in_lcor, in_mcor
@@ -33,11 +32,13 @@ from .dsl import (
 from .pairs import (
     Pair,
     StructureError,
+    Value,
     format_divisor,
     hom_log_exists,
     is_admissible,
     is_minimal,
     minimal_twist,
+    setfield,
     twist,
 )
 from .qdivisors import cube, q_eq, q_normalize
@@ -66,14 +67,16 @@ COMMANDS = {
 }
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(Value):
     """Outcome of one command: process status, human text, machine records."""
 
-    status: int
-    text: str
-    records: tuple[dict, ...]
-    diagnostics: tuple[Diagnostic, ...] = ()
+    __slots__ = ("status", "text", "records", "diagnostics")
+
+    def __init__(self, status: int, text: str, records: tuple[dict, ...], diagnostics: tuple[Diagnostic, ...] = ()):
+        setfield(self, "status", status)
+        setfield(self, "text", text)
+        setfield(self, "records", records)
+        setfield(self, "diagnostics", diagnostics)
 
 
 class _CommandError(Exception):
@@ -427,7 +430,7 @@ def _main(argv) -> int:
     if ns.machine:
         for record in report.records:
             print(json.dumps(record, sort_keys=True))
-    elif report.text:
+    elif report.text and not report.diagnostics:  # a failed command reports on stderr only
         print(report.text)
     return report.status
 

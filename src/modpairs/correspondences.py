@@ -15,51 +15,50 @@ never checked; so is completeness of the record list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .pairs import PairMap, StructureError
+from .pairs import PairMap, StructureError, Value, setfield
 
 
-@dataclass(frozen=True)
-class CorrLocalRecord:
+class CorrLocalRecord(Value):
     """Local data at one closed point: divisor coefficients and ramification."""
 
-    label: str
-    n_x: int
-    n_y: int
-    e_x: int
-    e_y: int
+    __slots__ = ("label", "n_x", "n_y", "e_x", "e_y")
 
-    def __post_init__(self):
-        if self.n_x < 0 or self.n_y < 0:
+    def __init__(self, label: str, n_x: int, n_y: int, e_x: int, e_y: int):
+        if n_x < 0 or n_y < 0:
             raise StructureError("divisor coefficients must be non-negative")
-        if self.e_x < 1 or self.e_y < 1:
+        if e_x < 1 or e_y < 1:
             raise StructureError("ramification degrees must be positive")
+        setfield(self, "label", label)
+        setfield(self, "n_x", n_x)
+        setfield(self, "n_y", n_y)
+        setfield(self, "e_x", e_x)
+        setfield(self, "e_y", e_y)
 
 
-@dataclass(frozen=True)
-class ConstantCorr:
+class ConstantCorr(Value):
     """Correspondence whose second projection is constant; only the image matters."""
 
-    image_in_interior: bool
+    __slots__ = ("image_in_interior",)
+
+    def __init__(self, image_in_interior: bool):
+        setfield(self, "image_in_interior", image_in_interior)
 
 
-@dataclass(frozen=True)
-class NonConstantCorr:
+class NonConstantCorr(Value):
     """Complete record list, one entry per point where either coefficient is nonzero.
 
     Completeness is the caller's obligation; it cannot be verified from the
     records alone.
     """
 
-    records: tuple[CorrLocalRecord, ...]
+    __slots__ = ("records",)
 
-    def __post_init__(self):
-        records = tuple(self.records)
-        object.__setattr__(self, "records", records)
+    def __init__(self, records: tuple[CorrLocalRecord, ...]):
+        records = tuple(records)
         labels = [r.label for r in records]
         if len(set(labels)) != len(labels):
             raise StructureError("record labels must be distinct")
+        setfield(self, "records", records)
 
 
 CurveCorr = ConstantCorr | NonConstantCorr

@@ -22,79 +22,93 @@ from __future__ import annotations
 
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 
 from .blowup import BlowupSpec
 from .correspondences import CorrLocalRecord, CurveCorr, NonConstantCorr, from_monomial_param
-from .pairs import Chart, Divisor, MonomialMap, Pair, PairMap, format_divisor
+from .pairs import Chart, Divisor, MonomialMap, Pair, PairMap, Value, format_divisor, setfield
 from .qdivisors import QPair
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Value):
     """One problem in an input text, with a source span the text contains."""
 
-    severity: str  # "error" | "warning"
-    line: int      # 1-based
-    column: int    # 1-based
-    length: int
-    message: str
-    code: str
+    __slots__ = ("severity", "line", "column", "length", "message", "code")
+
+    def __init__(self, severity: str, line: int, column: int, length: int, message: str, code: str):
+        setfield(self, "severity", severity)  # "error" | "warning"
+        setfield(self, "line", line)          # 1-based
+        setfield(self, "column", column)      # 1-based
+        setfield(self, "length", length)
+        setfield(self, "message", message)
+        setfield(self, "code", code)
 
 
 def format_diagnostic(d: Diagnostic) -> str:
     return f"{d.line}:{d.column}: {d.severity}: {d.message} [{d.code}]"
 
 
-@dataclass(frozen=True)
-class PairDecl:
-    name: str
-    pair: Pair
+class PairDecl(Value):
+    __slots__ = ("name", "pair")
+
+    def __init__(self, name: str, pair: Pair):
+        setfield(self, "name", name)
+        setfield(self, "pair", pair)
 
 
-@dataclass(frozen=True)
-class MapDecl:
-    name: str
-    src: str
-    dst: str
-    pair_map: PairMap
+class MapDecl(Value):
+    __slots__ = ("name", "src", "dst", "pair_map")
+
+    def __init__(self, name: str, src: str, dst: str, pair_map: PairMap):
+        setfield(self, "name", name)
+        setfield(self, "src", src)
+        setfield(self, "dst", dst)
+        setfield(self, "pair_map", pair_map)
 
 
-@dataclass(frozen=True)
-class CorrDecl:
-    name: str
-    corr: CurveCorr
-    src: str | None = None
-    dst: str | None = None
-    monomial: tuple[int, int, int, int] | None = None
+class CorrDecl(Value):
+    __slots__ = ("name", "corr", "src", "dst", "monomial")
+
+    def __init__(self, name: str, corr: CurveCorr, src: str | None = None, dst: str | None = None,
+                 monomial: tuple[int, int, int, int] | None = None):
+        setfield(self, "name", name)
+        setfield(self, "corr", corr)
+        setfield(self, "src", src)
+        setfield(self, "dst", dst)
+        setfield(self, "monomial", monomial)
 
 
-@dataclass(frozen=True)
-class QPairDecl:
-    name: str
-    pair_name: str
-    qpair: QPair
+class QPairDecl(Value):
+    __slots__ = ("name", "pair_name", "qpair")
+
+    def __init__(self, name: str, pair_name: str, qpair: QPair):
+        setfield(self, "name", name)
+        setfield(self, "pair_name", pair_name)
+        setfield(self, "qpair", qpair)
 
 
-@dataclass(frozen=True)
-class BlowupDecl:
-    name: str
-    pair_name: str
-    center_coords: tuple[str, ...]  # in chart coordinate order
-    spec: BlowupSpec
+class BlowupDecl(Value):
+    __slots__ = ("name", "pair_name", "center_coords", "spec")
+
+    def __init__(self, name: str, pair_name: str, center_coords: tuple[str, ...], spec: BlowupSpec):
+        setfield(self, "name", name)
+        setfield(self, "pair_name", pair_name)
+        setfield(self, "center_coords", center_coords)  # in chart coordinate order
+        setfield(self, "spec", spec)
 
 
 Decl = PairDecl | MapDecl | CorrDecl | QPairDecl | BlowupDecl
 _KINDS = (PairDecl, MapDecl, CorrDecl, QPairDecl, BlowupDecl)
 
 
-@dataclass(frozen=True)
-class Model:
+class Model(Value):
     """Ordered declarations; equality is structural on the declaration list."""
 
-    decls: tuple[Decl, ...] = field(default_factory=tuple)
+    __slots__ = ("decls", "__dict__")  # the name index is cached in __dict__, not a field
+
+    def __init__(self, decls: tuple[Decl, ...] = ()):
+        setfield(self, "decls", decls)
 
     @cached_property
     def _names(self) -> dict[type, dict[str, Decl]]:

@@ -14,27 +14,66 @@ inputs, so values can be shared freely between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
+
+# Writes a field of a value under construction, past ``Value.__setattr__``.
+setfield = object.__setattr__
+
+
+class Value:
+    """Base of the frozen value classes, whose ``__slots__`` name their fields.
+
+    Two values are equal when they are of the same class with equal fields, and
+    hash over those fields; the repr reads ``Name(field=value, ...)``.  Fields
+    are set once, by the class's ``__init__`` through ``setfield``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+        cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
 
 class StructureError(ValueError):
     """Mismatched shapes: wrong divisor length, incompatible charts, bad entries."""
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(Value):
     """Affine chart with named coordinates; dimension 0 is the point chart."""
 
-    coords: tuple[str, ...]
+    __slots__ = ("coords",)
 
-    def __post_init__(self):
-        if not isinstance(self.coords, tuple):
-            object.__setattr__(self, "coords", tuple(self.coords))
-        for name in self.coords:
+    def __init__(self, coords: tuple[str, ...]):
+        if not isinstance(coords, tuple):
+            coords = tuple(coords)
+        for name in coords:
             if not isinstance(name, str) or not name:
                 raise StructureError(f"coordinate names must be nonempty strings, got {name!r}")
-        if len(set(self.coords)) != len(self.coords):
-            raise StructureError(f"coordinate names must be distinct: {self.coords}")
+        if len(set(coords)) != len(coords):
+            raise StructureError(f"coordinate names must be distinct: {coords}")
+        setfield(self, "coords", coords)
 
     @property
     def dim(self) -> int:
@@ -47,18 +86,18 @@ class Chart:
             raise StructureError(f"chart has no coordinate {name!r}") from None
 
 
-@dataclass(frozen=True)
-class Divisor:
+class Divisor(Value):
     """Non-negative multiplicity for each coordinate hyperplane of a chart."""
 
-    mults: tuple[int, ...]
+    __slots__ = ("mults",)
 
-    def __post_init__(self):
-        if not isinstance(self.mults, tuple):
-            object.__setattr__(self, "mults", tuple(self.mults))
-        for m in self.mults:
+    def __init__(self, mults: tuple[int, ...]):
+        if not isinstance(mults, tuple):
+            mults = tuple(mults)
+        for m in mults:
             if not isinstance(m, int) or m < 0:
                 raise StructureError(f"multiplicities must be non-negative integers, got {m!r}")
+        setfield(self, "mults", mults)
 
     def __len__(self) -> int:
         return len(self.mults)
@@ -75,47 +114,46 @@ class Divisor:
         return Divisor(tuple(n * m for m in self.mults))
 
 
-@dataclass(frozen=True)
-class Pair:
+class Pair(Value):
     """A chart together with an effective divisor bounding poles along it."""
 
-    chart: Chart
-    divisor: Divisor
+    __slots__ = ("chart", "divisor")
 
-    def __post_init__(self):
-        if len(self.divisor) != self.chart.dim:
+    def __init__(self, chart: Chart, divisor: Divisor):
+        if len(divisor) != chart.dim:
             raise StructureError(
-                f"divisor has {len(self.divisor)} entries for a chart of dimension {self.chart.dim}"
+                f"divisor has {len(divisor)} entries for a chart of dimension {chart.dim}"
             )
+        setfield(self, "chart", chart)
+        setfield(self, "divisor", divisor)
 
 
-@dataclass(frozen=True)
-class MonomialMap:
+class MonomialMap(Value):
     """Exponent-matrix presentation of a monomial morphism of charts.
 
     Row ``j`` of ``expo`` records the monomial that target coordinate ``j``
     pulls back to: ``y_j = prod_i x_i ** expo[j][i]``, coefficient 1.
     """
 
-    source: Chart
-    target: Chart
-    expo: tuple[tuple[int, ...], ...]
+    __slots__ = ("source", "target", "expo")
 
-    def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.expo)
-        object.__setattr__(self, "expo", rows)
-        if len(rows) != self.target.dim:
+    def __init__(self, source: Chart, target: Chart, expo: tuple[tuple[int, ...], ...]):
+        rows = tuple(tuple(row) for row in expo)
+        if len(rows) != target.dim:
             raise StructureError(
-                f"exponent matrix has {len(rows)} rows for a target of dimension {self.target.dim}"
+                f"exponent matrix has {len(rows)} rows for a target of dimension {target.dim}"
             )
         for row in rows:
-            if len(row) != self.source.dim:
+            if len(row) != source.dim:
                 raise StructureError(
-                    f"exponent row has {len(row)} entries for a source of dimension {self.source.dim}"
+                    f"exponent row has {len(row)} entries for a source of dimension {source.dim}"
                 )
             for e in row:
                 if not isinstance(e, int) or e < 0:
                     raise StructureError(f"exponents must be non-negative integers, got {e!r}")
+        setfield(self, "source", source)
+        setfield(self, "target", target)
+        setfield(self, "expo", rows)
 
     @classmethod
     def identity(cls, chart: Chart) -> MonomialMap:
@@ -124,19 +162,19 @@ class MonomialMap:
         return cls(chart, chart, rows)
 
 
-@dataclass(frozen=True)
-class PairMap:
+class PairMap(Value):
     """Candidate morphism of pairs; admissibility is queried, never assumed."""
 
-    map: MonomialMap
-    src: Pair
-    dst: Pair
+    __slots__ = ("map", "src", "dst")
 
-    def __post_init__(self):
-        if self.src.chart != self.map.source:
+    def __init__(self, map: MonomialMap, src: Pair, dst: Pair):
+        if src.chart != map.source:
             raise StructureError("source pair does not live on the map's source chart")
-        if self.dst.chart != self.map.target:
+        if dst.chart != map.target:
             raise StructureError("destination pair does not live on the map's target chart")
+        setfield(self, "map", map)
+        setfield(self, "src", src)
+        setfield(self, "dst", dst)
 
 
 def pullback(map: MonomialMap, divisor: Divisor) -> Divisor:

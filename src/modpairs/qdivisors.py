@@ -12,27 +12,27 @@ interval over a pair, the one chart carrying the added divisor component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
-from .pairs import Chart, Divisor, MonomialMap, Pair, PairMap, StructureError, twist
+from .pairs import Chart, Divisor, MonomialMap, Pair, PairMap, StructureError, Value, setfield, twist
 
 
-@dataclass(frozen=True)
-class QPair:
+class QPair(Value):
     """The rational divisor ``(1/level) * pair.divisor`` with integer storage."""
 
-    level: int
-    pair: Pair
+    __slots__ = ("level", "pair")
 
-    def __post_init__(self):
-        if not isinstance(self.level, int) or self.level < 1:
-            raise StructureError(f"level must be a positive integer, got {self.level!r}")
+    def __init__(self, level: int, pair: Pair):
+        if not isinstance(level, int) or level < 1:
+            raise StructureError(f"level must be a positive integer, got {level!r}")
+        setfield(self, "level", level)
+        setfield(self, "pair", pair)
 
 
-def q_rationals(q: QPair) -> tuple[Fraction, ...]:
-    """Read-only projection to the exact rational multiplicities."""
+def q_rationals(q: QPair) -> tuple:
+    """Read-only projection to the exact rational multiplicities, as ``Fraction``s."""
+    from fractions import Fraction  # imported here: ``import modpairs`` stays free of it
+
     return tuple(Fraction(m, q.level) for m in q.pair.divisor.mults)
 
 

@@ -1,9 +1,14 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modpairs.cli import (
+    COMMANDS,
     EXIT_DIMENSION,
     EXIT_FALSE,
     EXIT_INPUT,
@@ -246,6 +251,22 @@ class TestMain:
         assert status == EXIT_FALSE
         assert capsys.readouterr().out == (GOLDEN_DIR / golden).read_text(encoding="utf-8")
 
+    def test_cube_collision_prints_nothing_on_stdout(self, tmp_path, capsys):
+        path = tmp_path / "i.lp"
+        path.write_text("pair I { dim 1; coords inf; divisor { inf: 1 } }\n")
+        status = main(["cube", "I", "2", "--model", str(path)])
+        out = capsys.readouterr()
+        assert status == EXIT_DIMENSION
+        assert out.out == ""
+        assert out.err == "1:1: error: fresh coordinate name 'inf' collides with the chart [E090]\n"
+
+    def test_unknown_name_prints_nothing_on_stdout(self, model_file, capsys):
+        status = main(["minimal-twist", "nope", "--model", model_file])
+        out = capsys.readouterr()
+        assert status == EXIT_UNKNOWN_NAME
+        assert out.out == ""
+        assert out.err == "1:15: error: unknown map 'nope' [E021]\n"
+
     def test_missing_file(self, capsys):
         status = main(["check-all", "--model", "/nonexistent/model.lp"])
         assert status == EXIT_INPUT
@@ -278,3 +299,62 @@ class TestMain:
         for line in out:
             json.loads(line)
         assert len(out) >= 10
+
+
+# the names of DEMO that each verb accepts
+_FITS = {"check-admissible": "fg", "minimal-twist": "fg", "hom-log": "fg", "check-minimal": "fg",
+         "classify": "BV", "blowup": "BV", "corr-check": "CD", "qdiv-normalize": "QR", "qdiv-eq": "QR",
+         "cube": "XYZW", "twist": "XYZW", "check-all": ""}
+_NUMBER = st.one_of(
+    st.integers(min_value=0, max_value=10**6).map(str),
+    st.sampled_from(["\u00b2", "-1", "7" * (MAX_INT_DIGITS + 1)]),
+)
+_ARG = st.one_of(st.sampled_from("XYfgCDQRZWBV"), st.sampled_from(["nope", "inf"]), _NUMBER, st.text(max_size=8))
+
+
+@st.composite
+def _command(draw):
+    """Mostly a verb with arguments of the kinds it takes; else any words."""
+    if draw(st.integers(0, 3)) == 1:
+        return draw(st.lists(st.sampled_from(sorted(COMMANDS)) | _ARG, min_size=1, max_size=4))
+    verb = draw(st.sampled_from(sorted(COMMANDS)))
+    args = [draw(_NUMBER if p == "n" else st.sampled_from(_FITS[verb])) for p in COMMANDS[verb]]
+    if args and draw(st.booleans()):  # one argument of any kind
+        args[draw(st.integers(0, len(args) - 1))] = draw(_ARG)
+    return [verb, *args]
+
+
+def _false_answer(record: dict) -> bool:
+    return (
+        record.get("verdict") in (False, "invalid")
+        or False in record.get("memberships", {}).values()
+        or ("minimal_twist" in record and record["minimal_twist"] is None)
+    )
+
+
+@pytest.fixture(scope="module")
+def demo_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "demo.lp"
+    path.write_text(DEMO)
+    return str(path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=_command(), machine=st.booleans())
+def test_main_on_any_argv(demo_file, command, machine):
+    """Any argv gives a status, never a traceback or an internal error; 1 comes
+    only with a false answer, and a failed command prints nothing on stdout."""
+    argv = [*command, "--model", demo_file] + (["--machine"] if machine else [])
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            status = main(argv)
+        except SystemExit as exc:  # argparse reports a usage error, or prints help
+            status = exc.code
+    assert status != EXIT_INTERNAL, err.getvalue()
+    assert status in (EXIT_OK, EXIT_FALSE, EXIT_INPUT, EXIT_UNKNOWN_NAME, EXIT_DIMENSION, EXIT_INVALID_BLOWUP)
+    if status not in (EXIT_OK, EXIT_FALSE):
+        assert out.getvalue() == ""
+    if machine and status == EXIT_FALSE:
+        records = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert any(_false_answer(record) for record in records)
