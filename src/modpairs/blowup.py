@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .pairs import Divisor, MonomialMap, Pair, StructureError, Value, pullback, setfield
+from .pairs import Divisor, MonomialMap, Pair, StructureError, Value, setfield
 
 
 class BlowupClass(Enum):
@@ -82,22 +82,22 @@ def blowup_charts(spec: BlowupSpec) -> tuple[BlowupChart, ...]:
     other center coordinates ``b``, and ``y_i = x_i`` elsewhere.  The new
     chart reuses the coordinate names of the original chart.  A singleton
     center yields the identity chart (blowing up a hyperplane changes
-    nothing).
+    nothing).  The total transform is the pullback of the divisor ``D``,
+    in closed form: ``E_j = sum_{b in center} D_b`` and ``E_i = D_i`` for
+    ``i != j``, since only ``x_j`` enters more than one substitution.
     """
     verdict = classify(spec)
     if verdict is BlowupClass.INVALID:
         raise InvalidBlowupError("blowup center misses the divisor support", verdict)
-    chart = spec.pair.chart
-    d = chart.dim
+    chart, mults = spec.pair.chart, spec.pair.divisor.mults
+    center = sorted(spec.center)
+    exceptional = sum(mults[b] for b in center)
+    d = len(mults)
     out = []
-    for j in sorted(spec.center):
-        rows = []
-        for r in range(d):
-            row = [0] * d
-            row[r] = 1
-            if r in spec.center and r != j:
-                row[j] += 1
-            rows.append(tuple(row))
-        chart_map = MonomialMap(chart, chart, tuple(rows))
-        out.append(BlowupChart(j, chart_map, pullback(chart_map, spec.pair.divisor)))
+    for j in center:
+        rows = [(0,) * r + (1,) + (0,) * (d - r - 1) for r in range(d)]
+        for b in center:
+            rows[b] = rows[b][:j] + (1,) + rows[b][j + 1:]  # row j keeps its 1
+        total = Divisor(mults[:j] + (exceptional,) + mults[j + 1:])
+        out.append(BlowupChart(j, MonomialMap(chart, chart, tuple(rows)), total))
     return tuple(out)

@@ -72,10 +72,10 @@ def in_mcor(c: CurveCorr) -> bool:
 
 
 def in_colim_mcor(c: CurveCorr) -> bool:
-    """Admissible after some finite twist of the source: n_x = 0 forces n_y = 0."""
-    if isinstance(c, ConstantCorr):
-        return c.image_in_interior
-    return all(r.n_y == 0 for r in c.records if r.n_x == 0)
+    """Admissible after some finite twist of the source: n_x = 0 forces n_y = 0,
+    which is when ``corr_minimal_twist`` finds a level.
+    """
+    return corr_minimal_twist(c) is not None
 
 
 def _divides(d: int, m: int) -> bool:
@@ -105,13 +105,12 @@ def corr_minimal_twist(c: CurveCorr) -> int | None:
         return 1 if c.image_in_interior else None
     need = 1
     for r in c.records:
-        if r.n_y == 0:
-            continue
-        if r.n_x == 0:
-            return None
-        target = r.n_y * r.e_y
-        step = r.n_x * r.e_x
-        need = max(need, (target + step - 1) // step)
+        if r.n_y:
+            if not r.n_x:
+                return None
+            n = -(-r.n_y * r.e_y // (r.n_x * r.e_x))
+            if n > need:
+                need = n
     return need
 
 

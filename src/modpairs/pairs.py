@@ -14,10 +14,11 @@ inputs, so values can be shared freely between threads.
 
 from __future__ import annotations
 
-from operator import attrgetter
+from operator import attrgetter, ge, mul
 
 # Writes a field of a value under construction, past ``Value.__setattr__``.
 setfield = object.__setattr__
+_map = map  # the builtin, which ``pullback``'s parameter of that name hides
 
 
 class Value:
@@ -183,24 +184,23 @@ def pullback(map: MonomialMap, divisor: Divisor) -> Divisor:
     The multiplicity of the pullback along ``{x_i = 0}`` is the vanishing
     order there of the product of the pulled-back target equations, which
     for monomials is the transpose action of the exponent matrix:
-    ``E_i = sum_j expo[j][i] * D_j``.
+    ``E_i = sum_j expo[j][i] * D_j``, a sum down column ``i`` (all 0 when
+    the target is the point chart and ``expo`` has no rows).
     """
-    if len(divisor) != map.target.dim:
+    mults = divisor.mults
+    if len(mults) != len(map.target.coords):
         raise StructureError(
-            f"divisor has {len(divisor)} entries for a target of dimension {map.target.dim}"
+            f"divisor has {len(mults)} entries for a target of dimension {map.target.dim}"
         )
-    mults = tuple(
-        sum(map.expo[j][i] * divisor.mults[j] for j in range(map.target.dim))
-        for i in range(map.source.dim)
-    )
-    return Divisor(mults)
+    columns = zip(*map.expo) if mults else ((),) * len(map.source.coords)
+    return Divisor(tuple(sum(_map(mul, column, mults)) for column in columns))
 
 
 def divisor_leq(a: Divisor, b: Divisor) -> bool:
     """True when ``a`` contains ``b`` as an effective divisor: a_i >= b_i for all i."""
-    if len(a) != len(b):
+    if len(a.mults) != len(b.mults):
         raise StructureError(f"cannot compare divisors of lengths {len(a)} and {len(b)}")
-    return all(x >= y for x, y in zip(a.mults, b.mults))
+    return all(map(ge, a.mults, b.mults))
 
 
 def is_admissible(f: PairMap) -> bool:
@@ -223,43 +223,44 @@ def minimal_twist(f: PairMap) -> int | None:
     Whenever the support condition holds, the answer is the maximum of the
     ceilings ``E_i / x_i`` over the support of the pullback (at least 1).
     """
-    pulled = pullback(f.map, f.dst.divisor)
-    have = f.src.divisor
-    if not pulled.support <= have.support:
-        return None
     need = 1
-    for e, x in zip(pulled.mults, have.mults):
-        if e > 0:
-            need = max(need, (e + x - 1) // x)  # x > 0 by the support check
+    for e, x in zip(pullback(f.map, f.dst.divisor).mults, f.src.divisor.mults):
+        if e:
+            if not x:
+                return None
+            n = -(-e // x)
+            if n > need:
+                need = n
     return need
 
 
 def hom_log_exists(f: PairMap) -> bool:
     """Whether the map survives after some finite twist of the source.
 
-    Maps that do are exactly the morphisms between the log charts the two
-    pairs determine; two such morphisms agree there iff their monomial data
-    coincide, so the underlying ``MonomialMap`` is a faithful presentation.
+    That is when ``minimal_twist`` finds a level: the pulled-back support
+    lies in the source support.  Maps that do are exactly the morphisms
+    between the log charts the two pairs determine; two such morphisms agree
+    there iff their monomial data coincide, so the underlying ``MonomialMap``
+    is a faithful presentation.
     """
-    return pullback(f.map, f.dst.divisor).support <= f.src.divisor.support
+    return minimal_twist(f) is not None
 
 
 def is_minimal(f: PairMap) -> bool:
     """True when the source divisor is exactly the pulled-back target divisor."""
-    return f.src.divisor == pullback(f.map, f.dst.divisor)
+    return f.src.divisor.mults == pullback(f.map, f.dst.divisor).mults
 
 
 def compose(g: MonomialMap, f: MonomialMap) -> MonomialMap:
-    """Composite ``g after f`` by monomial substitution; exponent matrices multiply."""
+    """Composite ``g after f`` by monomial substitution; exponent matrices multiply.
+
+    Entry ``(k, i)`` is row ``k`` of ``g`` against column ``i`` of ``f``, and
+    0 when the middle chart is the point chart and ``f`` has no rows.
+    """
     if f.target != g.source:
         raise StructureError("cannot compose: target of the first map differs from source of the second")
-    rows = tuple(
-        tuple(
-            sum(g.expo[k][j] * f.expo[j][i] for j in range(f.target.dim))
-            for i in range(f.source.dim)
-        )
-        for k in range(g.target.dim)
-    )
+    columns = tuple(zip(*f.expo)) if f.expo else ((),) * len(f.source.coords)
+    rows = tuple(tuple(sum(map(mul, row, column)) for column in columns) for row in g.expo)
     return MonomialMap(f.source, g.target, rows)
 
 

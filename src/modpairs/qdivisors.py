@@ -43,12 +43,11 @@ def q_normalize(q: QPair) -> QPair:
     rational divisors exactly when their normal forms are identical.  With no
     multiplicities at all (a point chart) the gcd is the level itself.
     """
-    g = q.level
-    for m in q.pair.divisor.mults:
-        g = gcd(g, m)
+    mults = q.pair.divisor.mults
+    g = gcd(q.level, *mults)
     if g == 1:
         return q
-    divisor = Divisor(tuple(m // g for m in q.pair.divisor.mults))
+    divisor = Divisor(tuple(m // g for m in mults))
     return QPair(q.level // g, Pair(q.pair.chart, divisor))
 
 

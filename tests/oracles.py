@@ -3,13 +3,16 @@
 The symbolic oracles substitute actual monomials with sympy and read off
 vanishing orders; they never touch the exponent-matrix arithmetic they are
 checking.  The brute-force oracles scan twist levels directly.  The
-reference lexer steps through the text one character at a time.
+reference kernels are the entry-by-entry loops the column-wise kernels
+replaced, and the reference lexer steps through the text one character at a
+time.
 """
 
 import sympy
 
+from modpairs.blowup import BlowupChart, BlowupClass, InvalidBlowupError, classify
 from modpairs.correspondences import CorrLocalRecord, NonConstantCorr, in_mcor
-from modpairs.pairs import PairMap, is_admissible, twist
+from modpairs.pairs import Divisor, MonomialMap, PairMap, StructureError, is_admissible, twist
 
 
 def _symbols(chart):
@@ -65,6 +68,54 @@ def blowup_transform_orders(pair, center, j):
         expr *= image ** pair.divisor.mults[r]
     expr = sympy.expand(expr)
     return tuple(int(sympy.degree(expr, x)) for x in xs)
+
+
+def reference_pullback(map, divisor):
+    """``pullback`` as first written: ``E_i = sum_j expo[j][i] * D_j``, one index at a time."""
+    if len(divisor) != map.target.dim:
+        raise StructureError(
+            f"divisor has {len(divisor)} entries for a target of dimension {map.target.dim}"
+        )
+    mults = tuple(
+        sum(map.expo[j][i] * divisor.mults[j] for j in range(map.target.dim))
+        for i in range(map.source.dim)
+    )
+    return Divisor(mults)
+
+
+def reference_compose(g, f):
+    """``compose`` as first written: each entry of the matrix product indexed out."""
+    if f.target != g.source:
+        raise StructureError("cannot compose: target of the first map differs from source of the second")
+    rows = tuple(
+        tuple(
+            sum(g.expo[k][j] * f.expo[j][i] for j in range(f.target.dim))
+            for i in range(f.source.dim)
+        )
+        for k in range(g.target.dim)
+    )
+    return MonomialMap(f.source, g.target, rows)
+
+
+def reference_blowup_charts(spec):
+    """``blowup_charts`` as first written: each total transform pulled back along its chart map."""
+    verdict = classify(spec)
+    if verdict is BlowupClass.INVALID:
+        raise InvalidBlowupError("blowup center misses the divisor support", verdict)
+    chart = spec.pair.chart
+    d = chart.dim
+    out = []
+    for j in sorted(spec.center):
+        rows = []
+        for r in range(d):
+            row = [0] * d
+            row[r] = 1
+            if r in spec.center and r != j:
+                row[j] += 1
+            rows.append(tuple(row))
+        chart_map = MonomialMap(chart, chart, tuple(rows))
+        out.append(BlowupChart(j, chart_map, reference_pullback(chart_map, spec.pair.divisor)))
+    return tuple(out)
 
 
 def brute_minimal_twist(f, limit=64):

@@ -10,7 +10,7 @@ from modpairs.blowup import (
     classify,
 )
 from modpairs.pairs import Chart, Divisor, MonomialMap, Pair, StructureError, pullback
-from oracles import blowup_transform_orders
+from oracles import blowup_transform_orders, reference_blowup_charts
 from strategies import blowup_specs
 
 
@@ -92,3 +92,10 @@ def test_charts_consistent(s):
 def test_modification_nests_in_blowup_condition(s):
     if classify(s) is BlowupClass.MODIFICATION:
         assert s.center & s.pair.divisor.support
+
+
+@settings(max_examples=150)
+@given(blowup_specs(max_dim=6, max_mult=10**30))
+def test_closed_form_matches_reference(s):
+    if classify(s) is not BlowupClass.INVALID:
+        assert blowup_charts(s) == reference_blowup_charts(s)

@@ -358,3 +358,64 @@ def test_main_on_any_argv(demo_file, command, machine):
     if machine and status == EXIT_FALSE:
         records = [json.loads(line) for line in out.getvalue().splitlines()]
         assert any(_false_answer(record) for record in records)
+
+
+# statements beside DEMO's, with maps to and from the point chart and literals at the length bound
+_EXTRA = [
+    "pair P { dim 0; coords; divisor {} }",
+    "map h : Z -> P { }",
+    "map k : P -> X { t <- 1 }",
+    "map b : X -> Y { s <- t^" + "9" * MAX_INT_DIGITS + " }",
+    "corr E : X -> X { point w { nx 0; ny 2; ex 1; ey 1 } }",
+    "qpair H = (" + "9" * MAX_INT_DIGITS + ", Y)",
+    "blowup A on Z center { x }",
+]
+_STATEMENTS = DEMO.splitlines() + _EXTRA
+_WORDS = ["pair", "map", "corr", "qpair", "blowup", "dim", "coords", "divisor", "monomial", "point",
+          "nx", "ny", "ex", "ey", "on", "center", "{", "}", "(", ")", ";", ":", ",", "=", "->", "<-",
+          "^", "*", "X", "Y", "Z", "P", "t", "s", "0", "1", "007", "9" * (MAX_INT_DIGITS + 1),
+          "\u00b2", " ", "\n", "\r\n", "# note"]
+_TEXT = st.lists(st.sampled_from(_STATEMENTS) | st.sampled_from(_WORDS) | st.text(max_size=4), max_size=16)
+_BAD_UTF8 = st.sampled_from([b"\xff", b"\xc3(", b"\x80", b"\xed\xa0\x80", b"\xf4\x90\x80\x80", b"\xe2\x82"])
+
+
+@st.composite
+def _model_bytes(draw):
+    """Raw bytes, DSL fragments with invalid UTF-8 spliced in, DSL fragments alone,
+    or ``DEMO`` with some of the other statements (which often parses)."""
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        return draw(st.binary(max_size=200))
+    if kind == 3:
+        return "\n".join([DEMO, *draw(st.lists(st.sampled_from(_EXTRA), unique=True))]).encode()
+    pieces = [piece.encode() for piece in draw(_TEXT)]
+    if kind == 1:
+        pieces.insert(draw(st.integers(0, len(pieces))), draw(_BAD_UTF8))
+    return b"\n".join(pieces) if draw(st.booleans()) else b"".join(pieces)
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "model.lp"
+
+
+_VERBS = sorted(set(COMMANDS) - {"check-all"})
+_NAMES = st.sampled_from("XYZPWfghkbCDEQRHBVA")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_model_bytes(), verb=st.sampled_from(_VERBS), first=_NAMES, second=_NAMES,
+       n=st.sampled_from(["0", "1", "3", "9" * MAX_INT_DIGITS]), machine=st.booleans())
+def test_main_on_any_model_bytes(fuzz_file, data, verb, first, second, n, machine):
+    """Any model file gives a documented status, never an internal error, and a
+    failed command prints nothing on stdout."""
+    fuzz_file.write_bytes(data)
+    args = [n if p == "n" else name for p, name in zip(COMMANDS[verb], (first, second))]
+    for argv in (["check-all", "--machine"], [verb, *args] + (["--machine"] if machine else [])):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            status = main([*argv, "--model", str(fuzz_file)])
+        assert status != EXIT_INTERNAL, err.getvalue()
+        assert status in (EXIT_OK, EXIT_FALSE, EXIT_INPUT, EXIT_UNKNOWN_NAME, EXIT_DIMENSION, EXIT_INVALID_BLOWUP)
+        if status not in (EXIT_OK, EXIT_FALSE):
+            assert out.getvalue() == ""

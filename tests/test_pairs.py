@@ -19,12 +19,13 @@ from modpairs.pairs import (
     pullback,
     twist,
 )
-from oracles import brute_minimal_twist, compose_matrix, pullback_orders
-from strategies import composable_pair_maps, composable_triples, pair_maps, pairs
+from oracles import brute_minimal_twist, compose_matrix, pullback_orders, reference_compose, reference_pullback
+from strategies import charts, composable_pair_maps, composable_triples, divisors, monomial_maps, pair_maps, pairs
 
 A1_T = Chart(("t",))
 A1_Y = Chart(("y",))
 A2 = Chart(("x1", "x2"))
+POINT = Chart(())
 
 SQUARE = MonomialMap(A1_T, A1_Y, ((2,),))  # y <- t^2
 PRODUCT = MonomialMap(A2, A1_Y, ((1, 1),))  # y <- x1 * x2
@@ -57,6 +58,37 @@ class TestPullback:
     def test_dimension_mismatch(self):
         with pytest.raises(StructureError):
             pullback(SQUARE, Divisor((1, 2)))
+
+
+class TestPointChart:
+    """Maps to, from and through the point chart, whose exponent matrices are empty."""
+
+    def test_map_onto_the_point_pulls_back_to_zeros(self):
+        to_point = MonomialMap(A2, POINT, ())
+        assert pullback(to_point, Divisor(())) == Divisor((0, 0))
+
+    def test_map_from_the_point_pulls_back_to_the_empty_divisor(self):
+        from_point = MonomialMap(POINT, A2, ((), ()))
+        assert pullback(from_point, Divisor((3, 5))) == Divisor(())
+
+    def test_compose_through_the_point_is_the_zero_matrix(self):
+        to_point = MonomialMap(A2, POINT, ())
+        from_point = MonomialMap(POINT, Chart(("u", "v", "w")), ((), (), ()))
+        assert compose(from_point, to_point).expo == ((0, 0), (0, 0), (0, 0))
+        assert compose(from_point, to_point) == reference_compose(from_point, to_point)
+
+    def test_compose_from_and_to_the_point(self):
+        to_point = MonomialMap(A2, POINT, ())
+        assert compose(to_point, MonomialMap.identity(A2)) == to_point
+        from_point = MonomialMap(POINT, A2, ((), ()))
+        assert compose(MonomialMap.identity(A2), from_point) == from_point
+        assert compose(to_point, from_point) == MonomialMap.identity(POINT)
+
+    def test_twist_kernels_on_a_map_onto_the_point(self):
+        f = PairMap(MonomialMap(A2, POINT, ()), Pair(A2, Divisor((0, 4))), Pair(POINT, Divisor(())))
+        assert minimal_twist(f) == 1
+        assert hom_log_exists(f) and is_admissible(f)
+        assert not is_minimal(f)
 
 
 class TestDivisorLeq:
@@ -256,3 +288,40 @@ def test_twist_strictly_monoidal(p, n, m):
 @given(pair_maps(max_dim=3, max_expo=3, max_mult=6))
 def test_pullback_matches_symbolic(f):
     assert pullback(f.map, f.dst.divisor).mults == pullback_orders(f.map, f.dst.divisor)
+
+
+_BIG = 10**30
+
+
+@st.composite
+def _kernel_chain(draw, point):
+    """``f : A -> B``, ``g : B -> C`` with divisors on ``A``, ``B`` and ``C``;
+    the chart named by ``point`` is the point chart."""
+    a, b, c = (POINT if name == point else draw(charts(0, 6)) for name in ("source", "middle", "target"))
+    f = draw(monomial_maps(source=a, target=b, max_expo=20))
+    g = draw(monomial_maps(source=b, target=c, max_expo=20))
+    return f, g, draw(divisors(a, _BIG)), draw(divisors(b, _BIG)), draw(divisors(c, _BIG))
+
+
+@pytest.mark.parametrize("point", [None, "source", "middle", "target"])
+@settings(max_examples=75)
+@given(data=st.data())
+def test_column_kernels_match_reference(point, data):
+    f, g, da, db, dc = data.draw(_kernel_chain(point))
+    assert pullback(f, db) == reference_pullback(f, db)
+    assert pullback(g, dc) == reference_pullback(g, dc)
+    gf = compose(g, f)
+    assert gf == reference_compose(g, f)
+    assert pullback(gf, dc) == reference_pullback(gf, dc)
+    # the twist kernels on the same large entries, against the definition of the least twist
+    pf = PairMap(f, Pair(f.source, da), Pair(f.target, db))
+    pulled = reference_pullback(f, db).mults
+    n = minimal_twist(pf)
+    assert hom_log_exists(pf) == all(x > 0 for x, e in zip(da.mults, pulled) if e > 0)
+    assert is_admissible(pf) == all(x >= e for x, e in zip(da.mults, pulled))
+    assert is_minimal(pf) == (da.mults == pulled)
+    if n is None:
+        assert any(e > 0 and x == 0 for x, e in zip(da.mults, pulled))
+    else:
+        assert all(n * x >= e for x, e in zip(da.mults, pulled))
+        assert n == 1 or not all((n - 1) * x >= e for x, e in zip(da.mults, pulled))
