@@ -16,6 +16,7 @@ import sys
 from .blowup import BlowupClass, blowup_charts, classify
 from .correspondences import corr_minimal_twist, in_colim_mcor, in_lcor, in_mcor
 from .dsl import (
+    KEYWORDS,
     MAX_INT_DIGITS,
     BlowupDecl,
     CorrDecl,
@@ -24,9 +25,9 @@ from .dsl import (
     Model,
     PairDecl,
     QPairDecl,
+    format_assignments,
     format_decl,
     format_diagnostic,
-    format_monomial,
     parse,
 )
 from .pairs import (
@@ -51,22 +52,6 @@ EXIT_DIMENSION = 4
 EXIT_INVALID_BLOWUP = 5
 EXIT_INTERNAL = 70  # EX_SOFTWARE in sysexits.h
 
-COMMANDS = {
-    "check-admissible": ("name",),
-    "minimal-twist": ("name",),
-    "hom-log": ("name",),
-    "check-minimal": ("name",),
-    "blowup": ("name",),
-    "classify": ("name",),
-    "corr-check": ("name",),
-    "qdiv-normalize": ("name",),
-    "qdiv-eq": ("first", "second"),
-    "cube": ("name", "n"),
-    "twist": ("name", "n"),
-    "check-all": (),
-}
-
-
 class Report(Value):
     """Outcome of one command: process status, human text, machine records."""
 
@@ -80,10 +65,11 @@ class Report(Value):
 
 
 class _CommandError(Exception):
-    def __init__(self, status: int, diagnostic: Diagnostic):
-        super().__init__(diagnostic.message)
-        self.status = status
-        self.diagnostic = diagnostic
+    """No answer: an exit status and a diagnostic spanning command word ``index``."""
+
+    def __init__(self, status: int, index: int, message: str, code: str):
+        super().__init__(message)
+        self.status, self.index, self.code = status, index, code
 
 
 def _arg_diag(command: list[str], index: int, message: str, code: str) -> Diagnostic:
@@ -93,29 +79,20 @@ def _arg_diag(command: list[str], index: int, message: str, code: str) -> Diagno
     return Diagnostic("error", 1, column, length, message, code)
 
 
-def _lookup(model: Model, kind, noun: str, command: list[str], index: int):
+def _lookup(model: Model, kind: type, command: list[str], index: int):
     name = command[index]
     decl = model.namespace(kind).get(name)
     if decl is None:
-        raise _CommandError(
-            EXIT_UNKNOWN_NAME,
-            _arg_diag(command, index, f"unknown {noun} '{name}'", "E021"),
-        )
+        raise _CommandError(EXIT_UNKNOWN_NAME, index, f"unknown {KEYWORDS[kind]} '{name}'", "E021")
     return decl
 
 
 def _int_arg(command: list[str], index: int) -> int:
     text = command[index]
     if not (text.isascii() and text.isdigit()):
-        raise _CommandError(
-            EXIT_INPUT,
-            _arg_diag(command, index, f"expected a non-negative integer, got '{text}'", "E011"),
-        )
+        raise _CommandError(EXIT_INPUT, index, f"expected a non-negative integer, got '{text}'", "E011")
     if len(text) > MAX_INT_DIGITS:
-        raise _CommandError(
-            EXIT_INPUT,
-            _arg_diag(command, index, f"integer argument longer than {MAX_INT_DIGITS} digits", "E012"),
-        )
+        raise _CommandError(EXIT_INPUT, index, f"integer argument longer than {MAX_INT_DIGITS} digits", "E012")
     return int(text)
 
 
@@ -127,220 +104,141 @@ def _twist_text(n: int | None) -> str:
     return "infeasible" if n is None else str(n)
 
 
-def _pair_result(pair: Pair) -> dict:
-    return {
-        "coords": list(pair.chart.coords),
-        "divisor": format_divisor(pair.chart, pair.divisor),
-    }
+# Each answer below is (whether the answer is yes, the record's result fields,
+# the human result lines).
 
 
-def _pair_result_text(pair: Pair) -> str:
-    coords = " ".join(pair.chart.coords)
-    return f"coords {coords}; divisor {format_divisor(pair.chart, pair.divisor)}"
+def _verdict(label: str, ok: bool):
+    return ok, {"verdict": ok}, [f"{label}: {_bool_text(ok)}"]
 
 
-# Each report below runs one verb on a declaration the caller already holds;
-# ``echo`` is the declaration's canonical text, rendered once by the caller
-# however many verbs run on it.
-
-_MAP_VERBS = ("check-admissible", "minimal-twist", "hom-log", "check-minimal")
+def _least_twist(n: int | None):
+    return n is not None, {"minimal_twist": n}, [f"minimal-twist: {_twist_text(n)}"]
 
 
-def _map_report(verb: str, decl: MapDecl, echo: str) -> Report:
-    f = decl.pair_map
-    record = {"command": verb, "args": [decl.name], "inputs": {"map": echo}}
-    lines = [f"command: {verb} {decl.name}", f"map: {echo}"]
-    if verb == "minimal-twist":
-        n = minimal_twist(f)
-        record["minimal_twist"] = n
-        lines.append(f"minimal-twist: {_twist_text(n)}")
-        ok = n is not None
-    else:
-        if verb == "check-admissible":
-            label, ok = "admissible", is_admissible(f)
-        elif verb == "hom-log":
-            label, ok = "hom-log", hom_log_exists(f)
-        else:
-            label, ok = "minimal", is_minimal(f)
-        record["verdict"] = ok
-        lines.append(f"{label}: {_bool_text(ok)}")
-    return Report(EXIT_OK if ok else EXIT_FALSE, "\n".join(lines), (record,))
+def _classify(decl: BlowupDecl):
+    verdict = classify(decl.spec)
+    return verdict is not BlowupClass.INVALID, {"verdict": verdict.value}, [f"classification: {verdict.value}"]
 
 
-def _classify_report(decl: BlowupDecl, echo: str, verdict: BlowupClass) -> Report:
-    record = {"command": "classify", "args": [decl.name], "inputs": {"blowup": echo}, "verdict": verdict.value}
-    text = f"command: classify {decl.name}\nblowup: {echo}\nclassification: {verdict.value}"
-    return Report(EXIT_OK if verdict is not BlowupClass.INVALID else EXIT_FALSE, text, (record,))
-
-
-def _blowup_report(decl: BlowupDecl, echo: str, verdict: BlowupClass) -> Report:
+def _blowup(decl: BlowupDecl):
+    ok, fields, lines = _classify(decl)
+    if not ok:  # declined: check-all skips it
+        message = f"blowup '{decl.name}' has a center missing the divisor support"
+        raise _CommandError(EXIT_INVALID_BLOWUP, 1, message, "E072")
     chart = decl.spec.pair.chart
-    charts = []
-    lines = [f"command: blowup {decl.name}", f"blowup: {echo}", f"classification: {verdict.value}"]
-    for bc in blowup_charts(decl.spec):
-        assigns = "; ".join(
-            f"{name} <- {format_monomial(chart, bc.chart_map.expo[j])}"
-            for j, name in enumerate(chart.coords)
-        )
-        transform = format_divisor(chart, bc.total_transform)
-        charts.append(
-            {
-                "index": bc.index,
-                "coord": chart.coords[bc.index],
-                "map": assigns,
-                "total_transform": transform,
-            }
-        )
-        lines.append(f"chart {chart.coords[bc.index]}: map {{ {assigns} }}; total-transform {transform}")
-    record = {
-        "command": "blowup",
-        "args": [decl.name],
-        "inputs": {"blowup": echo},
-        "verdict": verdict.value,
-        "charts": charts,
-    }
-    return Report(EXIT_OK, "\n".join(lines), (record,))
-
-
-def _corr_report(decl: CorrDecl, echo: str) -> Report:
-    c = decl.corr
-    memberships = {
-        "mcor": in_mcor(c),
-        "colim": in_colim_mcor(c),
-        "lcor": in_lcor(c),
-    }
-    n = corr_minimal_twist(c)
-    record = {
-        "command": "corr-check",
-        "args": [decl.name],
-        "inputs": {"corr": echo},
-        "memberships": memberships,
-        "minimal_twist": n,
-    }
-    lines = [
-        f"command: corr-check {decl.name}",
-        f"corr: {echo}",
-        f"mcor: {_bool_text(memberships['mcor'])}",
-        f"colim: {_bool_text(memberships['colim'])}",
-        f"lcor: {_bool_text(memberships['lcor'])}",
-        f"minimal-twist: {_twist_text(n)}",
+    fields["charts"] = charts = [
+        {
+            "index": bc.index,
+            "coord": chart.coords[bc.index],
+            "map": format_assignments(bc.chart_map),
+            "total_transform": format_divisor(chart, bc.total_transform),
+        }
+        for bc in blowup_charts(decl.spec)
     ]
-    status = EXIT_OK if all(memberships.values()) else EXIT_FALSE
-    return Report(status, "\n".join(lines), (record,))
+    lines += [f"chart {c['coord']}: map {{ {c['map']} }}; total-transform {c['total_transform']}" for c in charts]
+    return ok, fields, lines
 
 
-def _qdiv_normalize_report(decl: QPairDecl, echo: str) -> Report:
+def _corr_check(decl: CorrDecl):
+    c = decl.corr
+    memberships = {"mcor": in_mcor(c), "colim": in_colim_mcor(c), "lcor": in_lcor(c)}
+    n = corr_minimal_twist(c)
+    lines = [f"{test}: {_bool_text(ok)}" for test, ok in memberships.items()]
+    lines.append(f"minimal-twist: {_twist_text(n)}")
+    return all(memberships.values()), {"memberships": memberships, "minimal_twist": n}, lines
+
+
+def _qdiv_normalize(decl: QPairDecl):
     result = q_normalize(decl.qpair)
     divisor = format_divisor(result.pair.chart, result.pair.divisor)
-    record = {
-        "command": "qdiv-normalize",
-        "args": [decl.name],
-        "inputs": {"qpair": echo},
-        "level": result.level,
-        "divisor": divisor,
-    }
-    text = f"command: qdiv-normalize {decl.name}\nqpair: {echo}\nnormalized: ({result.level}, {divisor})"
-    return Report(EXIT_OK, text, (record,))
+    return True, {"level": result.level, "divisor": divisor}, [f"normalized: ({result.level}, {divisor})"]
+
+
+def _pair_result(pair: Pair, *notes: str):
+    divisor = format_divisor(pair.chart, pair.divisor)
+    text = f"result: coords {' '.join(pair.chart.coords)}; divisor {divisor}"
+    return True, {"result": {"coords": list(pair.chart.coords), "divisor": divisor}}, [text, *notes]
+
+
+# One entry per verb, in check-all's order: the declaration kind its names
+# refer to, its positional names ("n" is the integer argument), and its answer
+# from the declaration(s) (and n), or a _CommandError when it declines.  The
+# answers call kernels by this module's names, never through a captured
+# function object, so rebinding a name here reaches every call.
+_VERBS = {
+    "check-admissible": (MapDecl, ("name",), lambda d: _verdict("admissible", is_admissible(d.pair_map))),
+    "minimal-twist": (MapDecl, ("name",), lambda d: _least_twist(minimal_twist(d.pair_map))),
+    "hom-log": (MapDecl, ("name",), lambda d: _verdict("hom-log", hom_log_exists(d.pair_map))),
+    "check-minimal": (MapDecl, ("name",), lambda d: _verdict("minimal", is_minimal(d.pair_map))),
+    "classify": (BlowupDecl, ("name",), _classify),
+    "blowup": (BlowupDecl, ("name",), _blowup),
+    "corr-check": (CorrDecl, ("name",), _corr_check),
+    "qdiv-normalize": (QPairDecl, ("name",), _qdiv_normalize),
+    "qdiv-eq": (QPairDecl, ("first", "second"), lambda a, b: _verdict("equal", q_eq(a.qpair, b.qpair))),
+    # the complementary interval chart carries no divisor component
+    "cube": (PairDecl, ("name", "n"),
+             lambda d, n: _pair_result(cube(d.pair, n), "note: only the chart at infinity is materialized")),
+    "twist": (PairDecl, ("name", "n"), lambda d, n: _pair_result(twist(d.pair, n))),
+}
+COMMANDS = {verb: names for verb, (_, names, _) in _VERBS.items()} | {"check-all": ()}
+# per declaration kind: its keyword and the verbs check-all runs on it
+_CHECKS = {
+    kind: (noun, [(verb, answer) for verb, (k, names, answer) in _VERBS.items() if k is kind and names == ("name",)])
+    for kind, noun in KEYWORDS.items()
+}
+
+
+def _render(verb: str, args: list[str], words: str, inputs: dict, echoes: str, answer) -> tuple[int, str, dict]:
+    """One answer's status, text (command line, input echoes, result lines) and record."""
+    ok, fields, lines = answer
+    text = f"command: {verb} {words}\n{echoes}\n" + "\n".join(lines)
+    return EXIT_OK if ok else EXIT_FALSE, text, {"command": verb, "args": args, "inputs": inputs, **fields}
 
 
 def _run_single(model: Model, command: list[str]) -> Report:
-    verb = command[0]
-    args = command[1:]
-
-    if verb in _MAP_VERBS:
-        decl = _lookup(model, MapDecl, "map", command, 1)
-        return _map_report(verb, decl, format_decl(decl))
-
-    if verb in ("classify", "blowup"):
-        decl = _lookup(model, BlowupDecl, "blowup", command, 1)
-        verdict = classify(decl.spec)
-        if verb == "classify":
-            return _classify_report(decl, format_decl(decl), verdict)
-        if verdict is BlowupClass.INVALID:
-            raise _CommandError(
-                EXIT_INVALID_BLOWUP,
-                _arg_diag(command, 1, f"blowup '{decl.name}' has a center missing the divisor support", "E072"),
-            )
-        return _blowup_report(decl, format_decl(decl), verdict)
-
-    if verb == "corr-check":
-        decl = _lookup(model, CorrDecl, "corr", command, 1)
-        return _corr_report(decl, format_decl(decl))
-
-    if verb == "qdiv-normalize":
-        decl = _lookup(model, QPairDecl, "qpair", command, 1)
-        return _qdiv_normalize_report(decl, format_decl(decl))
-
-    if verb == "qdiv-eq":
-        first = _lookup(model, QPairDecl, "qpair", command, 1)
-        second = _lookup(model, QPairDecl, "qpair", command, 2)
-        verdict = q_eq(first.qpair, second.qpair)
-        first_echo, second_echo = format_decl(first), format_decl(second)
-        record = {
-            "command": verb,
-            "args": args,
-            "inputs": {"first": first_echo, "second": second_echo},
-            "verdict": verdict,
-        }
-        text = "\n".join(
-            [f"command: qdiv-eq {first.name} {second.name}",
-             f"first: {first_echo}", f"second: {second_echo}",
-             f"equal: {_bool_text(verdict)}"]
-        )
-        return Report(EXIT_OK if verdict else EXIT_FALSE, text, (record,))
-
-    if verb in ("cube", "twist"):
-        decl = _lookup(model, PairDecl, "pair", command, 1)
-        n = _int_arg(command, 2)
-        try:
-            result = cube(decl.pair, n) if verb == "cube" else twist(decl.pair, n)
-        except StructureError:
-            raise  # a fresh-coordinate collision: reported like every structure error
-        except ValueError as exc:
-            raise _CommandError(EXIT_INPUT, _arg_diag(command, 2, str(exc), "E011")) from None
-        echo = format_decl(decl)
-        record = {
-            "command": verb,
-            "args": args,
-            "inputs": {"pair": echo, "n": n},
-            "result": _pair_result(result),
-        }
-        lines = [f"command: {verb} {decl.name} {n}", f"pair: {echo}",
-                 f"result: {_pair_result_text(result)}"]
-        if verb == "cube":
-            # the complementary interval chart carries no divisor component
-            lines.append("note: only the chart at infinity is materialized")
-        return Report(EXIT_OK, "\n".join(lines), (record,))
-
-    raise _CommandError(
-        EXIT_INPUT,
-        _arg_diag(command, 0, f"unknown command '{verb}'", "E011"),
-    )
+    verb, args = command[0], command[1:]
+    kind, names, answer = _VERBS[verb]
+    values, words, inputs, echoes = [], list(args), {}, []
+    for index, name in enumerate(names, 1):
+        if name == "n":
+            value = inputs["n"] = _int_arg(command, index)
+            words[index - 1] = str(value)
+        else:
+            value = _lookup(model, kind, command, index)
+            key = KEYWORDS[kind] if name == "name" else name
+            inputs[key] = echo = format_decl(value)
+            echoes.append(f"{key}: {echo}")
+        values.append(value)
+    try:
+        result = answer(*values)
+    except StructureError:
+        raise  # a fresh-coordinate collision: reported like every structure error
+    except ValueError as exc:
+        if "n" not in names:
+            raise
+        raise _CommandError(EXIT_INPUT, names.index("n") + 1, str(exc), "E011") from None
+    status, text, record = _render(verb, args, " ".join(words), inputs, "\n".join(echoes), result)
+    return Report(status, text, (record,))
 
 
 def _check_all(model: Model) -> Report:
-    """Every check on every declaration, run on the declaration itself."""
-    reports: list[Report] = []
+    """Every one-name verb on each declaration of its kind, in table order."""
+    rendered = []
     for decl in model.decls:
-        if isinstance(decl, PairDecl):
+        noun, checks = _CHECKS[type(decl)]
+        if not checks:
             continue  # a pair alone has nothing to check
-        echo = format_decl(decl)
-        if isinstance(decl, MapDecl):
-            reports += [_map_report(verb, decl, echo) for verb in _MAP_VERBS]
-        elif isinstance(decl, CorrDecl):
-            reports.append(_corr_report(decl, echo))
-        elif isinstance(decl, BlowupDecl):
-            verdict = classify(decl.spec)
-            reports.append(_classify_report(decl, echo, verdict))
-            if verdict is not BlowupClass.INVALID:
-                reports.append(_blowup_report(decl, echo, verdict))
-        elif isinstance(decl, QPairDecl):
-            reports.append(_qdiv_normalize_report(decl, echo))
-    return Report(
-        max((r.status for r in reports), default=EXIT_OK),
-        "\n\n".join(r.text for r in reports),
-        tuple(record for r in reports for record in r.records),
-    )
+        name, echo = decl.name, format_decl(decl)
+        line = f"{noun}: {echo}"
+        for verb, answer in checks:
+            try:
+                result = answer(decl)
+            except _CommandError:
+                continue  # the verb declines, as blowup does on an invalid center
+            rendered.append(_render(verb, [name], name, {noun: echo}, line, result))
+    statuses, texts, records = zip(*rendered) if rendered else ((), (), ())
+    return Report(max(statuses, default=EXIT_OK), "\n\n".join(texts), records)
 
 
 def run_command(model: Model, command) -> Report:
@@ -357,26 +255,16 @@ def run_command(model: Model, command) -> Report:
     expected = COMMANDS.get(verb)
     try:
         if expected is None:
-            raise _CommandError(EXIT_INPUT, _arg_diag(command, 0, f"unknown command '{verb}'", "E011"))
+            raise _CommandError(EXIT_INPUT, 0, f"unknown command '{verb}'", "E011")
         if len(command) - 1 != len(expected):
-            raise _CommandError(
-                EXIT_INPUT,
-                _arg_diag(
-                    command, 0,
-                    f"command '{verb}' takes {len(expected)} argument(s), got {len(command) - 1}",
-                    "E011",
-                ),
-            )
+            message = f"command '{verb}' takes {len(expected)} argument(s), got {len(command) - 1}"
+            raise _CommandError(EXIT_INPUT, 0, message, "E011")
         if verb == "check-all":
             return _check_all(model)
         return _run_single(model, command)
     except _CommandError as exc:
-        return Report(
-            exc.status,
-            f"error: {exc.diagnostic.message}",
-            (),
-            (exc.diagnostic,),
-        )
+        diag = _arg_diag(command, exc.index, str(exc), exc.code)
+        return Report(exc.status, f"error: {diag.message}", (), (diag,))
     except StructureError as exc:
         diag = Diagnostic("error", 1, 1, 0, str(exc), "E090")
         return Report(EXIT_DIMENSION, f"error: {exc}", (), (diag,))

@@ -99,7 +99,8 @@ class BlowupDecl(Value):
 
 
 Decl = PairDecl | MapDecl | CorrDecl | QPairDecl | BlowupDecl
-_KINDS = (PairDecl, MapDecl, CorrDecl, QPairDecl, BlowupDecl)
+# each declaration kind and the keyword that opens its statement
+KEYWORDS = {PairDecl: "pair", MapDecl: "map", CorrDecl: "corr", QPairDecl: "qpair", BlowupDecl: "blowup"}
 
 
 class Model(Value):
@@ -114,7 +115,7 @@ class Model(Value):
     def _names(self) -> dict[type, dict[str, Decl]]:
         # one name index per declaration kind, built on first use; ``parse``
         # hands over the index its parser built instead
-        names = {kind: {} for kind in _KINDS}
+        names = {kind: {} for kind in KEYWORDS}
         for d in self.decls:
             names[type(d)][d.name] = d
         return names
@@ -150,7 +151,7 @@ class Model(Value):
 # (a product, a ceiling ratio) then stays within Python's default limit of
 # 4 300 digits on int/str conversion.
 MAX_INT_DIGITS = 1000
-_TOP = ("pair", "map", "corr", "qpair", "blowup")
+_TOP = tuple(KEYWORDS.values())
 _PUNCT = frozenset(("->", "<-", "{", "}", "(", ")", ":", ";", ",", "=", "^", "*"))
 
 # One match per token, whitespace and comments skipped inside the match; the
@@ -275,7 +276,7 @@ class _Parser:
         self.i = 0
         self.decls: list[Decl] = []
         # the model's name index, filled as declarations are accepted
-        self.names: dict[type, dict[str, Decl]] = {kind: {} for kind in _KINDS}
+        self.names: dict[type, dict[str, Decl]] = {kind: {} for kind in KEYWORDS}
 
     def fail(self, at: int, code: str, message: str):
         self.problems.append((at, len(self.toks[at]), message, code))
@@ -305,7 +306,8 @@ class _Parser:
             raise _ParseAbort  # already reported by the lexer (E012)
         return int(tok)
 
-    def fresh_name(self, kind: type, noun: str) -> str:
+    def fresh_name(self, kind: type) -> str:
+        noun = KEYWORDS[kind]
         name = self.name(f"a {noun} name")
         if name in self.names[kind]:
             self.fail(self.i - 1, "E020", f"duplicate {noun} name '{name}'")
@@ -348,7 +350,7 @@ class _Parser:
     def _stmt_pair(self):
         toks = self.toks
         self.i += 1
-        name = self.fresh_name(PairDecl, "pair")
+        name = self.fresh_name(PairDecl)
         self.expect("{")
         self.expect("dim")
         dim_at, dim = self.i, self.number("the chart dimension")
@@ -407,7 +409,7 @@ class _Parser:
     def _stmt_map(self):
         toks = self.toks
         self.i += 1
-        name = self.fresh_name(MapDecl, "map")
+        name = self.fresh_name(MapDecl)
         self.expect(":")
         src_name, src_pair = self.resolve_pair("source pair")
         self.expect("->")
@@ -439,7 +441,7 @@ class _Parser:
     def _stmt_corr(self):
         toks = self.toks
         self.i += 1
-        name = self.fresh_name(CorrDecl, "corr")
+        name = self.fresh_name(CorrDecl)
         if toks[self.i] == "monomial":
             self.i += 1
             self.expect("(")
@@ -500,7 +502,7 @@ class _Parser:
 
     def _stmt_qpair(self):
         self.i += 1
-        name = self.fresh_name(QPairDecl, "qpair")
+        name = self.fresh_name(QPairDecl)
         self.expect("=")
         self.expect("(")
         level_at, level = self.i, self.number("the level")
@@ -514,7 +516,7 @@ class _Parser:
     def _stmt_blowup(self):
         toks = self.toks
         self.i += 1
-        name = self.fresh_name(BlowupDecl, "blowup")
+        name = self.fresh_name(BlowupDecl)
         self.expect("on")
         pair_name, pair = self.resolve_pair()
         center_at = self.expect("center")
@@ -556,6 +558,13 @@ def format_monomial(chart: Chart, exps: tuple[int, ...]) -> str:
     return " * ".join(parts) if parts else "1"
 
 
+def format_assignments(m: MonomialMap) -> str:
+    """``y <- x^2; z <- 1``: each target coordinate's monomial over the source."""
+    return "; ".join(
+        f"{name} <- {format_monomial(m.source, row)}" for name, row in zip(m.target.coords, m.expo)
+    )
+
+
 def _fmt_block(inner: str) -> str:
     return f"{{ {inner} }}" if inner else "{ }"
 
@@ -568,11 +577,7 @@ def format_decl(decl: Decl) -> str:
         div = format_divisor(chart, decl.pair.divisor)
         return f"pair {decl.name} {{ dim {chart.dim}; {coords} divisor {div} }}"
     if isinstance(decl, MapDecl):
-        m = decl.pair_map.map
-        assigns = "; ".join(
-            f"{name} <- {format_monomial(m.source, m.expo[j])}"
-            for j, name in enumerate(m.target.coords)
-        )
+        assigns = format_assignments(decl.pair_map.map)
         return f"map {decl.name} : {decl.src} -> {decl.dst} {_fmt_block(assigns)}"
     if isinstance(decl, CorrDecl):
         if decl.monomial is not None:

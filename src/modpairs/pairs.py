@@ -108,9 +108,6 @@ class Divisor(Value):
         """Indices of the hyperplanes that actually appear."""
         return frozenset(i for i, m in enumerate(self.mults) if m > 0)
 
-    def is_zero(self) -> bool:
-        return all(m == 0 for m in self.mults)
-
     def scaled(self, n: int) -> Divisor:
         return Divisor(tuple(n * m for m in self.mults))
 

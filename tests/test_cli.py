@@ -1,5 +1,7 @@
 import io
 import json
+import random
+import re
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -20,7 +22,9 @@ from modpairs.cli import (
     run_command,
 )
 from modpairs.dsl import MAX_INT_DIGITS, Model, parse
+from randgen import random_model
 
+README = Path(__file__).parent.parent / "README.md"
 EXAMPLE = Path(__file__).parent.parent / "scripts" / "example.lp"
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 
@@ -200,6 +204,37 @@ class TestDeterminism:
         dump = lambda r: [json.dumps(rec, sort_keys=True) for rec in r.records]
         assert dump(first) == dump(second)
         assert first.text == second.text
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32))
+def test_check_all_is_its_single_verbs(seed):
+    """check-all gives what each one-name verb gives on every declaration of its
+    kind, in declaration order then command order, leaving out a verb that
+    declines (blowup on an invalid center)."""
+    m = random_model(random.Random(seed))
+    assert len({d.name for d in m.decls}) == len(m.decls)  # so E021 means "not of this verb's kind"
+    singles = []
+    for decl in m.decls:
+        for verb, names in COMMANDS.items():
+            if names != ("name",):
+                continue
+            report = run_command(m, [verb, decl.name])
+            if report.diagnostics:
+                assert [d.code for d in report.diagnostics] in (["E021"], ["E072"])
+                continue
+            singles.append(report)
+    report = run_command(m, ["check-all"])
+    assert report.records == tuple(record for r in singles for record in r.records)
+    assert report.text == "\n\n".join(r.text for r in singles)
+    assert report.status == max((r.status for r in singles), default=EXIT_OK)
+    assert not report.diagnostics
+
+
+def test_readme_lists_the_commands():
+    """The README's command table names every command, in the order of ``COMMANDS``."""
+    listed = re.findall(r"^\| `([a-z-]+)` \|", README.read_text(encoding="utf-8"), re.MULTILINE)
+    assert listed == list(COMMANDS)
 
 
 class TestMain:
