@@ -244,16 +244,11 @@ def _check_all(model: Model) -> Report:
 def run_command(model: Model, command) -> Report:
     """Run one command against a model; never raises for model-level problems."""
     command = list(command)
-    if not command:
-        return Report(
-            EXIT_INPUT,
-            "error: empty command",
-            (),
-            (Diagnostic("error", 1, 1, 0, "empty command", "E011"),),
-        )
-    verb = command[0]
-    expected = COMMANDS.get(verb)
     try:
+        if not command:
+            raise _CommandError(EXIT_INPUT, 0, "empty command", "E011")
+        verb = command[0]
+        expected = COMMANDS.get(verb)
         if expected is None:
             raise _CommandError(EXIT_INPUT, 0, f"unknown command '{verb}'", "E011")
         if len(command) - 1 != len(expected):
@@ -307,12 +302,10 @@ def _main(argv) -> int:
 
     parsed = parse(text)
     if isinstance(parsed, list):
-        for diag in parsed:
-            print(format_diagnostic(diag), file=sys.stderr)
-        return EXIT_INPUT
-
-    command = [ns.command] + [getattr(ns, positional) for positional in COMMANDS[ns.command]]
-    report = run_command(parsed, command)
+        report = Report(EXIT_INPUT, "", (), tuple(parsed))
+    else:
+        command = [ns.command] + [getattr(ns, positional) for positional in COMMANDS[ns.command]]
+        report = run_command(parsed, command)
     for diag in report.diagnostics:
         print(format_diagnostic(diag), file=sys.stderr)
     if ns.machine:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Mapping
-from functools import cached_property
 from types import MappingProxyType
 
 from .blowup import BlowupSpec
@@ -104,25 +103,20 @@ KEYWORDS = {PairDecl: "pair", MapDecl: "map", CorrDecl: "corr", QPairDecl: "qpai
 
 
 class Model(Value):
-    """Ordered declarations; equality is structural on the declaration list."""
+    """Ordered declarations; equality is structural on the declaration list.
 
-    __slots__ = ("decls", "__dict__")  # the name index is cached in __dict__, not a field
+    No name index is kept: ``namespace`` scans ``decls`` on each call.  The
+    CLI looks up at most two names per command and ``check-all`` and the
+    benchmark iterate ``decls``."""
+
+    __slots__ = ("decls",)
 
     def __init__(self, decls: tuple[Decl, ...] = ()):
         setfield(self, "decls", decls)
 
-    @cached_property
-    def _names(self) -> dict[type, dict[str, Decl]]:
-        # one name index per declaration kind, built on first use; ``parse``
-        # hands over the index its parser built instead
-        names = {kind: {} for kind in KEYWORDS}
-        for d in self.decls:
-            names[type(d)][d.name] = d
-        return names
-
     def namespace(self, kind: type) -> Mapping[str, Decl]:
         """Read-only view of the declarations of one kind, by name."""
-        return MappingProxyType(self._names[kind])
+        return MappingProxyType({d.name: d for d in self.decls if type(d) is kind})
 
     @property
     def pairs(self) -> Mapping[str, PairDecl]:
@@ -275,7 +269,8 @@ class _Parser:
         self.problems = problems
         self.i = 0
         self.decls: list[Decl] = []
-        # the model's name index, filled as declarations are accepted
+        # declarations accepted so far, by kind and name, for duplicate names
+        # and references to earlier declarations
         self.names: dict[type, dict[str, Decl]] = {kind: {} for kind in KEYWORDS}
 
     def fail(self, at: int, code: str, message: str):
@@ -343,9 +338,7 @@ class _Parser:
             except _ParseAbort:  # resynchronize at the next declaration
                 while toks[self.i] and toks[self.i] not in _TOP:
                     self.i += 1
-        model = Model(tuple(self.decls))
-        model.__dict__["_names"] = self.names  # the index Model would build
-        return model
+        return Model(tuple(self.decls))
 
     def _stmt_pair(self):
         toks = self.toks

@@ -32,7 +32,7 @@ class Value:
     __slots__ = ()
 
     def __init_subclass__(cls):
-        cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+        cls._fields = cls.__slots__
         cls._key = attrgetter(*cls._fields)
 
     def __eq__(self, other):

@@ -2,17 +2,19 @@
 
 The symbolic oracles substitute actual monomials with sympy and read off
 vanishing orders; they never touch the exponent-matrix arithmetic they are
-checking.  The brute-force oracles scan twist levels directly.  The
-reference kernels are the entry-by-entry loops the column-wise kernels
-replaced, and the reference lexer steps through the text one character at a
-time.
+checking.  The brute-force oracles scan twist levels directly, comparing
+integers entry by entry.  The reference kernels are the entry-by-entry loops
+the column-wise kernels replaced, and the reference lexer steps through the
+text one character at a time.  No oracle calls a modpairs predicate or kernel;
+from modpairs they take only the value classes they build and the errors they
+raise.
 """
 
 import sympy
 
-from modpairs.blowup import BlowupChart, BlowupClass, InvalidBlowupError, classify
-from modpairs.correspondences import CorrLocalRecord, NonConstantCorr, in_mcor
-from modpairs.pairs import Divisor, MonomialMap, PairMap, StructureError, is_admissible, twist
+from modpairs.blowup import BlowupChart, BlowupClass, InvalidBlowupError
+from modpairs.correspondences import CorrLocalRecord, NonConstantCorr
+from modpairs.pairs import Divisor, MonomialMap, StructureError
 
 
 def _symbols(chart):
@@ -99,9 +101,8 @@ def reference_compose(g, f):
 
 def reference_blowup_charts(spec):
     """``blowup_charts`` as first written: each total transform pulled back along its chart map."""
-    verdict = classify(spec)
-    if verdict is BlowupClass.INVALID:
-        raise InvalidBlowupError("blowup center misses the divisor support", verdict)
+    if not any(spec.pair.divisor.mults[i] for i in spec.center):
+        raise InvalidBlowupError("blowup center misses the divisor support", BlowupClass.INVALID)
     chart = spec.pair.chart
     d = chart.dim
     out = []
@@ -120,8 +121,9 @@ def reference_blowup_charts(spec):
 
 def brute_minimal_twist(f, limit=64):
     """Least n <= limit making the twisted source admissible, else None."""
+    pulled = reference_pullback(f.map, f.dst.divisor).mults
     for n in range(1, limit + 1):
-        if is_admissible(PairMap(f.map, twist(f.src, n), f.dst)):
+        if all(n * s >= e for s, e in zip(f.src.divisor.mults, pulled)):
             return n
     return None
 
@@ -138,7 +140,7 @@ def scale_source_coeffs(corr, n):
 def brute_corr_minimal_twist(corr, limit=64):
     """Least n <= limit whose rescaled records pass the level-one test, else None."""
     for n in range(1, limit + 1):
-        if in_mcor(scale_source_coeffs(corr, n)):
+        if all(n * r.n_x * r.e_x >= r.n_y * r.e_y for r in corr.records):
             return n
     return None
 

@@ -18,10 +18,11 @@ from modpairs.cli import (
     EXIT_INVALID_BLOWUP,
     EXIT_OK,
     EXIT_UNKNOWN_NAME,
+    Report,
     main,
     run_command,
 )
-from modpairs.dsl import MAX_INT_DIGITS, Model, parse
+from modpairs.dsl import MAX_INT_DIGITS, Diagnostic, Model, parse
 from randgen import random_model
 
 README = Path(__file__).parent.parent / "README.md"
@@ -195,6 +196,35 @@ class TestErrors:
         diag = report.diagnostics[0]
         joined = " ".join(command)
         assert joined[diag.column - 1 : diag.column - 1 + diag.length] == "nope"
+
+    def test_empty_command(self):
+        expected = Diagnostic("error", 1, 1, 0, "empty command", "E011")
+        assert run_command(model(), []) == Report(EXIT_INPUT, "error: empty command", (), (expected,))
+
+
+_WORD = st.one_of(
+    st.sampled_from(sorted(COMMANDS)),
+    st.sampled_from("XYfgCDQRZWBV"),
+    st.sampled_from(["0", "007", "\u00b2", "-1", "nope", ""]),
+    st.text(max_size=8),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(command=st.lists(_WORD, max_size=4))
+def test_run_command_on_any_words(command):
+    """Any list of words gives a report: a failure carries diagnostics and no
+    records, an answer no diagnostics, and every span lies in the command text."""
+    report = run_command(model(), command)
+    assert report.status in range(6)
+    if report.status >= EXIT_INPUT:
+        assert not report.records and report.diagnostics
+    else:
+        assert not report.diagnostics
+    joined = " ".join(command)
+    for diag in report.diagnostics:
+        assert diag.line == 1 and diag.column >= 1
+        assert diag.column - 1 + diag.length <= len(joined)
 
 
 class TestDeterminism:

@@ -161,6 +161,7 @@ def test_fields_cannot_be_assigned_or_deleted(cls):
         assert getattr(value, name) is before
     with pytest.raises(AttributeError):
         value.extra = 1
+    assert not hasattr(value, "__dict__")
 
 
 @pytest.mark.parametrize("cls", FIELDS, ids=lambda cls: cls.__name__)
