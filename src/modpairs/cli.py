@@ -308,9 +308,8 @@ def _main(argv) -> int:
         report = run_command(parsed, command)
     for diag in report.diagnostics:
         print(format_diagnostic(diag), file=sys.stderr)
-    if ns.machine:
-        for record in report.records:
-            print(json.dumps(record, sort_keys=True))
+    if ns.machine:  # one write: each print is a write of its own on an unbuffered stdout
+        sys.stdout.write("".join(json.dumps(record, sort_keys=True) + "\n" for record in report.records))
     elif report.text and not report.diagnostics:  # a failed command reports on stderr only
         print(report.text)
     return report.status

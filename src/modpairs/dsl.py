@@ -16,6 +16,8 @@ declarations.  The parser recovers at statement boundaries, so one run
 reports every malformed statement.  ``print_model`` emits the canonical
 form: declaration order preserved, divisor entries in coordinate order
 with zeros omitted; parsing it back gives a structurally equal model.
+Statements in that spelling are matched whole; the token parser takes over
+at the first statement in any other spelling and makes every diagnostic.
 """
 
 from __future__ import annotations
@@ -152,7 +154,8 @@ _PUNCT = frozenset(("->", "<-", "{", "}", "(", ")", ":", ";", ",", "=", "^", "*"
 # text of a token is the only group, and the empty end of the text is the
 # last match.  ``\w`` is exactly ``str.isalnum()`` plus ``_``.  A single
 # character outside a word is punctuation or a stray character.
-_TOKEN = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*(->|<-|[0-9]+|\w+|.|\Z)", re.DOTALL)
+_SKIP = r"(?:[ \t\r\n]+|#[^\n]*)*"
+_TOKEN = re.compile(_SKIP + r"(->|<-|[0-9]+|\w+|.|\Z)", re.DOTALL)
 
 
 def _plain(tok: str) -> bool:
@@ -183,10 +186,10 @@ def _pieces(tok: str) -> list[tuple[int, str, str | None]]:
     return pieces
 
 
-def _lex(text: str) -> tuple[list[str], set[str]]:
-    """The token texts of ``text``, ending with "", and the set of matched
-    texts that are not plain (each gives the lexer's diagnostics)."""
-    tokens = _TOKEN.findall(text)
+def _lex(text: str, start: int = 0) -> tuple[list[str], set[str]]:
+    """The token texts of ``text`` from ``start`` on, ending with "", and the set
+    of matched texts that are not plain (each gives the lexer's diagnostics)."""
+    tokens = _TOKEN.findall(text, start)
     if len(tokens) > 1 and not tokens[-2]:
         tokens.pop()  # trailing blanks match with the end, then the end again
     odd = {tok for tok in set(tokens) if not _plain(tok)}
@@ -201,12 +204,13 @@ def _lex(text: str) -> tuple[list[str], set[str]]:
     return tokens, odd
 
 
-def _diagnose(text: str, odd: set[str], problems: list) -> list[Diagnostic]:
+def _diagnose(text: str, odd: set[str], problems: list, start: int = 0) -> list[Diagnostic]:
     """The lexer's diagnostics, then the parser's ``problems``, placed in the text.
 
-    A problem is (token index, length, message, code).  One pass over the
-    text finds the offsets in increasing order, counting the newlines between
-    them; it stops after the last problem when the lexer found nothing.
+    A problem is (token index, length, message, code), the tokens counted from
+    offset ``start``.  One pass over the text finds the offsets in increasing
+    order, counting the newlines between them; it stops after the last problem
+    when the lexer found nothing.
     """
     found, places = [], {}
     wanted = {at for at, _, _, _ in problems}
@@ -222,15 +226,15 @@ def _diagnose(text: str, odd: set[str], problems: list) -> list[Diagnostic]:
         seen = offset
         return line, offset - line_start + 1
 
-    for m in _TOKEN.finditer(text):
+    for m in _TOKEN.finditer(text, start):
         tok = m[1]
         if tok in odd:
-            start = m.start(1)
+            tok_at = m.start(1)
             for at, piece, code in _pieces(tok):
                 if code == "E001":
-                    found.append((*place(start + at), 1, f"unexpected character {piece!r}", code))
+                    found.append((*place(tok_at + at), 1, f"unexpected character {piece!r}", code))
                     continue
-                places[index] = place(start + at)
+                places[index] = place(tok_at + at)
                 if code:
                     message = f"integer literal longer than {MAX_INT_DIGITS} digits"
                     found.append((*places[index], len(piece), message, code))
@@ -262,7 +266,8 @@ class _ParseAbort(Exception):
 
 
 class _Parser:
-    """Reads the token texts by index; ``i`` never moves past the end ("")."""
+    """Matches whole statements from the text (``match``), then reads the token
+    texts by index; ``i`` never moves past the end ("")."""
 
     def __init__(self, tokens: list[str], problems: list):
         self.toks = tokens
@@ -272,6 +277,7 @@ class _Parser:
         # declarations accepted so far, by kind and name, for duplicate names
         # and references to earlier declarations
         self.names: dict[type, dict[str, Decl]] = {kind: {} for kind in KEYWORDS}
+        self.places: dict[str, dict[str, int]] = {}  # coordinate positions of matched pairs
 
     def fail(self, at: int, code: str, message: str):
         self.problems.append((at, len(self.toks[at]), message, code))
@@ -528,15 +534,128 @@ class _Parser:
         coords = tuple(pair.chart.coords[i] for i in sorted(indices))
         self.accept(BlowupDecl(name, pair_name, coords, BlowupSpec(pair, frozenset(indices))))
 
+    # whole statements: each reader accepts what the token reader would, giving
+    # the same declaration, and returns None for all else
+
+    def match(self, text: str) -> int:
+        """Accept the canonically spelled statements that open ``text``; the
+        offset of the first other statement, or ``len(text)``."""
+        pos, end = _TOKEN.match(text).start(1), len(text)  # past the blanks and comments
+        while pos < end:
+            form = _FORMS.get(text[pos])
+            m = form and form[0].match(text, pos)
+            decl = m and form[1](self, m)
+            if decl is None:
+                break
+            self.accept(decl)
+            pos = m.end()
+        return pos
+
+    def _whole_pair(self, m) -> Decl | None:
+        name, dim, coords, entries = m.groups()
+        coords, entries = tuple(coords.split()), _ENTRY.findall(entries)
+        where, given = {c: i for i, c in enumerate(coords)}, dict(entries)
+        if (name in self.names[PairDecl] or not int(dim) == len(where) == len(coords)
+                or len(given) != len(entries) or not given.keys() <= where.keys()):
+            return None
+        self.places[name] = where
+        return PairDecl(name, Pair(Chart(coords), Divisor(tuple(int(given.get(c, 0)) for c in coords))))
+
+    def _whole_map(self, m) -> Decl | None:
+        name, src, dst, assigns = m.groups()
+        places = self.places
+        if name in self.names[MapDecl] or src not in places or dst not in places:
+            return None
+        src_at, dst_at, rows = places[src], places[dst], {}
+        for target, coord, exp in _FACTOR.findall(assigns or ""):
+            if target:
+                if target not in dst_at or target in rows:
+                    return None
+                row = rows[target] = [0] * len(src_at)
+            if coord:  # "" in the empty monomial 1
+                if coord not in src_at:
+                    return None
+                row[src_at[coord]] += int(exp or 1)
+        if len(rows) != len(dst_at):
+            return None
+        s, d = self.names[PairDecl][src].pair, self.names[PairDecl][dst].pair
+        matrix = tuple(rows[target] for target in dst_at)
+        return MapDecl(name, src, dst, PairMap(MonomialMap(s.chart, d.chart, matrix), s, d))
+
+    def _whole_corr(self, m) -> Decl | None:
+        name, a, b, n_x, n_y, src, dst, points = m.groups()
+        if name in self.names[CorrDecl]:
+            return None
+        if a is not None:
+            a, b, n_x, n_y = int(a), int(b), int(n_x), int(n_y)
+            if a < 1 or b < 1:
+                return None
+            return CorrDecl(name, from_monomial_param(a, b, n_x, n_y), monomial=(a, b, n_x, n_y))
+        records = [(label, *map(int, values)) for label, *values in _RECORD.findall(points)]
+        if (len(self.places.get(src, ())) != 1 or len(self.places.get(dst, ())) != 1
+                or len({r[0] for r in records}) != len(records) or any(r[3] < 1 or r[4] < 1 for r in records)):
+            return None
+        corr = NonConstantCorr(tuple(CorrLocalRecord(*r) for r in records))
+        return CorrDecl(name, corr, src=src, dst=dst)
+
+    def _whole_qpair(self, m) -> Decl | None:
+        name, level, pair_name = m.groups()
+        if name in self.names[QPairDecl] or pair_name not in self.places or int(level) < 1:
+            return None
+        return QPairDecl(name, pair_name, QPair(int(level), self.names[PairDecl][pair_name].pair))
+
+    def _whole_blowup(self, m) -> Decl | None:
+        name, pair_name, center = m.groups()
+        where, center = self.places.get(pair_name, {}), center.split(", ")
+        indices = {where.get(c) for c in center}
+        if name in self.names[BlowupDecl] or None in indices or len(indices) != len(center):
+            return None
+        pair = self.names[PairDecl][pair_name].pair
+        coords = tuple(pair.chart.coords[i] for i in sorted(indices))
+        return BlowupDecl(name, pair_name, coords, BlowupSpec(pair, frozenset(indices)))
+
+
+# --- statement matcher -------------------------------------------------------
+#
+# A statement spelled exactly as ``format_decl`` prints it is matched whole by
+# one pattern per form, which also takes the blanks and comments after it.
+# Names start with an ASCII letter or ``_``, and a literal longer than
+# MAX_INT_DIGITS fails the pattern at the piece after it.
+
+_N = r"[A-Za-z_]\w*"
+_I = rf"[0-9]{{1,{MAX_INT_DIGITS}}}"
+_ASSIGN = rf"{_N} <- (?:1|{_N}(?:\^{_I})?(?: \* {_N}(?:\^{_I})?)*)"
+_POINT = rf"point ({_N}) \{{ nx ({_I}); ny ({_I}); ex ({_I}); ey ({_I}) \}}"
+_POINT_SHAPE = _POINT.replace("(", "(?:")  # _N and _I hold no group
+_ENTRY = re.compile(rf"({_N}): ({_I})")
+# one factor, after its assignment's target if it is the first
+_FACTOR = re.compile(rf"(?:({_N}) <- )?(?:({_N})(?:\^({_I}))?|1)")
+_RECORD = re.compile(_POINT)
+# each form's pattern and reader, by the first letter of its keyword
+_FORMS = {
+    keyword[0]: (re.compile(f"{keyword} {form}{_SKIP}"), getattr(_Parser, "_whole_" + keyword))
+    for keyword, form in (
+        ("pair", rf"({_N}) \{{ dim ({_I}); coords((?: {_N})*); divisor \{{((?:{_N}: {_I}(?:, {_N}: {_I})*)?)\}} \}}"),
+        ("map", rf"({_N}) : ({_N}) -> ({_N}) \{{ (?:({_ASSIGN}(?:; {_ASSIGN})*) )?\}}"),
+        ("corr", rf"({_N}) (?:monomial\(({_I}), ({_I}), ({_I}), ({_I})\)"
+                 rf"|: ({_N}) -> ({_N}) \{{ ((?:{_POINT_SHAPE} )*)\}})"),
+        ("qpair", rf"({_N}) = \(({_I}), ({_N})\)"),
+        ("blowup", rf"({_N}) on ({_N}) center \{{ ({_N}(?:, {_N})*) \}}"),
+    )
+}
+
 
 def parse(text: str) -> Model | list[Diagnostic]:
-    """Parse a declaration text into a model, or report every problem found."""
-    tokens, odd = _lex(text)
+    """Parse a declaration text into a model, or report every problem found;
+    the token parser reads on from the first statement not matched whole."""
     problems: list = []
-    model = _Parser(tokens, problems).run()
-    if odd or problems:
-        return _diagnose(text, odd, problems)
-    return model
+    parser = _Parser([], problems)
+    start = parser.match(text)
+    if start == len(text):
+        return Model(tuple(parser.decls))
+    parser.toks, odd = _lex(text, start)
+    model = parser.run()
+    return _diagnose(text, odd, problems, start) if odd or problems else model
 
 
 # --- canonical printer -------------------------------------------------------

@@ -1,11 +1,13 @@
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modpairs import dsl
 from modpairs.correspondences import CorrLocalRecord
 from modpairs.dsl import (
     MAX_INT_DIGITS,
@@ -16,6 +18,7 @@ from modpairs.dsl import (
     PairDecl,
     _diagnose,
     _lex,
+    _Parser,
     format_decl,
     parse,
     print_model,
@@ -25,6 +28,7 @@ from oracles import reference_lex
 from randgen import random_model
 
 MALFORMED_DIR = Path(__file__).parent / "data" / "malformed"
+EXAMPLE = Path(__file__).parent.parent / "scripts" / "example.lp"
 
 # expected (code, line, column) per corpus file, frozen from the file layout:
 # each offending token was placed by hand, almost always at column 1.
@@ -288,3 +292,181 @@ def test_round_trip_random_models(seed):
     again = parse(text)
     assert again == model
     assert print_model(again) == text
+
+
+# --- the statement matcher against the token path ---------------------------
+
+
+def token_parse(text):
+    """``parse`` by the token path alone, from offset 0: the reference."""
+    tokens, odd = _lex(text)
+    problems = []
+    model = _Parser(tokens, problems).run()
+    return _diagnose(text, odd, problems) if odd or problems else model
+
+
+# Pieces a mutation inserts or puts in place of a cut: numerals and letters
+# outside ASCII, a stray character, an over-long literal, a CRLF line end, a
+# comment, punctuation and statement words.
+_MUTATION_PIECES = st.sampled_from(
+    ["\u00b2", "@", "\u00e9", "\u216b", "\u0661", "1" * (MAX_INT_DIGITS + 1), "\r\n", "#c\n", "",
+     " ", "{", "}", "(", ")", ":", ";", ",", "=", "^", "*", "->", "<-", "0", "007",
+     "pair", "map", "corr", "qpair", "blowup", "point", "dim", "coords", "divisor", "monomial", "center"]
+)
+
+
+@st.composite
+def mutated_model_texts(draw):
+    """Canonical text of a random model, then up to three mutations: a piece
+    inserted, cut or put in place of a cut; a word in place of another word of
+    the text or of a piece; a ``;``, ``,`` or ``point`` cut, alone or with the
+    clause up to the next one; a line repeated elsewhere or dropped."""
+    text = print_model(random_model(random.Random(draw(st.integers(0, 10**9)))))
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(["piece", "word", "clause", "line"]))
+        if op == "piece":
+            at = draw(st.integers(0, len(text)))
+            cut = draw(st.integers(0, 4))  # 0 inserts; with the piece "" it deletes
+            text = text[:at] + draw(_MUTATION_PIECES) + text[at + cut:]
+        elif op == "word":
+            words = [(m.start(), m.end()) for m in re.finditer(r"\w+", text)]
+            if words:
+                start, end = draw(st.sampled_from(words))
+                word = draw(st.sampled_from([text[i:j] for i, j in words]) | _MUTATION_PIECES)
+                text = text[:start] + word + text[end:]
+        elif op == "clause":
+            sep = draw(st.sampled_from(["; ", ", ", " point"]))
+            cuts = [m.start() for m in re.finditer(sep, text)]
+            if cuts:
+                at = draw(st.sampled_from(cuts))
+                end = text.find(sep, at + 1)
+                if end < 0 or draw(st.booleans()):  # the separator alone
+                    end = at + len(sep) - 1
+                text = text[:at] + text[end:]
+        else:
+            lines = text.split("\n")
+            i = draw(st.integers(0, len(lines) - 1))
+            if draw(st.booleans()):
+                lines.insert(draw(st.integers(0, len(lines))), lines[i])
+            else:
+                del lines[i]
+            text = "\n".join(lines)
+    return text
+
+
+@settings(max_examples=500, deadline=None)
+@given(mutated_model_texts())
+def test_parse_matches_the_token_path(text):
+    assert parse(text) == token_parse(text)
+
+
+CANONICAL = print_model(parse(DEMO))
+DEMO_LINES = CANONICAL.splitlines()
+
+
+def with_line(number, line, text=CANONICAL):
+    lines = text.split("\n")
+    lines[number - 1] = line
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("text, want", [
+    # X is unknown to the statements that use it
+    (with_line(1, "pair X { dim 2; coords t; divisor {t: 1} }"), [("E030", 1, 14), ("E021", 3, 9), ("E021", 5, 15)]),
+    (with_line(4, "corr C monomial(0, 3, 1, 1)"), [("E052", 4, 17)]),
+    (with_line(7, "blowup B on Z center { x, q }"), [("E032", 7, 27)]),
+    (with_line(7, "blowup B on Z center { x, q }\r", CANONICAL.replace("\n", "\r\n")), [("E032", 7, 27)]),
+    (with_line(5, "qpair Q = (6, X) @"), [("E001", 5, 18)]),
+], ids=["first", "middle", "last", "last-crlf", "stray-after"])
+def test_fault_placed_after_the_hand_off(text, want):
+    result = parse(text)
+    assert [(d.code, d.line, d.column) for d in result] == want
+    assert result == token_parse(text)
+
+
+@pytest.mark.parametrize("text", [
+    CANONICAL.replace("\n", "\r\n"),
+    CANONICAL.replace("coords x y;", "coords x # note\ny;"),
+    DEMO_LINES[0] + "\n" + DEMO_LINES[0].replace("X", "W") + "\ncorr D : X -> W { point a { nx 1; ny 2; ex 3; ey 4; } }\n",
+    DEMO_LINES[0].replace("{t: 1}", "{t: 0}"),
+    DEMO_LINES[0].replace("dim 1", "dim 007") + "\nqpair Q = (007, X)\n",
+    CANONICAL.replace("s <- t^2", "s <- 01"),
+    CANONICAL.replace("s <- t^2", "s <- t^007"),
+    "pair pair { dim 1; coords divisor; divisor {divisor: 1} }\nqpair map = (1, pair)\n"
+    "blowup center on pair center { divisor }\n",
+    DEMO_LINES[0] + "\nqpair Q = (" + "1" * (MAX_INT_DIGITS + 1) + ", X)\n" + DEMO_LINES[1],
+    DEMO_LINES[0] + "\nqpair Q = (" + "1" * MAX_INT_DIGITS + ", X)\n",
+    CANONICAL.replace("pair Y", "pair \u00e9t\u00e9").replace("-> Y", "-> \u00e9t\u00e9"),
+    CANONICAL.replace("coords t;", "coords t\u00b2;").replace("t: 1", "t\u00b2: 1").replace("t^2", "t\u00b2^2"),
+    CANONICAL.replace("pair Y", "pair \u00b2Y"),
+    CANONICAL.replace("pair Y", "pair \u216bY"),
+    CANONICAL.replace("\n", "\n\u00a0", 1),
+    "\x0c" + CANONICAL,
+    EXAMPLE.read_text(),
+], ids=["crlf", "comment-inside", "point-trailing-semicolon", "zero-entry",
+        "leading-zeros", "monomial-01", "exponent-007", "keywords-as-names", "long-literal",
+        "longest-literal", "non-ascii-name", "superscript-in-name", "numeral-led-name", "roman-numeral-led-name",
+        "no-break-space", "form-feed", "example"])
+def test_edge_cases_match_the_token_path(text):
+    assert parse(text) == token_parse(text)
+
+
+# one statement per check the token parser makes, spelled canonically but
+# for the fault, put in before the last statement of the demo
+@pytest.mark.parametrize("statement, code", [
+    ("pair X { dim 0; coords; divisor {} }", "E020"),
+    ("map f : X -> Y { s <- t }", "E020"),
+    ("corr C monomial(1, 1, 1, 1)", "E020"),
+    ("qpair Q = (1, X)", "E020"),
+    ("blowup B on Z center { x }", "E020"),
+    ("map g : W -> Y { s <- 1 }", "E021"),
+    ("map g : X -> W { }", "E021"),
+    ("corr D : X -> W { }", "E021"),
+    ("qpair R = (1, W)", "E021"),
+    ("blowup A on W center { x }", "E021"),
+    ("pair W { dim 2; coords a; divisor {} }", "E030"),
+    ("pair W { dim 2; coords a a; divisor {} }", "E031"),
+    ("pair W { dim 1; coords a; divisor {b: 1} }", "E032"),
+    ("map g : X -> Y { r <- t }", "E032"),
+    ("map g : X -> Y { s <- r }", "E032"),
+    ("map g : Z -> Y { s <- x * r^2 }", "E032"),
+    ("blowup A on Z center { r }", "E032"),
+    ("pair W { dim 2; coords a b; divisor {a: 1, a: 2} }", "E033"),
+    ("map g : Z -> Z { x <- x }", "E040"),
+    ("map g : X -> Y { s <- t; s <- 1 }", "E041"),
+    ("map g : X -> Y { s <- 2 }", "E042"),
+    ("corr D : X -> Y { point a { nx 1; ny 1; ex 1; ey 1 } point a { nx 1; ny 1; ex 1; ey 1 } }", "E050"),
+    ("corr D : X -> Y { point a { nx 1; ny 1; ex 0; ey 1 } }", "E051"),
+    ("corr D : X -> Y { point a { nx 1; ny 1; ex 1; ey 0 } }", "E051"),
+    ("corr D monomial(0, 1, 1, 1)", "E052"),
+    ("corr D monomial(1, 0, 1, 1)", "E052"),
+    ("qpair R = (0, X)", "E060"),
+    ("blowup A on Z center { }", "E070"),
+    ("blowup A on Z center { x, x }", "E071"),
+    ("corr D : Z -> Y { }", "E080"),
+    ("corr D : X -> Z { }", "E080"),
+    ("pair W { dim 2; coords a b; divisor {a: 1 b: 2} }", "E011"),
+    ("map g : Z -> Z { x <- x y <- y }", "E011"),
+    ("blowup A on Z center { x y }", "E011"),
+    ("map g : Z -> Y { s <- x^2 * y * x }", None),
+    ("corr D : X -> Y { point a { nx 0; ny 9; ex 1; ey 1 } point b { nx 1; ny 0; ex 2; ey 3 } }", None),
+])
+def test_each_check_matches_the_token_path(statement, code):
+    text = "\n".join(DEMO_LINES[:6] + [statement] + DEMO_LINES[6:]) + "\n"
+    result = parse(text)
+    assert result == token_parse(text)
+    assert [d.code for d in result] == [code] if code else isinstance(result, Model)
+
+
+def test_canonical_text_never_reaches_the_lexer(monkeypatch):
+    # a silent fall-back to the token path would keep every other test green
+    models = [parse(EXAMPLE.read_text())] + [random_model(random.Random(seed)) for seed in range(300)]
+    texts = [print_model(model) for model in models]
+
+    def refuse(*args):
+        raise AssertionError("canonical text reached the lexer")
+
+    monkeypatch.setattr(dsl, "_lex", refuse)
+    for model, text in zip(models, texts):
+        assert parse(text) == model
+        assert parse(text.replace("\n", "\r\n")) == model
