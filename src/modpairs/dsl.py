@@ -4,7 +4,7 @@ Grammar, one declaration per statement, ``#`` starting a line comment,
 whitespace insensitive, all integers non-negative and written with at most
 ``MAX_INT_DIGITS`` ASCII digits::
 
-    pair NAME { dim INT; coords a b c; divisor { a: INT, ... } }
+    pair NAME { dim INT; coords a b c; divisor {a: INT, ...} }
     map NAME : SRC -> DST { y <- x1^2 * x2; ... }
     corr NAME : SRC -> DST { point LABEL { nx INT; ny INT; ex INT; ey INT } ... }
     corr NAME monomial(A, B, NX, NY)
@@ -16,8 +16,11 @@ declarations.  The parser recovers at statement boundaries, so one run
 reports every malformed statement.  ``print_model`` emits the canonical
 form: declaration order preserved, divisor entries in coordinate order
 with zeros omitted; parsing it back gives a structurally equal model.
-Statements in that spelling are matched whole; the token parser takes over
-at the first statement in any other spelling and makes every diagnostic.
+Statements in that spelling are matched whole.  Any other spelling, such as
+``divisor { a: 1 }``, is accepted too and read by the token parser, which
+makes every diagnostic: it reads from the first such statement to the next
+line that opens with a declaration keyword.  After a stretch with a fault,
+matching resumes there; after a valid one, the token parser reads the rest.
 """
 
 from __future__ import annotations
@@ -186,10 +189,10 @@ def _pieces(tok: str) -> list[tuple[int, str, str | None]]:
     return pieces
 
 
-def _lex(text: str, start: int = 0) -> tuple[list[str], set[str]]:
-    """The token texts of ``text`` from ``start`` on, ending with "", and the set
-    of matched texts that are not plain (each gives the lexer's diagnostics)."""
-    tokens = _TOKEN.findall(text, start)
+def _lex(text: str, start: int = 0, stop: int | None = None) -> tuple[list[str], set[str]]:
+    """The token texts of ``text`` from ``start`` to ``stop``, ending with "", and
+    the set of matched texts that are not plain (each gives the lexer's diagnostics)."""
+    tokens = _TOKEN.findall(text, start, len(text) if stop is None else stop)
     if len(tokens) > 1 and not tokens[-2]:
         tokens.pop()  # trailing blanks match with the end, then the end again
     odd = {tok for tok in set(tokens) if not _plain(tok)}
@@ -204,18 +207,19 @@ def _lex(text: str, start: int = 0) -> tuple[list[str], set[str]]:
     return tokens, odd
 
 
-def _diagnose(text: str, odd: set[str], problems: list, start: int = 0) -> list[Diagnostic]:
+def _diagnose(text: str, odd: set[str], problems: list, start: int = 0, stop: int | None = None,
+              line: int = 1) -> list[Diagnostic]:
     """The lexer's diagnostics, then the parser's ``problems``, placed in the text.
 
     A problem is (token index, length, message, code), the tokens counted from
-    offset ``start``.  One pass over the text finds the offsets in increasing
-    order, counting the newlines between them; it stops after the last problem
-    when the lexer found nothing.
+    offset ``start``, which is on line ``line``.  One pass over the tokens up to
+    ``stop`` finds the offsets in increasing order, counting the newlines
+    between them; it stops after the last problem when the lexer found nothing.
     """
     found, places = [], {}
     wanted = {at for at, _, _, _ in problems}
     last, index = max(wanted, default=-1), 0
-    line, line_start, seen = 1, 0, 0
+    line_start, seen = text.rfind("\n", 0, start) + 1, start
 
     def place(offset: int) -> tuple[int, int]:
         nonlocal line, line_start, seen
@@ -226,7 +230,7 @@ def _diagnose(text: str, odd: set[str], problems: list, start: int = 0) -> list[
         seen = offset
         return line, offset - line_start + 1
 
-    for m in _TOKEN.finditer(text, start):
+    for m in _TOKEN.finditer(text, start, len(text) if stop is None else stop):
         tok = m[1]
         if tok in odd:
             tok_at = m.start(1)
@@ -277,7 +281,7 @@ class _Parser:
         # declarations accepted so far, by kind and name, for duplicate names
         # and references to earlier declarations
         self.names: dict[type, dict[str, Decl]] = {kind: {} for kind in KEYWORDS}
-        self.places: dict[str, dict[str, int]] = {}  # coordinate positions of matched pairs
+        self.places: dict[str, dict[str, int]] = {}  # coordinate positions of the pairs
 
     def fail(self, at: int, code: str, message: str):
         self.problems.append((at, len(self.toks[at]), message, code))
@@ -331,10 +335,18 @@ class _Parser:
         self.decls.append(decl)
         self.names[type(decl)][decl.name] = decl
 
+    def drop(self, mark: int):
+        """Take back the declarations accepted after the first ``mark``."""
+        for decl in self.decls[mark:]:
+            del self.names[type(decl)][decl.name]
+            if type(decl) is PairDecl:
+                del self.places[decl.name]
+        del self.decls[mark:]
+
     # statements
 
     def run(self) -> Model:
-        toks = self.toks
+        toks, self.i = self.toks, 0
         while tok := toks[self.i]:
             try:
                 if tok not in _TOP:
@@ -362,11 +374,11 @@ class _Parser:
         self.expect(";", "';' after the coordinate list")
         if len(coords) != dim:
             self.fail(dim_at, "E030", f"dim {dim} does not match the {len(coords)} declared coordinate(s)")
-        seen: set[str] = set()
+        where: dict[str, int] = {}
         for at, coord in enumerate(coords, first):
-            if coord in seen:
+            if coord in where:
                 self.fail(at, "E031", f"duplicate coordinate '{coord}'")
-            seen.add(coord)
+            where[coord] = at - first
         chart = Chart(coords)
         mults = [0] * dim
         assigned: set[int] = set()
@@ -384,6 +396,7 @@ class _Parser:
                 mults[idx] = self.number("a multiplicity")
             self.i += 1
         self.expect("}", "'}' closing the pair declaration")
+        self.places[name] = where
         self.accept(PairDecl(name, Pair(chart, Divisor(tuple(mults)))))
 
     def _monomial(self, chart: Chart) -> tuple[int, ...]:
@@ -537,10 +550,10 @@ class _Parser:
     # whole statements: each reader accepts what the token reader would, giving
     # the same declaration, and returns None for all else
 
-    def match(self, text: str) -> int:
-        """Accept the canonically spelled statements that open ``text``; the
-        offset of the first other statement, or ``len(text)``."""
-        pos, end = _TOKEN.match(text).start(1), len(text)  # past the blanks and comments
+    def match(self, text: str, pos: int = 0) -> int:
+        """Accept the canonically spelled statements of ``text`` from ``pos`` on;
+        the offset of the first other statement, or ``len(text)``."""
+        pos, end = _TOKEN.match(text, pos).start(1), len(text)  # past the blanks and comments
         while pos < end:
             form = _FORMS.get(text[pos])
             m = form and form[0].match(text, pos)
@@ -645,17 +658,44 @@ _FORMS = {
 }
 
 
+# the start of the next line that opens with a declaration keyword, where a
+# stretch read by the token parser ends
+_STRETCH_END = re.compile(rf"\n(?=(?:{'|'.join(_TOP)})\W)")
+
+
 def parse(text: str) -> Model | list[Diagnostic]:
-    """Parse a declaration text into a model, or report every problem found;
-    the token parser reads on from the first statement not matched whole."""
+    """Parse a declaration text into a model, or report every problem found.
+
+    The token parser reads each stretch the matcher stops at.  A statement
+    that reads the end of its stretch would have read the keyword there, so
+    the stretch is taken back and read again up to the end of the text.
+    Diagnostics keep the token parser's order: the lexer's, then the parser's.
+    """
     problems: list = []
     parser = _Parser([], problems)
-    start = parser.match(text)
-    if start == len(text):
-        return Model(tuple(parser.decls))
-    parser.toks, odd = _lex(text, start)
-    model = parser.run()
-    return _diagnose(text, odd, problems, start) if odd or problems else model
+    start, end = parser.match(text), len(text)
+    lexer, placed, line, seen, rest = [], [], 1, 0, False
+    while start < end:
+        found = None if rest else _STRETCH_END.search(text, start)
+        stop = found.end() if found else end
+        mark, first = len(parser.decls), len(problems)
+        parser.toks, odd = _lex(text, start, stop)
+        parser.run()
+        if stop < end and len(problems) > first and problems[-1][0] == len(parser.toks) - 1:
+            parser.drop(mark)  # a statement read the end of the stretch
+            del problems[first:]
+            rest = True
+        elif odd or len(problems) > first:
+            line += text.count("\n", seen, start)
+            seen = start
+            diags = _diagnose(text, odd, problems[first:], start, stop, line)
+            cut = len(diags) - len(problems) + first
+            lexer += diags[:cut]
+            placed += diags[cut:]
+            start = parser.match(text, stop)
+        else:  # valid, spelled otherwise: the token parser reads the rest
+            start, rest = stop, True
+    return lexer + placed or Model(tuple(parser.decls))
 
 
 # --- canonical printer -------------------------------------------------------

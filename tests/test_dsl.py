@@ -118,7 +118,7 @@ class TestParse:
 
     def test_name_index(self):
         model = parsed(DEMO)
-        rebuilt = Model(model.decls)  # indexes its declarations itself
+        rebuilt = Model(model.decls)  # keeps no index: ``namespace`` scans ``decls``
         for kind in ("pairs", "maps", "corrs", "qpairs", "blowups"):
             assert dict(getattr(rebuilt, kind)) == dict(getattr(model, kind))
         assert list(model.pairs) == ["X", "Y", "Z"]
@@ -470,3 +470,106 @@ def test_canonical_text_never_reaches_the_lexer(monkeypatch):
     for model, text in zip(models, texts):
         assert parse(text) == model
         assert parse(text.replace("\n", "\r\n")) == model
+
+
+# --- stretches: the token path reads only the statements the matcher stops at
+
+
+def stray_in_gap(rng, line):
+    """``line`` with a stray character put in at one of its spaces: a fault
+    only the lexer reports, so the statement is still accepted."""
+    gaps = [i for i, ch in enumerate(line) if ch == " "]
+    at = rng.choice(gaps)
+    return line[:at] + " " + rng.choice(["@", "²", "-", "<"]) + line[at:]
+
+
+@st.composite
+def multi_fault_texts(draw):
+    """Canonical text of a random model with 2 to 6 statements faulted, one
+    fault each: a stray character, a mutation piece, a cut, hand spacing, or
+    a line break before a word that becomes a declaration keyword, which
+    makes a continuation line open with a keyword used as a name.  Some lines
+    are joined with a space, so a stretch may hold several statements; the
+    line ends are LF or CRLF."""
+    lines = print_model(random_model(random.Random(draw(st.integers(0, 10**9))))).split("\n")[:-1]
+    count = min(len(lines), draw(st.integers(2, 6)))
+    faulted = draw(st.lists(st.integers(0, len(lines) - 1), min_size=count, max_size=count, unique=True))
+    for i in faulted:
+        line = lines[i]
+        op = draw(st.sampled_from(["stray", "keyword-line", "piece", "cut", "spaced"]))
+        if op == "stray":
+            line = stray_in_gap(random.Random(draw(st.integers(0, 99))), line)
+        elif op == "keyword-line":
+            words = [m.span() for m in re.finditer(r"(?<= )\w+", line)]
+            start, end = draw(st.sampled_from(words))
+            line = line[:start - 1] + "\n" + draw(st.sampled_from(list(dsl.KEYWORDS.values()))) + line[end:]
+        elif op == "piece":
+            at = draw(st.integers(0, len(line)))
+            line = line[:at] + draw(_MUTATION_PIECES) + line[at + draw(st.integers(0, 3)):]
+        elif op == "cut":
+            line = line[:draw(st.integers(0, len(line) - 1))]
+        else:
+            line = line.replace("{", "{ ", 1).replace(": ", " : ")
+        lines[i] = line
+    text = "".join(line + draw(st.sampled_from(["\n", "\n", " "])) for line in lines)
+    return text.replace("\n", "\r\n") if draw(st.booleans()) else text
+
+
+@settings(max_examples=400, deadline=None)
+@given(multi_fault_texts())
+def test_multi_fault_text_matches_the_token_path(text):
+    assert parse(text) == token_parse(text)
+
+
+@pytest.mark.parametrize("text, want", [
+    (with_line(5, "qpair Q = (0, X)", with_line(4, "corr C monomial(0, 3, 1, 1)")),
+     [("E052", 4, 17), ("E060", 5, 12)]),
+    (with_line(7, "blowup B on Z center { x, q }", with_line(3, "map f : X -> Y { s <- q }")),
+     [("E032", 3, 23), ("E032", 7, 27)]),
+    (with_line(3, "map f : X -> Y { s <- q }\n# @ ² - in a comment", with_line(5, "qpair Q = (0, X)")),
+     [("E032", 3, 23), ("E060", 6, 12)]),
+    (with_line(7, "blowup B on Z center { x, x }",
+               with_line(6, "pair Z { dim 2; coords x y; divisor { x: 1, y: 1 } }",
+                         with_line(2, "pair Y { dim 1; coords s; divisor {s: 3} } @"))),
+     [("E001", 2, 44), ("E071", 7, 27)]),
+    (with_line(6, "pair Z { dim 2; coords x\npair; divisor {x: 1} }", with_line(4, "corr C monomial(0, 3, 1, 1)")),
+     [("E052", 4, 17), ("E032", 8, 27)]),
+    (with_line(6, "qpair R = ( 1, X ) pair W { dim 2; coords a\npair; divisor {} }", with_line(4, "corr C monomial(0, 3, 1, 1)")),
+     [("E052", 4, 17), ("E021", 8, 13)]),
+], ids=["adjacent-lines", "last-statement", "stray-in-comment-between", "hand-spaced-after-fault", "overrun",
+        "overrun-after-a-statement"])
+def test_faults_in_several_stretches(text, want):
+    for text in (text, text.replace("\n", "\r\n")):
+        result = parse(text)
+        assert [(d.code, d.line, d.column) for d in result] == want
+        assert result == token_parse(text)
+
+
+def test_only_faulted_statements_reach_the_lexer(monkeypatch):
+    # k faults in k statements with canonical statements between them: the
+    # lexer is called once per faulted statement, on that statement's line
+    calls = []
+    lex = dsl._lex
+
+    def recording(text, start=0, stop=None):
+        calls.append((start, stop))
+        return lex(text, start, stop)
+
+    monkeypatch.setattr(dsl, "_lex", recording)
+    for seed in range(200):
+        rng = random.Random(seed)
+        lines = print_model(random_model(rng)).split("\n")[:-1]
+        faulted = rng.sample(range(0, len(lines), 2), rng.randint(1, (len(lines) + 1) // 2))
+        for i in faulted:
+            lines[i] = stray_in_gap(rng, lines[i])
+        for newline in ("\n", "\r\n"):
+            text = newline.join(lines) + newline
+            starts = [0]
+            for line in lines:
+                starts.append(starts[-1] + len(line) + len(newline))
+            calls.clear()
+            result = parse(text)
+            assert result == token_parse(text) and len(result) == len(faulted)
+            assert len(calls) <= len(faulted)
+            for start, stop in calls:
+                assert any(starts[i] <= start and stop == starts[i + 1] for i in faulted)
