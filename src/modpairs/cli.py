@@ -285,10 +285,16 @@ def _main(argv) -> int:
         prog="modpairs",
         description="Checks on declared pairs, maps, correspondences, levelled pairs and blowups.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for verb, positionals in COMMANDS.items():
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Only the named verb's subparser when argv opens with one, its usage
+    # spelling the choice list as argparse does for all; any other argv (help,
+    # no verb, a mistyped verb) gets them all, so every output stays the same.
+    named = bool(argv) and argv[0] in COMMANDS
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(COMMANDS) + "}" if named else None)
+    for verb in (argv[0],) if named else COMMANDS:
         p = sub.add_parser(verb)
-        for positional in positionals:
+        for positional in COMMANDS[verb]:
             p.add_argument(positional)
         p.add_argument("--model", default="-", help="model file, or - for stdin")
         p.add_argument("--machine", action="store_true", help="emit one JSON record per check")

@@ -2,6 +2,7 @@ import io
 import json
 import random
 import re
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -28,6 +29,8 @@ from randgen import random_model
 README = Path(__file__).parent.parent / "README.md"
 EXAMPLE = Path(__file__).parent.parent / "scripts" / "example.lp"
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
+# main's help, usage and argparse errors, frozen under one Python version
+ARGV_SURFACE = json.loads((Path(__file__).parent / "data" / "argv_surface.json").read_text(encoding="utf-8"))
 
 DEMO = """\
 pair X { dim 1; coords t; divisor { t: 1 } }
@@ -348,6 +351,19 @@ class TestMain:
         assert status not in (EXIT_OK, EXIT_FALSE, EXIT_INPUT, EXIT_UNKNOWN_NAME, EXIT_DIMENSION, EXIT_INVALID_BLOWUP)
         assert out.err.splitlines() == ["error: internal error: RuntimeError('broken\\nkernel')"]
         assert not out.out
+
+    @pytest.mark.parametrize("case", ARGV_SURFACE["cases"], ids=lambda case: " ".join(case["argv"]) or "no-args")
+    def test_argv_surface_is_frozen(self, case, capsys, monkeypatch):
+        # argparse words help and errors differently in other Python versions
+        if "%d.%d" % sys.version_info[:2] != ARGV_SURFACE["python"]:
+            pytest.skip(f"captured under Python {ARGV_SURFACE['python']}")
+        monkeypatch.setenv("COLUMNS", "80")
+        try:
+            status = main(list(case["argv"]))
+        except SystemExit as exc:
+            status = exc.code
+        out = capsys.readouterr()
+        assert (out.out, out.err, status) == (case["stdout"], case["stderr"], case["status"])
 
     def test_stdin(self, model_file, capsys, monkeypatch):
         import io

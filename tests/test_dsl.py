@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modpairs import dsl
+from modpairs import dsl, tokens
 from modpairs.correspondences import CorrLocalRecord
 from modpairs.dsl import (
     MAX_INT_DIGITS,
@@ -16,14 +16,12 @@ from modpairs.dsl import (
     MapDecl,
     Model,
     PairDecl,
-    _diagnose,
-    _lex,
-    _Parser,
     format_decl,
     parse,
     print_model,
 )
 from modpairs.pairs import Chart, Divisor, Pair
+from modpairs.tokens import _diagnose, _lex, _Parser
 from oracles import reference_lex
 from randgen import random_model
 
@@ -299,9 +297,9 @@ def test_round_trip_random_models(seed):
 
 def token_parse(text):
     """``parse`` by the token path alone, from offset 0: the reference."""
-    tokens, odd = _lex(text)
+    toks, odd = _lex(text)
     problems = []
-    model = _Parser(tokens, problems).run()
+    model = _Parser(toks, problems, dsl._Matcher()).run()
     return _diagnose(text, odd, problems) if odd or problems else model
 
 
@@ -466,7 +464,7 @@ def test_canonical_text_never_reaches_the_lexer(monkeypatch):
     def refuse(*args):
         raise AssertionError("canonical text reached the lexer")
 
-    monkeypatch.setattr(dsl, "_lex", refuse)
+    monkeypatch.setattr(tokens, "_lex", refuse)
     for model, text in zip(models, texts):
         assert parse(text) == model
         assert parse(text.replace("\n", "\r\n")) == model
@@ -486,17 +484,18 @@ def stray_in_gap(rng, line):
 @st.composite
 def multi_fault_texts(draw):
     """Canonical text of a random model with 2 to 6 statements faulted, one
-    fault each: a stray character, a mutation piece, a cut, hand spacing, or
-    a line break before a word that becomes a declaration keyword, which
-    makes a continuation line open with a keyword used as a name.  Some lines
-    are joined with a space, so a stretch may hold several statements; the
-    line ends are LF or CRLF."""
+    fault each: a stray character, a mutation piece, a cut, hand spacing, a
+    line break before a word that becomes a declaration keyword, which makes
+    a continuation line open with a keyword used as a name, or the last one
+    or two closing brackets cut, which leaves the statement open into the
+    next declaration line.  Some lines are joined with a space, so a stretch
+    may hold several statements; the line ends are LF or CRLF."""
     lines = print_model(random_model(random.Random(draw(st.integers(0, 10**9))))).split("\n")[:-1]
     count = min(len(lines), draw(st.integers(2, 6)))
     faulted = draw(st.lists(st.integers(0, len(lines) - 1), min_size=count, max_size=count, unique=True))
     for i in faulted:
         line = lines[i]
-        op = draw(st.sampled_from(["stray", "keyword-line", "piece", "cut", "spaced"]))
+        op = draw(st.sampled_from(["stray", "keyword-line", "piece", "cut", "closer", "spaced"]))
         if op == "stray":
             line = stray_in_gap(random.Random(draw(st.integers(0, 99))), line)
         elif op == "keyword-line":
@@ -508,6 +507,9 @@ def multi_fault_texts(draw):
             line = line[:at] + draw(_MUTATION_PIECES) + line[at + draw(st.integers(0, 3)):]
         elif op == "cut":
             line = line[:draw(st.integers(0, len(line) - 1))]
+        elif op == "closer":
+            closers = [m.start() for m in re.finditer(r" ?[})]", line)]
+            line = line[:draw(st.sampled_from(closers[-2:]))]
         else:
             line = line.replace("{", "{ ", 1).replace(": ", " : ")
         lines[i] = line
@@ -536,8 +538,13 @@ def test_multi_fault_text_matches_the_token_path(text):
      [("E052", 4, 17), ("E032", 8, 27)]),
     (with_line(6, "qpair R = ( 1, X ) pair W { dim 2; coords a\npair; divisor {} }", with_line(4, "corr C monomial(0, 3, 1, 1)")),
      [("E052", 4, 17), ("E021", 8, 13)]),
+    (with_line(3, "map f : X -> Y { s <- t^2"), [("E011", 4, 1)]),
+    (with_line(6, "pair Z { dim 2; coords x y; divisor {x: 1, y: 1}", with_line(3, "map f : X -> Y { s <- t^2")),
+     [("E011", 4, 1), ("E011", 7, 1), ("E021", 7, 13)]),
+    (with_line(6, "pair Z { dim 3; coords x\npair\npair; divisor {x: 1} }", with_line(4, "corr C monomial(0, 3, 1, 1)")),
+     [("E052", 4, 17), ("E031", 8, 1), ("E021", 9, 13)]),
 ], ids=["adjacent-lines", "last-statement", "stray-in-comment-between", "hand-spaced-after-fault", "overrun",
-        "overrun-after-a-statement"])
+        "overrun-after-a-statement", "unclosed", "two-unclosed", "overrun-twice"])
 def test_faults_in_several_stretches(text, want):
     for text in (text, text.replace("\n", "\r\n")):
         result = parse(text)
@@ -549,13 +556,13 @@ def test_only_faulted_statements_reach_the_lexer(monkeypatch):
     # k faults in k statements with canonical statements between them: the
     # lexer is called once per faulted statement, on that statement's line
     calls = []
-    lex = dsl._lex
+    lex = tokens._lex
 
     def recording(text, start=0, stop=None):
         calls.append((start, stop))
         return lex(text, start, stop)
 
-    monkeypatch.setattr(dsl, "_lex", recording)
+    monkeypatch.setattr(tokens, "_lex", recording)
     for seed in range(200):
         rng = random.Random(seed)
         lines = print_model(random_model(rng)).split("\n")[:-1]
@@ -570,6 +577,29 @@ def test_only_faulted_statements_reach_the_lexer(monkeypatch):
             calls.clear()
             result = parse(text)
             assert result == token_parse(text) and len(result) == len(faulted)
-            assert len(calls) <= len(faulted)
+            assert len(calls) == len(faulted)
             for start, stop in calls:
                 assert any(starts[i] <= start and stop == starts[i + 1] for i in faulted)
+
+
+def test_an_overrun_widens_the_stretch_by_doubling(monkeypatch):
+    # a coordinate list continued over n lines that open with a keyword: the
+    # stretch grows by 1, 2, 4, ... such lines, so it is lexed about log2(n)
+    # times, not n times
+    calls = []
+    lex = tokens._lex
+
+    def recording(text, start=0, stop=None):
+        calls.append(stop - start)
+        return lex(text, start, stop)
+
+    monkeypatch.setattr(tokens, "_lex", recording)
+    n = 1000
+    statement = "pair W { dim %d; coords a" % (n + 1) + "\npair" * n + "; divisor {} }"
+    text = "\n".join(DEMO_LINES[:6] + [statement] + DEMO_LINES[6:]) + "\n"
+    result = parse(text)
+    assert result == token_parse(text)
+    assert [(d.code, d.line) for d in result] == [("E031", 9)]
+    assert len(calls) == n.bit_length() + 1
+    assert sum(calls) < 3 * len(statement)
+

@@ -10,6 +10,8 @@ import copy
 import json
 import os
 import pickle
+import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -21,9 +23,12 @@ import modpairs
 from modpairs.blowup import BlowupChart, BlowupSpec
 from modpairs.cli import Report
 from modpairs.correspondences import ConstantCorr, CorrLocalRecord, NonConstantCorr
-from modpairs.dsl import BlowupDecl, CorrDecl, Diagnostic, MapDecl, Model, PairDecl, QPairDecl, parse
+from modpairs.dsl import BlowupDecl, CorrDecl, Diagnostic, MapDecl, Model, PairDecl, QPairDecl, parse, print_model
 from modpairs.pairs import Chart, Divisor, MonomialMap, Pair, PairMap, StructureError
 from modpairs.qdivisors import QPair, q_rationals
+from randgen import random_model
+
+EXAMPLE = Path(__file__).parent.parent / "scripts" / "example.lp"
 
 # field names in constructor order, one entry per value class
 FIELDS = {
@@ -251,6 +256,27 @@ def test_import_loads_no_heavy_module():
     assert "modpairs.dsl" in loaded
     heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "fractions", "decimal"}
     assert not heavy & loaded
+
+
+def _imported(argv: list[str]) -> set[str]:
+    """The modules ``python -X importtime argv`` imports, from its stderr."""
+    src = str(Path(modpairs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-X", "importtime", *argv], capture_output=True, text=True, env=env)
+    assert run.returncode in (0, 1) and run.stdout
+    return set(re.findall(r"^import time:.*\| +([\w.]+)$", run.stderr, re.M))
+
+
+def test_token_module_loads_only_off_the_canonical_path(tmp_path):
+    # dsl.parse imports the token path only where the matcher stops early
+    assert "modpairs.tokens" not in _modules("import modpairs; ")
+    canonical = tmp_path / "canonical.lp"
+    canonical.write_text(print_model(random_model(random.Random(11))))
+    loaded = _imported(["-m", "modpairs", "check-all", "--model", str(canonical), "--machine"])
+    assert "modpairs.dsl" in loaded and "modpairs.tokens" not in loaded
+    # the example spells divisors spaced, which only the token parser reads
+    loaded = _imported(["-m", "modpairs", "check-all", "--model", str(EXAMPLE), "--machine"])
+    assert "modpairs.tokens" in loaded
 
 
 def test_q_rationals_gives_fractions():
