@@ -4,13 +4,17 @@ Exit statuses distinguish answers from failures to answer: 0 means every
 queried check passed or the command produced its value, 1 means a queried
 membership or verdict came back false, 2 means malformed input or usage,
 3 an unknown name, 4 a dimension/structure mismatch, 5 an invalid blowup,
-70 an internal error (a fault in modpairs itself, never an answer).
+70 an internal error (a fault in modpairs itself, never an answer), 74 output
+that could not be written in full, such as to a pipe whose reader has gone.
+Human text is written with ``backslashreplace``, as Python writes stderr, so
+a name the output encoding cannot hold is escaped, not a fault.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .blowup import BlowupClass, blowup_charts, classify
@@ -51,6 +55,7 @@ EXIT_UNKNOWN_NAME = 3
 EXIT_DIMENSION = 4
 EXIT_INVALID_BLOWUP = 5
 EXIT_INTERNAL = 70  # EX_SOFTWARE in sysexits.h
+EXIT_IOERR = 74  # EX_IOERR
 
 class Report(Value):
     """Outcome of one command: process status, human text, machine records."""
@@ -314,11 +319,39 @@ def _main(argv) -> int:
         report = run_command(parsed, command)
     for diag in report.diagnostics:
         print(format_diagnostic(diag), file=sys.stderr)
-    if ns.machine:  # one write: each print is a write of its own on an unbuffered stdout
-        sys.stdout.write("".join(json.dumps(record, sort_keys=True) + "\n" for record in report.records))
+    out = ""
+    if ns.machine:
+        out = "".join(json.dumps(record, sort_keys=True) + "\n" for record in report.records)
     elif report.text and not report.diagnostics:  # a failed command reports on stderr only
-        print(report.text)
+        out = report.text + "\n"
+    try:
+        _write_stdout(out)
+    except OSError as exc:  # a closed pipe or a full disk
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        try:  # what stdout still holds goes to the null device, not to a second error at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except OSError:
+            pass
+        return EXIT_IOERR
     return report.status
+
+
+def _write_stdout(text: str):
+    """All of ``text`` to stdout, escaping what its encoding cannot hold as
+    Python does on stderr; OSError when it cannot all be written.
+
+    An unbuffered stdout (``python -u``) writes straight to the file, whose
+    writes may be partial, and its text layer would drop the rest unreported."""
+    stream = sys.stdout
+    binary = getattr(stream, "buffer", None)
+    if binary is None:  # text kept in memory
+        stream.write(text)
+        return
+    stream.flush()
+    data = memoryview(text.encode(stream.encoding, "backslashreplace"))
+    while data:
+        data = data[binary.write(data):]
+    binary.flush()
 
 
 if __name__ == "__main__":

@@ -124,26 +124,6 @@ class Model(Value):
         """Read-only view of the declarations of one kind, by name."""
         return MappingProxyType({d.name: d for d in self.decls if type(d) is kind})
 
-    @property
-    def pairs(self) -> Mapping[str, PairDecl]:
-        return self.namespace(PairDecl)
-
-    @property
-    def maps(self) -> Mapping[str, MapDecl]:
-        return self.namespace(MapDecl)
-
-    @property
-    def corrs(self) -> Mapping[str, CorrDecl]:
-        return self.namespace(CorrDecl)
-
-    @property
-    def qpairs(self) -> Mapping[str, QPairDecl]:
-        return self.namespace(QPairDecl)
-
-    @property
-    def blowups(self) -> Mapping[str, BlowupDecl]:
-        return self.namespace(BlowupDecl)
-
 
 # --- statement matcher -------------------------------------------------------
 
@@ -169,6 +149,8 @@ class _Matcher:
     def accept(self, decl: Decl):
         self.decls.append(decl)
         self.names[type(decl)][decl.name] = decl
+        if type(decl) is PairDecl:
+            self.places[decl.name] = {c: i for i, c in enumerate(decl.pair.chart.coords)}
 
     def match(self, text: str, pos: int = 0) -> int:
         """Accept the canonically spelled statements of ``text`` from ``pos`` on;
@@ -177,74 +159,63 @@ class _Matcher:
         while pos < end:
             form = _FORMS.get(text[pos])
             m = form and form[0].match(text, pos)
-            decl = m and form[1](self, m)
-            if decl is None:
+            try:
+                decl = m and form[1](self, m)
+            except (LookupError, ValueError):  # a lookup or a value constructor refused it
+                break
+            if decl is None or decl.name in self.names[type(decl)]:
                 break
             self.accept(decl)
             pos = m.end()
         return pos
 
-    # whole statements: each reader accepts what the token parser would, giving
-    # the same declaration, and returns None for all else
+    # whole statements: each reader builds the declaration the token parser
+    # would; its lookups and the value constructors raise on most faults, and
+    # it returns None on the few that nothing else finds, marked by their codes
 
     def _whole_pair(self, m) -> Decl | None:
         name, dim, coords, entries = m.groups()
-        coords, entries = tuple(coords.split()), _ENTRY.findall(entries)
-        where, given = {c: i for i, c in enumerate(coords)}, dict(entries)
-        if (name in self.names[PairDecl] or not int(dim) == len(where) == len(coords)
-                or len(given) != len(entries) or not given.keys() <= where.keys()):
+        chart, entries = Chart(coords.split()), _ENTRY.findall(entries)
+        if int(dim) != chart.dim or len(dict(entries)) != len(entries):  # E030, E033
             return None
-        self.places[name] = where
-        return PairDecl(name, Pair(Chart(coords), Divisor(tuple(int(given.get(c, 0)) for c in coords))))
+        mults = [0] * chart.dim
+        for coord, mult in entries:
+            mults[chart.index(coord)] = int(mult)
+        return PairDecl(name, Pair(chart, Divisor(tuple(mults))))
 
     def _whole_map(self, m) -> Decl | None:
         name, src, dst, assigns = m.groups()
-        places = self.places
-        if name in self.names[MapDecl] or src not in places or dst not in places:
-            return None
-        src_at, dst_at, rows = places[src], places[dst], {}
+        s, d = self.names[PairDecl][src].pair, self.names[PairDecl][dst].pair
+        src_at, dst_at, rows = self.places[src], self.places[dst], {}
         for target, coord, exp in _FACTOR.findall(assigns or ""):
             if target:
-                if target not in dst_at or target in rows:
+                if target not in dst_at or target in rows:  # E032, E041
                     return None
                 row = rows[target] = [0] * len(src_at)
             if coord:  # "" in the empty monomial 1
-                if coord not in src_at:
-                    return None
                 row[src_at[coord]] += int(exp or 1)
-        if len(rows) != len(dst_at):
-            return None
-        s, d = self.names[PairDecl][src].pair, self.names[PairDecl][dst].pair
         matrix = tuple(rows[target] for target in dst_at)
         return MapDecl(name, src, dst, PairMap(MonomialMap(s.chart, d.chart, matrix), s, d))
 
     def _whole_corr(self, m) -> Decl | None:
         name, a, b, n_x, n_y, src, dst, points = m.groups()
-        if name in self.names[CorrDecl]:
-            return None
         if a is not None:
             a, b, n_x, n_y = int(a), int(b), int(n_x), int(n_y)
-            if a < 1 or b < 1:
-                return None
             return CorrDecl(name, from_monomial_param(a, b, n_x, n_y), monomial=(a, b, n_x, n_y))
-        records = [(label, *map(int, values)) for label, *values in _RECORD.findall(points)]
-        if (len(self.places.get(src, ())) != 1 or len(self.places.get(dst, ())) != 1
-                or len({r[0] for r in records}) != len(records) or any(r[3] < 1 or r[4] < 1 for r in records)):
+        if len(self.places[src]) != 1 or len(self.places[dst]) != 1:  # E080
             return None
-        corr = NonConstantCorr(tuple(CorrLocalRecord(*r) for r in records))
-        return CorrDecl(name, corr, src=src, dst=dst)
+        records = (CorrLocalRecord(label, *map(int, values)) for label, *values in _RECORD.findall(points))
+        return CorrDecl(name, NonConstantCorr(tuple(records)), src=src, dst=dst)
 
-    def _whole_qpair(self, m) -> Decl | None:
+    def _whole_qpair(self, m) -> Decl:
         name, level, pair_name = m.groups()
-        if name in self.names[QPairDecl] or pair_name not in self.places or int(level) < 1:
-            return None
         return QPairDecl(name, pair_name, QPair(int(level), self.names[PairDecl][pair_name].pair))
 
     def _whole_blowup(self, m) -> Decl | None:
         name, pair_name, center = m.groups()
-        where, center = self.places.get(pair_name, {}), center.split(", ")
-        indices = {where.get(c) for c in center}
-        if name in self.names[BlowupDecl] or None in indices or len(indices) != len(center):
+        where, center = self.places[pair_name], center.split(", ")
+        indices = {where[c] for c in center}
+        if len(indices) != len(center):  # E071
             return None
         pair = self.names[PairDecl][pair_name].pair
         coords = tuple(pair.chart.coords[i] for i in sorted(indices))

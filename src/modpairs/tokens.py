@@ -249,11 +249,11 @@ class _Parser(_Matcher):
         self.expect(";", "';' after the coordinate list")
         if len(coords) != dim:
             self.fail(dim_at, "E030", f"dim {dim} does not match the {len(coords)} declared coordinate(s)")
-        where: dict[str, int] = {}
+        seen: set[str] = set()
         for at, coord in enumerate(coords, first):
-            if coord in where:
+            if coord in seen:
                 self.fail(at, "E031", f"duplicate coordinate '{coord}'")
-            where[coord] = at - first
+            seen.add(coord)
         chart = Chart(coords)
         mults = [0] * dim
         assigned: set[int] = set()
@@ -271,7 +271,6 @@ class _Parser(_Matcher):
                 mults[idx] = self.number("a multiplicity")
             self.i += 1
         self.expect("}", "'}' closing the pair declaration")
-        self.places[name] = where
         self.accept(PairDecl(name, Pair(chart, Divisor(tuple(mults)))))
 
     def _monomial(self, chart: Chart) -> tuple[int, ...]:

@@ -1,7 +1,9 @@
 import io
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -17,12 +19,14 @@ from modpairs.cli import (
     EXIT_INPUT,
     EXIT_INTERNAL,
     EXIT_INVALID_BLOWUP,
+    EXIT_IOERR,
     EXIT_OK,
     EXIT_UNKNOWN_NAME,
     Report,
     main,
     run_command,
 )
+import modpairs
 from modpairs.dsl import MAX_INT_DIGITS, Diagnostic, Model, parse
 from randgen import random_model
 
@@ -380,6 +384,51 @@ class TestMain:
         for line in out:
             json.loads(line)
         assert len(out) >= 10
+
+
+def _cli(argv: list[str], stdout, **env) -> subprocess.Popen:
+    """``python -m modpairs argv`` in a child process, without a shell; an
+    ``env`` value of None removes the variable."""
+    src = str(Path(modpairs.__file__).resolve().parents[1])
+    env = {k: v for k, v in dict(os.environ, PYTHONPATH=src, **env).items() if v is not None}
+    return subprocess.Popen([sys.executable, "-m", "modpairs", *argv], stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+class TestOutput:
+    # stdout unbuffered, as under ``python -u``, and buffered
+    @pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("flags", [[], ["--machine"]], ids=["human", "machine"])
+    def test_closed_stdout_is_an_output_error(self, flags, unbuffered):
+        read, write = os.pipe()
+        os.close(read)  # every write to the pipe fails
+        try:
+            child = _cli(["check-all", "--model", str(EXAMPLE), *flags], write, PYTHONUNBUFFERED=unbuffered)
+        finally:
+            os.close(write)
+        _, err = child.communicate()
+        assert (child.returncode, err) == (EXIT_IOERR, b"error: cannot write output: [Errno 32] Broken pipe\n")
+
+    @pytest.mark.parametrize("flags", [[], ["--machine"]], ids=["human", "machine"])
+    def test_a_reader_that_stops_early(self, tmp_path, flags):
+        # ``check-all | head -c 10`` on an output beyond a pipe's capacity: an
+        # unbuffered stdout's write is cut short, and the rest must not be lost unreported
+        path = tmp_path / "maps.lp"
+        maps = "".join(f"map f{i} : X -> X {{ t <- t }}\n" for i in range(2000))
+        path.write_text("pair X { dim 1; coords t; divisor {t: 1} }\n" + maps)
+        child = _cli(["check-all", "--model", str(path), *flags], subprocess.PIPE, PYTHONUNBUFFERED="1")
+        assert len(child.stdout.read(10)) == 10
+        child.stdout.close()
+        assert (child.wait(), child.stderr.read()) == (EXIT_IOERR, b"error: cannot write output: [Errno 32] Broken pipe\n")
+        child.stderr.close()
+
+    def test_ascii_stdout_escapes_a_name(self, tmp_path):
+        path = tmp_path / "accent.lp"
+        path.write_text("pair P { dim 1; coords \u00e9; divisor {\u00e9: 1} }\nmap f : P -> P { \u00e9 <- \u00e9 }\n",
+                        encoding="utf-8")
+        child = _cli(["check-admissible", "f", "--model", str(path)], subprocess.PIPE, PYTHONIOENCODING="ascii")
+        out, err = child.communicate()
+        assert (child.returncode, err) == (EXIT_OK, b"")
+        assert out == b"command: check-admissible f\nmap: map f : P -> P { \\xe9 <- \\xe9 }\nadmissible: true\n"
 
 
 # the names of DEMO that each verb accepts

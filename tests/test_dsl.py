@@ -11,11 +11,13 @@ from modpairs import dsl, tokens
 from modpairs.correspondences import CorrLocalRecord
 from modpairs.dsl import (
     MAX_INT_DIGITS,
+    BlowupDecl,
     CorrDecl,
     Diagnostic,
     MapDecl,
     Model,
     PairDecl,
+    QPairDecl,
     format_decl,
     parse,
     print_model,
@@ -61,35 +63,35 @@ def span_offset(text, line, column):
 class TestParse:
     def test_pair_golden(self):
         model = parsed("pair X { dim 1; coords t; divisor { t: 1 } }")
-        decl = model.pairs["X"]
+        decl = model.namespace(PairDecl)["X"]
         assert decl.pair == Pair(Chart(("t",)), Divisor((1,)))
 
     def test_map_golden(self):
         model = parsed(DEMO)
-        assert model.maps["f"].pair_map.map.expo == ((2,),)
+        assert model.namespace(MapDecl)["f"].pair_map.map.expo == ((2,),)
 
     def test_corr_monomial_golden(self):
         model = parsed(DEMO)
-        decl = model.corrs["C"]
+        decl = model.namespace(CorrDecl)["C"]
         assert decl.monomial == (2, 3, 1, 1)
         assert decl.corr.records == (CorrLocalRecord("0", 1, 1, 2, 3),)
 
     def test_qpair_and_blowup(self):
         model = parsed(DEMO)
-        assert model.qpairs["Q"].qpair.level == 6
-        assert model.blowups["B"].spec.center == frozenset({0, 1})
+        assert model.namespace(QPairDecl)["Q"].qpair.level == 6
+        assert model.namespace(BlowupDecl)["B"].spec.center == frozenset({0, 1})
 
     def test_comments_and_whitespace(self):
         text = "# heading\n  pair   X{dim 1;coords t;divisor{t:1}}  # trailing\n"
-        assert parsed(text).pairs["X"].pair.divisor.mults == (1,)
+        assert parsed(text).namespace(PairDecl)["X"].pair.divisor.mults == (1,)
 
     def test_point_chart(self):
         model = parsed("pair P { dim 0; coords; divisor {} }")
-        assert model.pairs["P"].pair.chart.dim == 0
+        assert model.namespace(PairDecl)["P"].pair.chart.dim == 0
 
     def test_missing_divisor_clause_means_zero(self):
         model = parsed("pair X { dim 2; coords a b; }")
-        assert model.pairs["X"].pair.divisor.mults == (0, 0)
+        assert model.namespace(PairDecl)["X"].pair.divisor.mults == (0, 0)
 
     def test_corr_points_form(self):
         text = (
@@ -98,7 +100,7 @@ class TestParse:
             "corr C : X -> Y { point a { nx 1; ny 1; ex 2; ey 3 } "
             "point b { nx 0; ny 0; ex 1; ey 1 } }\n"
         )
-        decl = parsed(text).corrs["C"]
+        decl = parsed(text).namespace(CorrDecl)["C"]
         assert decl.src == "X" and decl.dst == "Y"
         assert len(decl.corr.records) == 2
 
@@ -108,7 +110,7 @@ class TestParse:
             "pair Y { dim 1; coords s; divisor {} }\n"
             "map f : X -> Y { s <- t * t^2 }\n"
         )
-        assert parsed(text).maps["f"].pair_map.map.expo == ((3,),)
+        assert parsed(text).namespace(MapDecl)["f"].pair_map.map.expo == ((3,),)
 
     def test_empty_text(self):
         assert parsed("") == Model(())
@@ -117,11 +119,11 @@ class TestParse:
     def test_name_index(self):
         model = parsed(DEMO)
         rebuilt = Model(model.decls)  # keeps no index: ``namespace`` scans ``decls``
-        for kind in ("pairs", "maps", "corrs", "qpairs", "blowups"):
-            assert dict(getattr(rebuilt, kind)) == dict(getattr(model, kind))
-        assert list(model.pairs) == ["X", "Y", "Z"]
+        for kind in (PairDecl, MapDecl, CorrDecl, QPairDecl, BlowupDecl):
+            assert dict(rebuilt.namespace(kind)) == dict(model.namespace(kind))
+        assert list(model.namespace(PairDecl)) == ["X", "Y", "Z"]
         with pytest.raises(TypeError):
-            model.pairs["W"] = model.pairs["X"]
+            model.namespace(PairDecl)["W"] = model.namespace(PairDecl)["X"]
 
 
 class TestPrint:
@@ -148,7 +150,7 @@ class TestPrint:
             "map f : X -> P { }\n"
         )
         model = parsed(text)
-        assert format_decl(model.maps["f"]) == "map f : X -> P { }"
+        assert format_decl(model.namespace(MapDecl)["f"]) == "map f : X -> P { }"
         assert parse(print_model(model)) == model
 
 
@@ -454,6 +456,15 @@ def test_each_check_matches_the_token_path(statement, code):
     result = parse(text)
     assert result == token_parse(text)
     assert [d.code for d in result] == [code] if code else isinstance(result, Model)
+
+
+def test_a_duplicate_pair_keeps_the_first_coordinates():
+    # the map must be read against X's coordinate t, not the duplicate's u
+    statements = ["pair X { dim 1; coords u; divisor {} }", "map h : X -> X { u <- u }"]
+    text = "\n".join(DEMO_LINES[:6] + statements + DEMO_LINES[6:]) + "\n"
+    result = parse(text)
+    assert result == token_parse(text)
+    assert [d.code for d in result] == ["E020", "E032"]
 
 
 def test_canonical_text_never_reaches_the_lexer(monkeypatch):

@@ -1,0 +1,89 @@
+"""Least twists compose: checked on every case of a small scope.
+
+A log morphism X -> Y is a monomial map that is admissible after a finite
+twist of the source, Hom_log(X, Y) = colim_n Hom(X^(n), Y), and such
+morphisms must compose: when twists by mt(f) and mt(g) make f and g
+admissible, a twist by mt(f)·mt(g) makes g∘f admissible.
+
+The scope: pairs on the charts of dimension 0, 1 and 2 with every
+multiplicity 0, 1 or 2, and every map between them whose exponents are 0
+or 1; the laws are checked on every composable pair X -> Y -> Z of such
+maps.  The expected least twists come from the oracle, never from a
+kernel: ``pullback_orders`` substitutes the monomials with sympy, once per
+exponent matrix and divisor, and a ceiling ratio per coordinate gives the
+least twist.  The composite's pulled-back divisor is the orders along f of
+the orders along g, so ``compose`` is checked as well.
+"""
+
+from functools import cache
+from itertools import product
+
+from modpairs.pairs import Chart, Divisor, MonomialMap, Pair, PairMap, compose, is_minimal, minimal_twist
+from oracles import pullback_orders
+
+DIMS, MULTS, EXPONENTS = range(3), range(3), range(2)
+CHARTS = [Chart(("u", "v")[:d]) for d in DIMS]
+PAIRS = [[Pair(CHARTS[d], Divisor(mults)) for mults in product(MULTS, repeat=d)] for d in DIMS]
+
+
+def matrices(src: int, dst: int):
+    """Every exponent matrix of a map from dimension ``src`` to ``dst``."""
+    return product(product(EXPONENTS, repeat=src), repeat=dst)
+
+
+@cache
+def orders(expo: tuple, src: int, dst: int, mults: tuple) -> tuple[int, ...]:
+    """The divisor ``mults`` pulled back along ``expo``, by the oracle."""
+    return pullback_orders(MonomialMap(CHARTS[src], CHARTS[dst], expo), Divisor(mults))
+
+
+def least_twist(have: tuple, need: tuple) -> int | None:
+    """Least n >= 1 with n·have >= need entry by entry, or None when a
+    needed hyperplane is missing from ``have``."""
+    if any(e and not h for h, e in zip(have, need)):
+        return None
+    return max([1] + [(e + h - 1) // h for h, e in zip(have, need) if e])
+
+
+def test_each_map_has_the_oracles_least_twist():
+    cases = 0
+    for dx, dy in product(DIMS, repeat=2):
+        for expo in matrices(dx, dy):
+            m = MonomialMap(CHARTS[dx], CHARTS[dy], expo)
+            for y in PAIRS[dy]:
+                pulled = orders(expo, dx, dy, y.divisor.mults)
+                for x in PAIRS[dx]:
+                    assert minimal_twist(PairMap(m, x, y)) == least_twist(x.divisor.mults, pulled)
+                    cases += 1
+    assert cases == 1555
+
+
+def test_least_twists_compose():
+    cases = 0
+    for dx, dy, dz in product(DIMS, repeat=3):
+        for f_expo, g_expo in product(matrices(dx, dy), matrices(dy, dz)):
+            f = MonomialMap(CHARTS[dx], CHARTS[dy], f_expo)
+            g_after_f = compose(MonomialMap(CHARTS[dy], CHARTS[dz], g_expo), f)
+            # mt(f), by source and middle pair
+            mt_f = [[least_twist(x.divisor.mults, orders(f_expo, dx, dy, y.divisor.mults)) for y in PAIRS[dy]]
+                    for x in PAIRS[dx]]
+            for z in PAIRS[dz]:
+                on_y = orders(g_expo, dy, dz, z.divisor.mults)
+                on_x = orders(f_expo, dx, dy, on_y)
+                mt_g = [least_twist(y.divisor.mults, on_y) for y in PAIRS[dy]]
+                for x, mt_fx in zip(PAIRS[dx], mt_f):
+                    n = minimal_twist(PairMap(g_after_f, x, z))
+                    assert n == least_twist(x.divisor.mults, on_x)
+                    for a, b in zip(mt_fx, mt_g):
+                        if a is not None and b is not None:
+                            assert n is not None and n <= a * b
+                    cases += len(mt_g)
+    assert cases == 227557
+
+
+def test_the_identity_has_least_twist_one_and_is_minimal():
+    for d in DIMS:
+        identity = MonomialMap.identity(CHARTS[d])
+        for x in PAIRS[d]:
+            assert minimal_twist(PairMap(identity, x, x)) == 1
+            assert is_minimal(PairMap(identity, x, x))

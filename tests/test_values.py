@@ -232,12 +232,12 @@ def test_model_built_directly():
     parsed = parse(TEXT)
     built = Model(tuple(parsed.decls))
     assert built == parsed and hash(built) == hash(parsed)
-    assert built.namespace(PairDecl)["Z"] == parsed.pairs["Z"]
-    assert list(built.maps) == ["f"] and list(built.blowups) == ["b"]
-    assert built.corrs["c"].src == "X" and built.qpairs["q"].qpair.level == 2
+    assert built.namespace(PairDecl)["Z"] == parsed.namespace(PairDecl)["Z"]
+    assert list(built.namespace(MapDecl)) == ["f"] and list(built.namespace(BlowupDecl)) == ["b"]
+    assert built.namespace(CorrDecl)["c"].src == "X" and built.namespace(QPairDecl)["q"].qpair.level == 2
     assert dict(Model().namespace(MapDecl)) == {}
     with pytest.raises(TypeError):
-        built.pairs["W"] = parsed.pairs["X"]  # the index is read-only
+        built.namespace(PairDecl)["W"] = parsed.namespace(PairDecl)["X"]  # the index is read-only
 
 
 def _modules(code: str) -> set[str]:
