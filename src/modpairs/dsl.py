@@ -230,8 +230,8 @@ class _Matcher:
 _N = r"[A-Za-z_]\w*"
 _I = rf"[0-9]{{1,{MAX_INT_DIGITS}}}"
 _ASSIGN = rf"{_N} <- (?:1|{_N}(?:\^{_I})?(?: \* {_N}(?:\^{_I})?)*)"
-_POINT = rf"point ({_N}) \{{ nx ({_I}); ny ({_I}); ex ({_I}); ey ({_I}) \}}"
-_POINT_SHAPE = _POINT.replace("(", "(?:")  # _N and _I hold no group
+_POINT = rf"point ({_N}|{_I}) \{{ nx ({_I}); ny ({_I}); ex ({_I}); ey ({_I}) \}}"
+_POINT_SHAPE = _POINT.replace("(", "(?:")  # _N and _I hold no "("
 _ENTRY = re.compile(rf"({_N}): ({_I})")
 # one factor, after its assignment's target if it is the first
 _FACTOR = re.compile(rf"(?:({_N}) <- )?(?:({_N})(?:\^({_I}))?|1)")

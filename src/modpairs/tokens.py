@@ -2,10 +2,10 @@
 
 ``dsl.parse`` matches canonically spelled statements whole and imports this
 module only when the matcher stops before the end of the text.  From there
-the token parser reads one *stretch* at a time, up to the start of the next
-line that opens with a declaration keyword, and makes every diagnostic.  It
-shares the matcher's declarations, names and coordinate positions, so
-matching resumes after a stretch with a fault.
+the token parser reads one statement at a time, lexing each token as it
+first steps onto it and keeping its offset, and makes every diagnostic.
+After each statement the matcher tries again at the next token.  The two
+share the declarations, names and coordinate positions read so far.
 """
 
 from __future__ import annotations
@@ -70,68 +70,17 @@ def _pieces(tok: str) -> list[tuple[int, str, str | None]]:
     return pieces
 
 
-def _lex(text: str, start: int = 0, stop: int | None = None) -> tuple[list[str], set[str]]:
-    """The token texts of ``text`` from ``start`` to ``stop``, ending with "", and
-    the set of matched texts that are not plain (each gives the lexer's diagnostics)."""
-    tokens = _TOKEN.findall(text, start, len(text) if stop is None else stop)
-    if len(tokens) > 1 and not tokens[-2]:
-        tokens.pop()  # trailing blanks match with the end, then the end again
-    odd = {tok for tok in set(tokens) if not _plain(tok)}
-    if odd:
-        kept = []
-        for tok in tokens:
-            if tok in odd:
-                kept += [piece for _, piece, code in _pieces(tok) if code != "E001"]
-            else:
-                kept.append(tok)
-        tokens = kept
-    return tokens, odd
-
-
-def _diagnose(text: str, odd: set[str], problems: list, start: int = 0, stop: int | None = None,
-              line: int = 1) -> list[Diagnostic]:
-    """The lexer's diagnostics, then the parser's ``problems``, placed in the text.
-
-    A problem is (token index, length, message, code), the tokens counted from
-    offset ``start``, which is on line ``line``.  One pass over the tokens up to
-    ``stop`` finds the offsets in increasing order, counting the newlines
-    between them; it stops after the last problem when the lexer found nothing.
-    """
-    found, places = [], {}
-    wanted = {at for at, _, _, _ in problems}
-    last, index = max(wanted, default=-1), 0
-    line_start, seen = text.rfind("\n", 0, start) + 1, start
-
-    def place(offset: int) -> tuple[int, int]:
-        nonlocal line, line_start, seen
+def _place(text: str, found: list) -> list[Diagnostic]:
+    """Diagnostics for ``found``, each (offset, length, message, code): one pass
+    over the offsets in increasing order counts the newlines between them."""
+    where, line, line_start, seen = {}, 1, 0, 0
+    for offset in sorted({d[0] for d in found}):
         crossed = text.count("\n", seen, offset)
         if crossed:
             line += crossed
             line_start = text.rfind("\n", seen, offset) + 1
-        seen = offset
-        return line, offset - line_start + 1
-
-    for m in _TOKEN.finditer(text, start, len(text) if stop is None else stop):
-        tok = m[1]
-        if tok in odd:
-            tok_at = m.start(1)
-            for at, piece, code in _pieces(tok):
-                if code == "E001":
-                    found.append((*place(tok_at + at), 1, f"unexpected character {piece!r}", code))
-                    continue
-                places[index] = place(tok_at + at)
-                if code:
-                    message = f"integer literal longer than {MAX_INT_DIGITS} digits"
-                    found.append((*places[index], len(piece), message, code))
-                index += 1
-            continue
-        if index in wanted:
-            places[index] = place(m.start(1))
-        elif index > last and not odd:
-            break
-        index += 1
-    diags = found + [(*places[at], *rest) for at, *rest in problems]
-    return [Diagnostic("error", *d) for d in diags]
+        where[offset], seen = (line, offset - line_start + 1), offset
+    return [Diagnostic("error", *where[offset], *rest) for offset, *rest in found]
 
 
 def _describe(tok: str) -> str:
@@ -153,17 +102,47 @@ class _ParseAbort(Exception):
 class _Parser(_Matcher):
     """Reads the token texts by index; ``i`` never moves past the end ("").
 
-    It holds the same ``decls``, ``names`` and ``places`` objects as the
-    matcher it is given, so each accepts what the other has read."""
+    ``toks`` and ``at`` hold the texts and offsets of the tokens lexed since
+    the last ``restart``, each lexed when ``step`` first moves onto it.  The
+    lexer's findings go to ``lexer`` and the parser's to ``problems``, each
+    as (offset, length, message, code).  It holds the same ``decls``,
+    ``names`` and ``places`` objects as the matcher it is given, so each
+    accepts what the other has read."""
 
-    def __init__(self, tokens: list[str], problems: list, matcher: _Matcher):
+    def __init__(self, text: str, matcher: _Matcher):
         self.decls, self.names, self.places = matcher.decls, matcher.names, matcher.places
-        self.toks = tokens
-        self.problems = problems
-        self.i = 0
+        self.text, self.toks, self.at, self.lexer, self.problems = text, [], [], [], []
+
+    def restart(self, pos: int):
+        """Read on from the token at ``pos``, forgetting the tokens before it."""
+        self.toks.clear()
+        self.at.clear()
+        self.i, self.pos = -1, pos
+        self.step()
+
+    def step(self):
+        """Move to the next token, lexing it when ``i`` reaches the end of ``toks``;
+        an odd token gives its pieces, and the lexer's findings, in order."""
+        self.i += 1
+        while self.i == len(self.toks):
+            m = _TOKEN.match(self.text, self.pos)
+            tok, start, self.pos = m[1], m.start(1), m.end()
+            if _plain(tok):
+                self.toks.append(tok)
+                self.at.append(start)
+                continue
+            for offset, piece, code in _pieces(tok):
+                offset += start
+                if code == "E001":
+                    self.lexer.append((offset, 1, f"unexpected character {piece!r}", code))
+                    continue
+                if code:
+                    self.lexer.append((offset, len(piece), f"integer literal longer than {MAX_INT_DIGITS} digits", code))
+                self.toks.append(piece)
+                self.at.append(offset)
 
     def fail(self, at: int, code: str, message: str):
-        self.problems.append((at, len(self.toks[at]), message, code))
+        self.problems.append((self.at[at], len(self.toks[at]), message, code))
         raise _ParseAbort
 
     def expect(self, text: str, what: str = "") -> int:
@@ -171,21 +150,21 @@ class _Parser(_Matcher):
         at = self.i
         if self.toks[at] != text:
             self.fail(at, "E011", f"expected {what or repr(text)}, found {_describe(self.toks[at])}")
-        self.i = at + 1
+        self.step()
         return at
 
     def name(self, what: str) -> str:
         tok = self.toks[self.i]
         if not (tok[:1].isalpha() or tok[:1] == "_"):
             self.fail(self.i, "E011", f"expected {what}, found {_describe(tok)}")
-        self.i += 1
+        self.step()
         return tok
 
     def number(self, what: str) -> int:
         tok = self.toks[self.i]
         if not "0" <= tok[:1] <= "9":
             self.fail(self.i, "E011", f"expected {what}, found {_describe(tok)}")
-        self.i += 1
+        self.step()
         if len(tok) > MAX_INT_DIGITS:
             raise _ParseAbort  # already reported by the lexer (E012)
         return int(tok)
@@ -210,32 +189,23 @@ class _Parser(_Matcher):
             self.fail(self.i - 1, "E032", f"unknown coordinate '{name}'")
         return chart.index(name)
 
-    def drop(self, mark: int):
-        """Take back the declarations accepted after the first ``mark``."""
-        for decl in self.decls[mark:]:
-            del self.names[type(decl)][decl.name]
-            if type(decl) is PairDecl:
-                del self.places[decl.name]
-        del self.decls[mark:]
-
     # statements
 
-    def run(self) -> Model:
-        toks, self.i = self.toks, 0
-        while tok := toks[self.i]:
-            try:
-                if tok not in _TOP:
-                    self.fail(self.i, "E010", "expected a declaration ('pair', 'map', 'corr', "
-                              f"'qpair' or 'blowup'), found {_describe(tok)}")
-                getattr(self, "_stmt_" + tok)()
-            except _ParseAbort:  # resynchronize at the next declaration
-                while toks[self.i] and toks[self.i] not in _TOP:
-                    self.i += 1
-        return Model(tuple(self.decls))
+    def statement(self):
+        """Read one statement; after a fault, resynchronize at the next declaration."""
+        toks = self.toks
+        try:
+            if toks[self.i] not in _TOP:
+                self.fail(self.i, "E010", "expected a declaration ('pair', 'map', 'corr', "
+                          f"'qpair' or 'blowup'), found {_describe(toks[self.i])}")
+            getattr(self, "_stmt_" + toks[self.i])()
+        except _ParseAbort:
+            while toks[self.i] and toks[self.i] not in _TOP:
+                self.step()
 
     def _stmt_pair(self):
         toks = self.toks
-        self.i += 1
+        self.step()
         name = self.fresh_name(PairDecl)
         self.expect("{")
         self.expect("dim")
@@ -244,7 +214,7 @@ class _Parser(_Matcher):
         self.expect("coords")
         first = self.i
         while toks[self.i][:1].isalpha() or toks[self.i][:1] == "_":
-            self.i += 1
+            self.step()
         coords = tuple(toks[first:self.i])
         self.expect(";", "';' after the coordinate list")
         if len(coords) != dim:
@@ -258,7 +228,7 @@ class _Parser(_Matcher):
         mults = [0] * dim
         assigned: set[int] = set()
         if toks[self.i] == "divisor":
-            self.i += 1
+            self.step()
             self.expect("{")
             while toks[self.i] != "}":
                 if assigned:
@@ -269,7 +239,7 @@ class _Parser(_Matcher):
                 assigned.add(idx)
                 self.expect(":")
                 mults[idx] = self.number("a multiplicity")
-            self.i += 1
+            self.step()
         self.expect("}", "'}' closing the pair declaration")
         self.accept(PairDecl(name, Pair(chart, Divisor(tuple(mults)))))
 
@@ -285,16 +255,16 @@ class _Parser(_Matcher):
             idx = self.coord(chart, "a source coordinate")
             e = 1
             if toks[self.i] == "^":
-                self.i += 1
+                self.step()
                 e = self.number("an exponent")
             exps[idx] += e
             if toks[self.i] != "*":
                 return tuple(exps)
-            self.i += 1
+            self.step()
 
     def _stmt_map(self):
         toks = self.toks
-        self.i += 1
+        self.step()
         name = self.fresh_name(MapDecl)
         self.expect(":")
         src_name, src_pair = self.resolve_pair("source pair")
@@ -326,10 +296,10 @@ class _Parser(_Matcher):
 
     def _stmt_corr(self):
         toks = self.toks
-        self.i += 1
+        self.step()
         name = self.fresh_name(CorrDecl)
         if toks[self.i] == "monomial":
-            self.i += 1
+            self.step()
             self.expect("(")
             a_at, a = self.i, self.number("the first exponent")
             self.expect(",")
@@ -354,12 +324,12 @@ class _Parser(_Matcher):
         records: list[CorrLocalRecord] = []
         labels: set[str] = set()
         while toks[self.i] == "point":
-            self.i += 1
+            self.step()
             at = self.i
             label = toks[at]
             if not label or label in _PUNCT:
                 self.fail(at, "E011", f"expected a point label, found {_describe(label)}")
-            self.i += 1
+            self.step()
             if label in labels:
                 self.fail(at, "E050", f"duplicate point label '{label}'")
             labels.add(label)
@@ -376,7 +346,7 @@ class _Parser(_Matcher):
             self.expect("ey")
             ey_at, e_y = self.i, self.number("ey")
             if toks[self.i] == ";":
-                self.i += 1
+                self.step()
             self.expect("}")
             if e_x < 1:
                 self.fail(ex_at, "E051", "ramification degrees must be positive")
@@ -387,7 +357,7 @@ class _Parser(_Matcher):
         self.accept(CorrDecl(name, NonConstantCorr(tuple(records)), src=src_name, dst=dst_name))
 
     def _stmt_qpair(self):
-        self.i += 1
+        self.step()
         name = self.fresh_name(QPairDecl)
         self.expect("=")
         self.expect("(")
@@ -401,7 +371,7 @@ class _Parser(_Matcher):
 
     def _stmt_blowup(self):
         toks = self.toks
-        self.i += 1
+        self.step()
         name = self.fresh_name(BlowupDecl)
         self.expect("on")
         pair_name, pair = self.resolve_pair()
@@ -415,65 +385,31 @@ class _Parser(_Matcher):
             if idx in indices:
                 self.fail(self.i - 1, "E071", f"coordinate '{toks[self.i - 1]}' appears twice in the center")
             indices.add(idx)
-        self.i += 1
+        self.step()
         if not indices:
             self.fail(center_at, "E070", "blowup center must name at least one coordinate")
         coords = tuple(pair.chart.coords[i] for i in sorted(indices))
         self.accept(BlowupDecl(name, pair_name, coords, BlowupSpec(pair, frozenset(indices))))
 
 
-# --- stretches ---------------------------------------------------------------
-
-# the start of the next line that opens with a declaration keyword, where a
-# stretch read by the token parser ends
-_STRETCH_END = re.compile(rf"\n(?=(?:{'|'.join(_TOP)})\W)")
-
-
-def _ahead(text: str, pos: int, lines: int) -> int:
-    """The start of the ``lines``-th line after ``pos`` that opens with a
-    declaration keyword, or the end of the text."""
-    for _ in range(lines):
-        found = _STRETCH_END.search(text, pos)
-        if found is None:
-            return len(text)
-        pos = found.end()
-    return pos
-
-
 def read_from(matcher: _Matcher, text: str, start: int) -> Model | list[Diagnostic]:
     """Parse ``text`` from ``start``, where ``matcher`` stopped, to the end.
 
-    The token parser reads each stretch the matcher stops at.  A statement
-    that reads the end of its stretch would have read the keyword there, so
-    the stretch's declarations are taken back and it is read again up to the
-    next keyword line, then to twice as many lines past that, and so on until
-    no statement overruns: a text of ``n`` such lines is lexed about twice,
-    never ``n`` times.  Diagnostics keep the token parser's order over the
-    whole text: the lexer's, then the parser's.
+    The token parser reads one statement, then the matcher tries again at
+    the token after it.  Only where the matcher moved, and not to the end,
+    does the token parser restart, at the matcher's stop: a restart where it
+    did not move would lex the rest of an odd token twice.  Diagnostics keep
+    the token parser's order over the whole text: the lexer's, then the
+    parser's.
     """
-    problems: list = []
-    parser = _Parser([], problems, matcher)
-    end = len(text)
-    lexer, placed, line, seen, rest = [], [], 1, 0, False
-    while start < end:
-        stop, lines = end if rest else _ahead(text, start, 1), 1
-        while True:
-            mark, first = len(parser.decls), len(problems)
-            parser.toks, odd = _lex(text, start, stop)
-            parser.run()
-            if stop == end or len(problems) == first or problems[-1][0] < len(parser.toks) - 1:
-                break
-            parser.drop(mark)  # a statement read the end of the stretch: widen it
-            del problems[first:]
-            stop, lines = _ahead(text, stop, lines), 2 * lines
-        if odd or len(problems) > first:
-            line += text.count("\n", seen, start)
-            seen = start
-            diags = _diagnose(text, odd, problems[first:], start, stop, line)
-            cut = len(diags) - len(problems) + first
-            lexer += diags[:cut]
-            placed += diags[cut:]
-            start = matcher.match(text, stop)
-        else:  # valid, spelled otherwise: the token parser reads the rest
-            start, rest = stop, True
-    return lexer + placed or Model(tuple(parser.decls))
+    parser = _Parser(text, matcher)
+    parser.restart(start)
+    while parser.toks[parser.i]:
+        parser.statement()
+        at = parser.at[parser.i]
+        start = matcher.match(text, at)
+        if start == len(text):
+            break
+        if start > at:
+            parser.restart(start)
+    return _place(text, parser.lexer + parser.problems) or Model(tuple(parser.decls))

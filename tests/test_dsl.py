@@ -23,7 +23,7 @@ from modpairs.dsl import (
     print_model,
 )
 from modpairs.pairs import Chart, Divisor, Pair
-from modpairs.tokens import _diagnose, _lex, _Parser
+from modpairs.tokens import _Parser, _place
 from oracles import reference_lex
 from randgen import random_model
 
@@ -184,8 +184,9 @@ class TestDiagnostics:
 
     def test_literal_length_bound(self):
         longest = "1" * MAX_INT_DIGITS
-        tokens, odd = _lex(longest)
-        assert not odd and tokens[0] == longest
+        parser = _Parser(longest, dsl._Matcher())
+        parser.restart(0)
+        assert not parser.lexer and parser.toks == [longest]
         text = f"qpair Q = (1{longest}, X)"
         result = parse(text)
         assert [(d.code, d.column, d.length) for d in result] == [("E012", 12, MAX_INT_DIGITS + 1)]
@@ -212,13 +213,18 @@ def token_kind(tok):
 
 
 def lexed(text):
-    """``_lex``'s tokens and diagnostics in the shape of ``reference_lex``.
+    """The token parser's tokens and lexer diagnostics, stepped through the
+    whole text, in the shape of ``reference_lex``.
 
-    Positions come from ``_diagnose``, asked to place a probe at every token.
+    Positions come from ``_place``, asked to place a probe at every token.
     """
-    tokens, odd = _lex(text)
-    probes = [(i, len(tok), "probe", "P000") for i, tok in enumerate(tokens)]
-    diags = _diagnose(text, odd, probes)
+    parser = _Parser(text, dsl._Matcher())
+    parser.restart(0)
+    while parser.toks[parser.i]:
+        parser.step()
+    tokens = parser.toks
+    probes = [(at, len(tok), "probe", "P000") for at, tok in zip(parser.at, tokens)]
+    diags = _place(text, parser.lexer + probes)
     lexer_diags, placed = diags[: -len(tokens)], diags[-len(tokens):]
     assert all(d.severity == "error" for d in diags)
     assert [d.length for d in placed] == [len(tok) for tok in tokens]
@@ -299,10 +305,11 @@ def test_round_trip_random_models(seed):
 
 def token_parse(text):
     """``parse`` by the token path alone, from offset 0: the reference."""
-    toks, odd = _lex(text)
-    problems = []
-    model = _Parser(toks, problems, dsl._Matcher()).run()
-    return _diagnose(text, odd, problems) if odd or problems else model
+    parser = _Parser(text, dsl._Matcher())
+    parser.restart(0)
+    while parser.toks[parser.i]:
+        parser.statement()
+    return _place(text, parser.lexer + parser.problems) or Model(tuple(parser.decls))
 
 
 # Pieces a mutation inserts or puts in place of a cut: numerals and letters
@@ -403,10 +410,15 @@ def test_fault_placed_after_the_hand_off(text, want):
     CANONICAL.replace("\n", "\n\u00a0", 1),
     "\x0c" + CANONICAL,
     EXAMPLE.read_text(),
+    DEMO_LINES[0] + "\ncorr D : X -> X { point { nx 1; ny 1; ex 1; ey 1 } }\n" + DEMO_LINES[1],
+    DEMO_LINES[0] + "\ncorr D : X -> X { point ; nx 1; ny 1; ex 1; ey 1 } }\n" + DEMO_LINES[1],
+    DEMO_LINES[0] + "\ncorr D : X -> X { point",
+    "pair X { dim 1; coords t; divisor { t: 1 } } \u00b25\u00b2x",
 ], ids=["crlf", "comment-inside", "point-trailing-semicolon", "zero-entry",
         "leading-zeros", "monomial-01", "exponent-007", "keywords-as-names", "long-literal",
         "longest-literal", "non-ascii-name", "superscript-in-name", "numeral-led-name", "roman-numeral-led-name",
-        "no-break-space", "form-feed", "example"])
+        "no-break-space", "form-feed", "example", "point-label-brace", "point-label-semicolon",
+        "point-label-end", "numeral-led-after-statement"])
 def test_edge_cases_match_the_token_path(text):
     assert parse(text) == token_parse(text)
 
@@ -468,20 +480,25 @@ def test_a_duplicate_pair_keeps_the_first_coordinates():
 
 
 def test_canonical_text_never_reaches_the_lexer(monkeypatch):
-    # a silent fall-back to the token path would keep every other test green
-    models = [parse(EXAMPLE.read_text())] + [random_model(random.Random(seed)) for seed in range(300)]
+    # a silent fall-back to the token path would keep every other test green;
+    # point labels may be numerals, as from_monomial_param's "0" is
+    numeric_labels = parsed(
+        DEMO_LINES[0] + "\ncorr D : X -> X { point 0 { nx 1; ny 1; ex 1; ey 1 } }\n"
+        "corr E : X -> X { point 007 { nx 0; ny 2; ex 1; ey 3 } point a0 { nx 1; ny 1; ex 2; ey 2 } }\n"
+    )
+    models = [parse(EXAMPLE.read_text()), numeric_labels] + [random_model(random.Random(seed)) for seed in range(300)]
     texts = [print_model(model) for model in models]
 
     def refuse(*args):
         raise AssertionError("canonical text reached the lexer")
 
-    monkeypatch.setattr(tokens, "_lex", refuse)
+    monkeypatch.setattr(_Parser, "restart", refuse)
     for model, text in zip(models, texts):
         assert parse(text) == model
         assert parse(text.replace("\n", "\r\n")) == model
 
 
-# --- stretches: the token path reads only the statements the matcher stops at
+# --- recovery: the token path reads only the statements the matcher stops at
 
 
 def stray_in_gap(rng, line):
@@ -499,7 +516,7 @@ def multi_fault_texts(draw):
     line break before a word that becomes a declaration keyword, which makes
     a continuation line open with a keyword used as a name, or the last one
     or two closing brackets cut, which leaves the statement open into the
-    next declaration line.  Some lines are joined with a space, so a stretch
+    next declaration line.  Some lines are joined with a space, so a line
     may hold several statements; the line ends are LF or CRLF."""
     lines = print_model(random_model(random.Random(draw(st.integers(0, 10**9))))).split("\n")[:-1]
     count = min(len(lines), draw(st.integers(2, 6)))
@@ -565,15 +582,19 @@ def test_faults_in_several_stretches(text, want):
 
 def test_only_faulted_statements_reach_the_lexer(monkeypatch):
     # k faults in k statements with canonical statements between them: the
-    # lexer is called once per faulted statement, on that statement's line
-    calls = []
-    lex = tokens._lex
+    # token parser restarts once per faulted statement, at its start, and
+    # lexes nothing past the next statement's first token
+    runs = []  # [offset of a restart, the last offset lexed before the next one or the end]
+    restart = _Parser.restart
 
-    def recording(text, start=0, stop=None):
-        calls.append((start, stop))
-        return lex(text, start, stop)
+    def recording(self, pos):
+        if self.at:
+            runs[-1].append(self.at[-1])
+        runs.append([pos])
+        recording.parser = self
+        restart(self, pos)
 
-    monkeypatch.setattr(tokens, "_lex", recording)
+    monkeypatch.setattr(_Parser, "restart", recording)
     for seed in range(200):
         rng = random.Random(seed)
         lines = print_model(random_model(rng)).split("\n")[:-1]
@@ -585,32 +606,30 @@ def test_only_faulted_statements_reach_the_lexer(monkeypatch):
             starts = [0]
             for line in lines:
                 starts.append(starts[-1] + len(line) + len(newline))
-            calls.clear()
+            runs.clear()
             result = parse(text)
+            runs[-1].append(recording.parser.at[-1])
+            assert runs == [[starts[i], starts[i + 1]] for i in sorted(faulted)]
             assert result == token_parse(text) and len(result) == len(faulted)
-            assert len(calls) == len(faulted)
-            for start, stop in calls:
-                assert any(starts[i] <= start and stop == starts[i + 1] for i in faulted)
 
 
-def test_an_overrun_widens_the_stretch_by_doubling(monkeypatch):
-    # a coordinate list continued over n lines that open with a keyword: the
-    # stretch grows by 1, 2, 4, ... such lines, so it is lexed about log2(n)
-    # times, not n times
+def test_a_statement_over_many_lines_is_lexed_once(monkeypatch):
+    # a coordinate list continued over n lines that open with a keyword: each
+    # token is lexed once, as the parser first steps onto it
     calls = []
-    lex = tokens._lex
+    token_pattern = tokens._TOKEN
 
-    def recording(text, start=0, stop=None):
-        calls.append(stop - start)
-        return lex(text, start, stop)
+    class Counting:
+        def match(self, text, pos=0):
+            calls.append(pos)
+            return token_pattern.match(text, pos)
 
-    monkeypatch.setattr(tokens, "_lex", recording)
     n = 1000
     statement = "pair W { dim %d; coords a" % (n + 1) + "\npair" * n + "; divisor {} }"
     text = "\n".join(DEMO_LINES[:6] + [statement] + DEMO_LINES[6:]) + "\n"
+    monkeypatch.setattr(tokens, "_TOKEN", Counting())
     result = parse(text)
+    monkeypatch.undo()
     assert result == token_parse(text)
     assert [(d.code, d.line) for d in result] == [("E031", 9)]
-    assert len(calls) == n.bit_length() + 1
-    assert sum(calls) < 3 * len(statement)
-
+    assert len(calls) < len(token_pattern.findall(statement)) + 40

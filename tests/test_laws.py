@@ -1,9 +1,11 @@
-"""Least twists compose: checked on every case of a small scope.
+"""Chart-level laws of least twists: checked on every case of a small scope.
 
 A log morphism X -> Y is a monomial map that is admissible after a finite
 twist of the source, Hom_log(X, Y) = colim_n Hom(X^(n), Y), and such
 morphisms must compose: when twists by mt(f) and mt(g) make f and g
-admissible, a twist by mt(f)·mt(g) makes g∘f admissible.
+admissible, a twist by mt(f)·mt(g) makes g∘f admissible.  The map verdicts
+must agree with the least twist mt, and twisting source and target by the
+same m must leave it unchanged.
 
 The scope: pairs on the charts of dimension 0, 1 and 2 with every
 multiplicity 0, 1 or 2, and every map between them whose exponents are 0
@@ -18,7 +20,19 @@ the orders along g, so ``compose`` is checked as well.
 from functools import cache
 from itertools import product
 
-from modpairs.pairs import Chart, Divisor, MonomialMap, Pair, PairMap, compose, is_minimal, minimal_twist
+from modpairs.pairs import (
+    Chart,
+    Divisor,
+    MonomialMap,
+    Pair,
+    PairMap,
+    compose,
+    hom_log_exists,
+    is_admissible,
+    is_minimal,
+    minimal_twist,
+    twist,
+)
 from oracles import pullback_orders
 
 DIMS, MULTS, EXPONENTS = range(3), range(3), range(2)
@@ -56,6 +70,43 @@ def test_each_map_has_the_oracles_least_twist():
                     assert minimal_twist(PairMap(m, x, y)) == least_twist(x.divisor.mults, pulled)
                     cases += 1
     assert cases == 1555
+
+
+def each_map():
+    """Every map of the scope, with the oracle's pulled-back divisor."""
+    for dx, dy in product(DIMS, repeat=2):
+        for expo in matrices(dx, dy):
+            m = MonomialMap(CHARTS[dx], CHARTS[dy], expo)
+            for y in PAIRS[dy]:
+                pulled = orders(expo, dx, dy, y.divisor.mults)
+                for x in PAIRS[dx]:
+                    yield m, x, y, pulled
+
+
+def test_the_verdicts_agree_with_the_least_twist():
+    # admissible iff mt = 1, minimal (source = pullback) implies admissible,
+    # hom-log iff mt exists; a twist by mt is admissible and one by mt - 1 is not
+    cases = 0
+    for m, x, y, pulled in each_map():
+        f, mt = PairMap(m, x, y), least_twist(x.divisor.mults, pulled)
+        assert is_admissible(f) == (mt == 1)
+        assert is_minimal(f) == (x.divisor.mults == pulled)
+        assert not is_minimal(f) or mt == 1
+        assert hom_log_exists(f) == (mt is not None)
+        if mt is not None:
+            assert is_admissible(PairMap(m, twist(x, mt), y))
+            assert mt == 1 or not is_admissible(PairMap(m, twist(x, mt - 1), y))
+        cases += 1
+    assert cases == 1555
+
+
+def test_twist_is_an_endofunctor():
+    # twisting source and target by the same m scales both sides of every
+    # ceiling ratio, so the least twist stays as it is
+    for m, x, y, pulled in each_map():
+        mt = least_twist(x.divisor.mults, pulled)
+        for k in (1, 2, 3):
+            assert minimal_twist(PairMap(m, twist(x, k), twist(y, k))) == mt
 
 
 def test_least_twists_compose():
