@@ -14,7 +14,6 @@ from .blowup import (
     blowup_charts,
     classify,
 )
-from .cli import Report, main, run_command
 from .correspondences import (
     ConstantCorr,
     CorrLocalRecord,
@@ -123,3 +122,13 @@ __all__ = [
     "run_command",
     "twist",
 ]
+
+
+def __getattr__(name: str):
+    # main, run_command and Report load modpairs.cli on first use, so a
+    # library import leaves out the CLI and what it imports
+    if name in ("Report", "main", "run_command"):
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

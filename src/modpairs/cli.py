@@ -12,8 +12,6 @@ a name the output encoding cannot hold is escaped, not a fault.
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
 
@@ -285,12 +283,36 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
 
 
-def _main(argv) -> int:
+def _read_argv(argv: list[str]) -> tuple[list[str], str, bool] | None:
+    """(command, model, machine) for a verb, exactly its positionals and at most
+    one each of --model F (or --model=F) and --machine, where no positional and
+    no F but "-" starts with "-"; None for any other argv."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    command, model, machine = argv[:1], None, False
+    words = iter(argv[1:])
+    for word in words:
+        if word == "--machine" and not machine:
+            machine = True
+        elif word.partition("=")[0] == "--model" and model is None:
+            model = word[8:] if "=" in word else next(words, "--")  # no value: refused below
+        elif word.startswith("-"):
+            return None
+        else:
+            command.append(word)
+    model = "-" if model is None else model
+    if len(command) != len(COMMANDS[argv[0]]) + 1 or model != "-" and model.startswith("-"):
+        return None
+    return command, model, machine
+
+
+def _parser(argv: list[str]):
+    """argparse, for every argv that ``_read_argv`` leaves: help, errors, other spellings."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="modpairs",
         description="Checks on declared pairs, maps, correspondences, levelled pairs and blowups.",
     )
-    argv = sys.argv[1:] if argv is None else list(argv)
     # Only the named verb's subparser when argv opens with one, its usage
     # spelling the choice list as argparse does for all; any other argv (help,
     # no verb, a mistyped verb) gets them all, so every output stays the same.
@@ -303,10 +325,19 @@ def _main(argv) -> int:
             p.add_argument(positional)
         p.add_argument("--model", default="-", help="model file, or - for stdin")
         p.add_argument("--machine", action="store_true", help="emit one JSON record per check")
-    ns = parser.parse_args(argv)
+    return parser
+
+
+def _main(argv) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    read = _read_argv(argv)
+    if read is None:
+        ns = _parser(argv).parse_args(argv)
+        read = [ns.command] + [getattr(ns, p) for p in COMMANDS[ns.command]], ns.model, ns.machine
+    command, model, machine = read
 
     try:
-        text = _read_model_text(ns.model)
+        text = _read_model_text(model)
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read model: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -315,12 +346,12 @@ def _main(argv) -> int:
     if isinstance(parsed, list):
         report = Report(EXIT_INPUT, "", (), tuple(parsed))
     else:
-        command = [ns.command] + [getattr(ns, positional) for positional in COMMANDS[ns.command]]
         report = run_command(parsed, command)
     for diag in report.diagnostics:
         print(format_diagnostic(diag), file=sys.stderr)
     out = ""
-    if ns.machine:
+    if machine:
+        import json
         out = "".join(json.dumps(record, sort_keys=True) + "\n" for record in report.records)
     elif report.text and not report.diagnostics:  # a failed command reports on stderr only
         out = report.text + "\n"

@@ -9,7 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modpairs.cli import (
@@ -23,6 +23,8 @@ from modpairs.cli import (
     EXIT_OK,
     EXIT_UNKNOWN_NAME,
     Report,
+    _parser,
+    _read_argv,
     main,
     run_command,
 )
@@ -488,6 +490,61 @@ def test_main_on_any_argv(demo_file, command, machine):
     if machine and status == EXIT_FALSE:
         records = [json.loads(line) for line in out.getvalue().splitlines()]
         assert any(_false_answer(record) for record in records)
+
+
+_WORD = st.sampled_from(sorted(COMMANDS)) | st.sampled_from("XYfgCDQRZWBV") | st.text(max_size=6)
+_ODD = st.sampled_from(["--model", "--machine", "--mach", "-h", "--", "-1", "-x", "-", ""])
+_OPTION = st.one_of(
+    st.sampled_from([("--machine",), ("--mach",)]),
+    st.tuples(st.just("--model"), _WORD | _ODD),
+    (_WORD | _ODD).map(lambda value: ("--model=" + value,)),
+    st.tuples(_ODD),
+)
+
+
+@st.composite
+def _argv(draw):
+    """Mostly a verb and as many words as it takes, with option words spliced in
+    anywhere after the verb; else any words."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.lists(_WORD | _ODD, max_size=6))
+    verb = draw(st.sampled_from(sorted(COMMANDS)))
+    argv = draw(st.lists(_WORD, min_size=len(COMMANDS[verb]), max_size=len(COMMANDS[verb]) + draw(st.integers(0, 1))))
+    for _ in range(draw(st.integers(0, 3))):
+        index = draw(st.integers(0, len(argv)))
+        argv[index:index] = draw(_OPTION)
+    return [verb, *argv]
+
+
+_FULL_PARSER = _parser([])  # the fallback's parser, with every verb
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=_argv())
+@example(argv=["twist", "X", "2", "--mach"])
+@example(argv=["check-all", "--model", "a", "--model=b"])
+@example(argv=["classify", "--model", "-x", "B"])
+def test_the_hand_reader_agrees_with_argparse(argv):
+    """Whatever argv the hand reader accepts, argparse over every verb reads
+    the same way, and the reader takes only the spellings it documents, each
+    at most once: abbreviations, repeats and values that look like options
+    are argparse's to read or refuse."""
+    read = _read_argv(argv)
+    if read is None:
+        return
+    words = argv[1:]
+    if "--model" in words:
+        index = words.index("--model")
+        words[index:index + 2] = ["--model"]  # without its value
+    options = ["--model" if word.startswith("--model=") else word for word in words if word.startswith("-")]
+    assert set(options) <= {"--model", "--machine"} and len(options) == len(set(options)), argv
+    err = io.StringIO()
+    with redirect_stderr(err):
+        try:
+            ns = _FULL_PARSER.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"argparse refuses {argv!r}, which the hand reader accepts: {err.getvalue()}")
+    assert read == ([ns.command, *(getattr(ns, name) for name in COMMANDS[ns.command])], ns.model, ns.machine)
 
 
 # statements beside DEMO's, with maps to and from the point chart and literals at the length bound

@@ -4,8 +4,9 @@ A log morphism X -> Y is a monomial map that is admissible after a finite
 twist of the source, Hom_log(X, Y) = colim_n Hom(X^(n), Y), and such
 morphisms must compose: when twists by mt(f) and mt(g) make f and g
 admissible, a twist by mt(f)·mt(g) makes g∘f admissible.  The map verdicts
-must agree with the least twist mt, and twisting source and target by the
-same m must leave it unchanged.
+must agree with the least twist mt, which is missing exactly when a
+hyperplane the pulled-back divisor needs is missing from the source, and
+twisting source and target by the same m must leave it unchanged.
 
 The scope: pairs on the charts of dimension 0, 1 and 2 with every
 multiplicity 0, 1 or 2, and every map between them whose exponents are 0
@@ -51,10 +52,15 @@ def orders(expo: tuple, src: int, dst: int, mults: tuple) -> tuple[int, ...]:
     return pullback_orders(MonomialMap(CHARTS[src], CHARTS[dst], expo), Divisor(mults))
 
 
+def supported(have: tuple, need: tuple) -> bool:
+    """Whether every hyperplane that ``need`` counts is in ``have`` too."""
+    return not any(e and not h for h, e in zip(have, need))
+
+
 def least_twist(have: tuple, need: tuple) -> int | None:
     """Least n >= 1 with n·have >= need entry by entry, or None when a
     needed hyperplane is missing from ``have``."""
-    if any(e and not h for h, e in zip(have, need)):
+    if not supported(have, need):
         return None
     return max([1] + [(e + h - 1) // h for h, e in zip(have, need) if e])
 
@@ -98,6 +104,15 @@ def test_the_verdicts_agree_with_the_least_twist():
             assert mt == 1 or not is_admissible(PairMap(m, twist(x, mt - 1), y))
         cases += 1
     assert cases == 1555
+
+
+def test_no_least_twist_iff_a_needed_hyperplane_is_missing():
+    # when every needed hyperplane is there, n = max(pulled) already covers
+    # each entry, so a search up to one past it finds a twist whenever one exists
+    for m, x, y, pulled in each_map():
+        have = x.divisor.mults
+        found = any(all(n * h >= e for h, e in zip(have, pulled)) for n in range(1, max(pulled, default=0) + 2))
+        assert (minimal_twist(PairMap(m, x, y)) is None) == (not supported(have, pulled)) == (not found)
 
 
 def test_twist_is_an_endofunctor():

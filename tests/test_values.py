@@ -244,18 +244,31 @@ def _modules(code: str) -> set[str]:
     src = str(Path(modpairs.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
-        [sys.executable, "-c", f"{code}import sys, json; print(json.dumps(sorted(sys.modules)))"],
+        [sys.executable, "-c", f"import sys; {code}loaded = sorted(sys.modules); import json; print(json.dumps(loaded))"],
         capture_output=True, text=True, env=env, check=True,
     ).stdout
     return set(json.loads(out))
 
 
 def test_import_loads_no_heavy_module():
-    bare = _modules("import json; ")  # json reports the list, so it counts as bare here
-    loaded = _modules("import modpairs; ") - bare
+    loaded = _modules("import modpairs; ") - _modules("")
     assert "modpairs.dsl" in loaded
-    heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "fractions", "decimal"}
+    heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "fractions", "decimal", "argparse", "json"}
     assert not heavy & loaded
+    assert "modpairs.cli" not in loaded  # the library import leaves the CLI out
+
+
+def test_the_cli_names_stay_public():
+    from modpairs import cli
+
+    assert modpairs.main is cli.main and modpairs.run_command is cli.run_command and modpairs.Report is cli.Report
+    assert {"main", "run_command", "Report"} <= set(modpairs.__all__)
+    namespace = {}
+    exec("from modpairs import *", namespace)
+    assert set(modpairs.__all__) <= set(namespace)
+    assert all(namespace[name] is getattr(modpairs, name) for name in modpairs.__all__)
+    with pytest.raises(AttributeError, match=r"^module 'modpairs' has no attribute 'nosuch'$"):
+        modpairs.nosuch
 
 
 def _imported(argv: list[str]) -> set[str]:
@@ -265,6 +278,13 @@ def _imported(argv: list[str]) -> set[str]:
     run = subprocess.run([sys.executable, "-X", "importtime", *argv], capture_output=True, text=True, env=env)
     assert run.returncode in (0, 1) and run.stdout
     return set(re.findall(r"^import time:.*\| +([\w.]+)$", run.stderr, re.M))
+
+
+def test_a_verb_call_loads_json_only_for_machine_output_and_never_argparse():
+    loaded = _imported(["-m", "modpairs", "twist", "X", "2", "--model", str(EXAMPLE)])
+    assert "modpairs.cli" in loaded and not {"argparse", "json"} & loaded
+    loaded = _imported(["-m", "modpairs", "twist", "X", "2", "--model", str(EXAMPLE), "--machine"])
+    assert "json" in loaded and "argparse" not in loaded
 
 
 def test_token_module_loads_only_off_the_canonical_path(tmp_path):
