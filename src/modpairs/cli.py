@@ -306,20 +306,15 @@ def _read_argv(argv: list[str]) -> tuple[list[str], str, bool] | None:
     return command, model, machine
 
 
-def _parser(argv: list[str]):
+def _parser():
     """argparse, for every argv that ``_read_argv`` leaves: help, errors, other spellings."""
     import argparse
     parser = argparse.ArgumentParser(
         prog="modpairs",
         description="Checks on declared pairs, maps, correspondences, levelled pairs and blowups.",
     )
-    # Only the named verb's subparser when argv opens with one, its usage
-    # spelling the choice list as argparse does for all; any other argv (help,
-    # no verb, a mistyped verb) gets them all, so every output stays the same.
-    named = bool(argv) and argv[0] in COMMANDS
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar="{" + ",".join(COMMANDS) + "}" if named else None)
-    for verb in (argv[0],) if named else COMMANDS:
+    sub = parser.add_subparsers(dest="command", required=True)
+    for verb in COMMANDS:
         p = sub.add_parser(verb)
         for positional in COMMANDS[verb]:
             p.add_argument(positional)
@@ -332,7 +327,7 @@ def _main(argv) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     read = _read_argv(argv)
     if read is None:
-        ns = _parser(argv).parse_args(argv)
+        ns = _parser().parse_args(argv)
         read = [ns.command] + [getattr(ns, p) for p in COMMANDS[ns.command]], ns.model, ns.machine
     command, model, machine = read
 

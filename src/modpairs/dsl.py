@@ -138,19 +138,16 @@ _GAP = re.compile(_SKIP)
 
 
 class _Matcher:
-    """Accepts whole statements from the text (``match``), keeping the
-    declarations so far for duplicate names and references to earlier ones."""
+    """Accepts whole statements from the text (``match``), keeping only the
+    declarations so far, for duplicate names and references to earlier ones."""
 
     def __init__(self):
         self.decls: list[Decl] = []
         self.names: dict[type, dict[str, Decl]] = {kind: {} for kind in KEYWORDS}
-        self.places: dict[str, dict[str, int]] = {}  # coordinate positions of the pairs
 
     def accept(self, decl: Decl):
         self.decls.append(decl)
         self.names[type(decl)][decl.name] = decl
-        if type(decl) is PairDecl:
-            self.places[decl.name] = {c: i for i, c in enumerate(decl.pair.chart.coords)}
 
     def match(self, text: str, pos: int = 0) -> int:
         """Accept the canonically spelled statements of ``text`` from ``pos`` on;
@@ -170,8 +167,9 @@ class _Matcher:
         return pos
 
     # whole statements: each reader builds the declaration the token parser
-    # would; its lookups and the value constructors raise on most faults, and
-    # it returns None on the few that nothing else finds, marked by their codes
+    # would; its lookups, of names and of coordinates in a chart's ``coords``,
+    # and the value constructors raise on most faults, and it returns None on
+    # the few that nothing else finds, marked by their codes
 
     def _whole_pair(self, m) -> Decl | None:
         name, dim, coords, entries = m.groups()
@@ -186,15 +184,15 @@ class _Matcher:
     def _whole_map(self, m) -> Decl | None:
         name, src, dst, assigns = m.groups()
         s, d = self.names[PairDecl][src].pair, self.names[PairDecl][dst].pair
-        src_at, dst_at, rows = self.places[src], self.places[dst], {}
+        src_coords, dst_coords, rows = s.chart.coords, d.chart.coords, {}
         for target, coord, exp in _FACTOR.findall(assigns or ""):
             if target:
-                if target not in dst_at or target in rows:  # E032, E041
+                if target not in dst_coords or target in rows:  # E032, E041
                     return None
-                row = rows[target] = [0] * len(src_at)
+                row = rows[target] = [0] * len(src_coords)
             if coord:  # "" in the empty monomial 1
-                row[src_at[coord]] += int(exp or 1)
-        matrix = tuple(rows[target] for target in dst_at)
+                row[src_coords.index(coord)] += int(exp or 1)
+        matrix = tuple(rows[target] for target in dst_coords)
         return MapDecl(name, src, dst, PairMap(MonomialMap(s.chart, d.chart, matrix), s, d))
 
     def _whole_corr(self, m) -> Decl | None:
@@ -202,7 +200,8 @@ class _Matcher:
         if a is not None:
             a, b, n_x, n_y = int(a), int(b), int(n_x), int(n_y)
             return CorrDecl(name, from_monomial_param(a, b, n_x, n_y), monomial=(a, b, n_x, n_y))
-        if len(self.places[src]) != 1 or len(self.places[dst]) != 1:  # E080
+        pairs = self.names[PairDecl]
+        if len(pairs[src].pair.chart.coords) != 1 or len(pairs[dst].pair.chart.coords) != 1:  # E080
             return None
         records = (CorrLocalRecord(label, *map(int, values)) for label, *values in _RECORD.findall(points))
         return CorrDecl(name, NonConstantCorr(tuple(records)), src=src, dst=dst)
@@ -213,11 +212,10 @@ class _Matcher:
 
     def _whole_blowup(self, m) -> Decl | None:
         name, pair_name, center = m.groups()
-        where, center = self.places[pair_name], center.split(", ")
-        indices = {where[c] for c in center}
+        pair, center = self.names[PairDecl][pair_name].pair, center.split(", ")
+        indices = {pair.chart.coords.index(c) for c in center}
         if len(indices) != len(center):  # E071
             return None
-        pair = self.names[PairDecl][pair_name].pair
         coords = tuple(pair.chart.coords[i] for i in sorted(indices))
         return BlowupDecl(name, pair_name, coords, BlowupSpec(pair, frozenset(indices)))
 

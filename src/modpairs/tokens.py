@@ -5,7 +5,7 @@ module only when the matcher stops before the end of the text.  From there
 the token parser reads one statement at a time, lexing each token as it
 first steps onto it and keeping its offset, and makes every diagnostic.
 After each statement the matcher tries again at the next token.  The two
-share the declarations, names and coordinate positions read so far.
+share the declarations and names read so far.
 """
 
 from __future__ import annotations
@@ -51,25 +51,6 @@ def _plain(tok: str) -> bool:
     )
 
 
-def _pieces(tok: str) -> list[tuple[int, str, str | None]]:
-    """(offset in ``tok``, text, code) of the parts of a token that is not plain:
-    code None for a token, "E001" for a stray character, "E012" for an over-long
-    literal (still a token).  A word led by a numeral other than an ASCII digit
-    (``²x``, only in a text that is not ASCII) is lexed on from its second character."""
-    pieces, i = [], 0
-    while i < len(tok):
-        piece = _TOKEN.match(tok, i)[1]
-        if _plain(piece):
-            code = None
-        elif "0" <= piece[0] <= "9":
-            code = "E012"
-        else:
-            piece, code = piece[0], "E001"
-        pieces.append((i, piece, code))
-        i += len(piece)
-    return pieces
-
-
 def _place(text: str, found: list) -> list[Diagnostic]:
     """Diagnostics for ``found``, each (offset, length, message, code): one pass
     over the offsets in increasing order counts the newlines between them."""
@@ -105,12 +86,12 @@ class _Parser(_Matcher):
     ``toks`` and ``at`` hold the texts and offsets of the tokens lexed since
     the last ``restart``, each lexed when ``step`` first moves onto it.  The
     lexer's findings go to ``lexer`` and the parser's to ``problems``, each
-    as (offset, length, message, code).  It holds the same ``decls``,
-    ``names`` and ``places`` objects as the matcher it is given, so each
-    accepts what the other has read."""
+    as (offset, length, message, code).  It holds the same ``decls`` and
+    ``names`` objects as the matcher it is given, so each accepts what the
+    other has read."""
 
     def __init__(self, text: str, matcher: _Matcher):
-        self.decls, self.names, self.places = matcher.decls, matcher.names, matcher.places
+        self.decls, self.names = matcher.decls, matcher.names
         self.text, self.toks, self.at, self.lexer, self.problems = text, [], [], [], []
 
     def restart(self, pos: int):
@@ -121,25 +102,22 @@ class _Parser(_Matcher):
         self.step()
 
     def step(self):
-        """Move to the next token, lexing it when ``i`` reaches the end of ``toks``;
-        an odd token gives its pieces, and the lexer's findings, in order."""
+        """Move to the next token, lexing it when ``i`` reaches the end of ``toks``.
+        An over-long literal is reported and kept as a token.  A stray character,
+        or the numeral leading a word such as ``²x``, is reported and the text is
+        lexed on from the character after it."""
         self.i += 1
         while self.i == len(self.toks):
             m = _TOKEN.match(self.text, self.pos)
             tok, start, self.pos = m[1], m.start(1), m.end()
-            if _plain(tok):
-                self.toks.append(tok)
-                self.at.append(start)
-                continue
-            for offset, piece, code in _pieces(tok):
-                offset += start
-                if code == "E001":
-                    self.lexer.append((offset, 1, f"unexpected character {piece!r}", code))
+            if not _plain(tok):
+                if not "0" <= tok[0] <= "9":
+                    self.lexer.append((start, 1, f"unexpected character {tok[0]!r}", "E001"))
+                    self.pos = start + 1
                     continue
-                if code:
-                    self.lexer.append((offset, len(piece), f"integer literal longer than {MAX_INT_DIGITS} digits", code))
-                self.toks.append(piece)
-                self.at.append(offset)
+                self.lexer.append((start, len(tok), f"integer literal longer than {MAX_INT_DIGITS} digits", "E012"))
+            self.toks.append(tok)
+            self.at.append(start)
 
     def fail(self, at: int, code: str, message: str):
         self.problems.append((self.at[at], len(self.toks[at]), message, code))
@@ -398,9 +376,9 @@ def read_from(matcher: _Matcher, text: str, start: int) -> Model | list[Diagnost
     The token parser reads one statement, then the matcher tries again at
     the token after it.  Only where the matcher moved, and not to the end,
     does the token parser restart, at the matcher's stop: a restart where it
-    did not move would lex the rest of an odd token twice.  Diagnostics keep
-    the token parser's order over the whole text: the lexer's, then the
-    parser's.
+    did not move would lex the current token again, and report an over-long
+    literal twice.  Diagnostics keep the token parser's order over the whole
+    text: the lexer's, then the parser's.
     """
     parser = _Parser(text, matcher)
     parser.restart(start)

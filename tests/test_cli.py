@@ -516,7 +516,7 @@ def _argv(draw):
     return [verb, *argv]
 
 
-_FULL_PARSER = _parser([])  # the fallback's parser, with every verb
+_FULL_PARSER = _parser()  # the fallback's parser, with every verb
 
 
 @settings(max_examples=400, deadline=None)

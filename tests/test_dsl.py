@@ -571,8 +571,12 @@ def test_multi_fault_text_matches_the_token_path(text):
      [("E011", 4, 1), ("E011", 7, 1), ("E021", 7, 13)]),
     (with_line(6, "pair Z { dim 3; coords x\npair\npair; divisor {x: 1} }", with_line(4, "corr C monomial(0, 3, 1, 1)")),
      [("E052", 4, 17), ("E031", 8, 1), ("E021", 9, 13)]),
+    # the matcher stops where the token parser stands, on the literal, which
+    # a restart there would lex, and report, a second time
+    ("pair X {dim 1; coords t; divisor {t: 1}}\n" + "9" * (MAX_INT_DIGITS + 1)
+     + " pair Y { dim 1; coords s; divisor {s: 1} }\n", [("E012", 2, 1), ("E010", 2, 1)]),
 ], ids=["adjacent-lines", "last-statement", "stray-in-comment-between", "hand-spaced-after-fault", "overrun",
-        "overrun-after-a-statement", "unclosed", "two-unclosed", "overrun-twice"])
+        "overrun-after-a-statement", "unclosed", "two-unclosed", "overrun-twice", "literal-where-the-matcher-stops"])
 def test_faults_in_several_stretches(text, want):
     for text in (text, text.replace("\n", "\r\n")):
         result = parse(text)

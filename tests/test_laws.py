@@ -16,11 +16,27 @@ kernel: ``pullback_orders`` substitutes the monomials with sympy, once per
 exponent matrix and divisor, and a ceiling ratio per coordinate gives the
 least twist.  The composite's pulled-back divisor is the orders along f of
 the orders along g, so ``compose`` is checked as well.
+
+Three more laws, each on its own small scope and against plain integer
+arithmetic: each blowup chart map is minimal from the chart with the total
+transform to the pair; the graph of a nonconstant map between curve pairs
+has the map's verdicts; and levelled divisors are equal exactly when their
+gcd-reduced forms are.
 """
 
+import math
 from functools import cache
-from itertools import product
+from itertools import combinations, product
 
+from modpairs.blowup import BlowupClass, BlowupSpec, blowup_charts, classify
+from modpairs.correspondences import (
+    ConstantCorr,
+    corr_minimal_twist,
+    graph_corr,
+    in_colim_mcor,
+    in_lcor,
+    in_mcor,
+)
 from modpairs.pairs import (
     Chart,
     Divisor,
@@ -34,6 +50,7 @@ from modpairs.pairs import (
     minimal_twist,
     twist,
 )
+from modpairs.qdivisors import QPair, q_eq, q_normalize, q_transition
 from oracles import pullback_orders
 
 DIMS, MULTS, EXPONENTS = range(3), range(3), range(2)
@@ -153,3 +170,68 @@ def test_the_identity_has_least_twist_one_and_is_minimal():
         for x in PAIRS[d]:
             assert minimal_twist(PairMap(identity, x, x)) == 1
             assert is_minimal(PairMap(identity, x, x))
+
+
+def test_each_blowup_chart_map_is_minimal_onto_the_pair():
+    # every pair of dimension 1-3 with multiplicities 0-2 and every center
+    # that meets the divisor's support; the divisor pulled back along a chart
+    # map is each source column of exponents summed against the multiplicities
+    charts = 0
+    for d in (1, 2, 3):
+        chart = Chart(("u", "v", "w")[:d])
+        for mults, size in product(product(MULTS, repeat=d), range(1, d + 1)):
+            pair = Pair(chart, Divisor(mults))
+            for center in combinations(range(d), size):
+                spec = BlowupSpec(pair, frozenset(center))
+                if classify(spec) is BlowupClass.INVALID:
+                    continue
+                for bc in blowup_charts(spec):
+                    pulled = tuple(sum(row[i] * m for row, m in zip(bc.chart_map.expo, mults)) for i in range(d))
+                    assert bc.total_transform.mults == pulled
+                    assert is_minimal(PairMap(bc.chart_map, Pair(chart, bc.total_transform), pair))
+                    charts += 1
+    assert charts == 306
+
+
+def test_the_graph_of_a_curve_map_has_the_maps_verdicts():
+    # t -> t^m from multiplicity p to q pulls the divisor back to m·q, so the
+    # graph's level-one, twisted and log tests and its least twist read the
+    # map's least twist on (p,) against (m·q,), and whether p divides m·q; a
+    # constant map (m = 0) is the base point instead, in the interior only
+    # when q = 0, and differs from the map wherever q > 0
+    curve = CHARTS[1]
+    differ = 0
+    for m, p, q in product(range(4), repeat=3):
+        f = PairMap(MonomialMap(curve, curve, ((m,),)), Pair(curve, Divisor((p,))), Pair(curve, Divisor((q,))))
+        c, mt = graph_corr(f), least_twist((p,), (m * q,))
+        verdicts = (in_mcor(c), in_colim_mcor(c), corr_minimal_twist(c), in_lcor(c))
+        expected = (mt == 1, mt is not None, mt, m * q == 0 if p == 0 else m * q % p == 0)
+        if m == 0:
+            assert c == ConstantCorr(image_in_interior=(q == 0))
+            differ += verdicts != expected
+        else:
+            assert verdicts == expected
+    assert differ == 12
+
+
+def normal_form(level: int, mults: tuple) -> tuple:
+    """The level and multiplicities divided by their gcd."""
+    g = math.gcd(level, *mults)
+    return level // g, tuple(m // g for m in mults)
+
+
+def test_levelled_divisors_are_equal_iff_their_normal_forms_are():
+    # every level 1-4 over multiplicities 0-3 on the charts of dimension 0-2;
+    # a transition to level·k scales the divisor and keeps the value
+    for d in DIMS:
+        qpairs = [QPair(level, Pair(CHARTS[d], Divisor(mults)))
+                  for level, mults in product(range(1, 5), product(range(4), repeat=d))]
+        forms = [normal_form(q.level, q.pair.divisor.mults) for q in qpairs]
+        for q, form in zip(qpairs, forms):
+            n = q_normalize(q)
+            assert (n.level, n.pair.divisor.mults) == form and n.pair.chart == q.pair.chart
+            for k in (1, 2, 3):
+                moved = q_transition(q, k)
+                assert normal_form(moved.level, moved.pair.divisor.mults) == form and q_eq(q, moved)
+        for (a, form_a), (b, form_b) in product(zip(qpairs, forms), repeat=2):
+            assert q_eq(a, b) == (form_a == form_b)
