@@ -8,10 +8,14 @@ membership or verdict came back false, 2 means malformed input or usage,
 that could not be written in full, such as to a pipe whose reader has gone.
 Human text is written with ``backslashreplace``, as Python writes stderr, so
 a name the output encoding cannot hold is escaped, not a fault.
+
+``main`` pauses the cyclic garbage collector for its run and restores it as
+it found it; ``run_command`` and the other library functions never touch it.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 
@@ -276,11 +280,19 @@ def _read_model_text(path: str) -> str:
 
 
 def main(argv=None) -> int:
+    # A run builds only immutable trees without reference cycles, which
+    # reference counting frees, so collector passes would reclaim nothing.
+    # Only main pauses it, since only main owns the process.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return _main(argv)
     except Exception as exc:  # a fault in modpairs, which must not read as a verdict
         print(f"error: internal error: {exc!r}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _read_argv(argv: list[str]) -> tuple[list[str], str, bool] | None:
@@ -347,7 +359,12 @@ def _main(argv) -> int:
     out = ""
     if machine:
         import json
-        out = "".join(json.dumps(record, sort_keys=True) + "\n" for record in report.records)
+        # One encoding of the whole list, cut between records.  An encoded
+        # string holds no bare '"', each record's first sorted key is "args"
+        # and no nested object has that key, so '}, {"args": ' occurs only
+        # between two records.
+        out = json.dumps(report.records, sort_keys=True)[1:-1].replace('}, {"args": ', '}\n{"args": ')
+        out += "\n" if out else ""
     elif report.text and not report.diagnostics:  # a failed command reports on stderr only
         out = report.text + "\n"
     try:
@@ -355,7 +372,11 @@ def _main(argv) -> int:
     except OSError as exc:  # a closed pipe or a full disk
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         try:  # what stdout still holds goes to the null device, not to a second error at exit
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            null = os.open(os.devnull, os.O_WRONLY)
+            try:
+                os.dup2(null, sys.stdout.fileno())
+            finally:
+                os.close(null)
         except OSError:
             pass
         return EXIT_IOERR

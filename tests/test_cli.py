@@ -1,3 +1,5 @@
+import errno
+import gc
 import io
 import json
 import os
@@ -29,7 +31,7 @@ from modpairs.cli import (
     run_command,
 )
 import modpairs
-from modpairs.dsl import MAX_INT_DIGITS, Diagnostic, Model, parse
+from modpairs.dsl import MAX_INT_DIGITS, Diagnostic, Model, parse, print_model
 from randgen import random_model
 
 README = Path(__file__).parent.parent / "README.md"
@@ -606,3 +608,155 @@ def test_main_on_any_model_bytes(fuzz_file, data, verb, first, second, n, machin
         assert status in (EXIT_OK, EXIT_FALSE, EXIT_INPUT, EXIT_UNKNOWN_NAME, EXIT_DIMENSION, EXIT_INVALID_BLOWUP)
         if status not in (EXIT_OK, EXIT_FALSE):
             assert out.getvalue() == ""
+
+
+def _main_out(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        status = main(argv)
+    return status, out.getvalue()
+
+
+def _per_record(m: Model, command: list[str]) -> str:
+    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in run_command(m, command).records)
+
+
+_ONE_NAME = [verb for verb, names in COMMANDS.items() if names == ("name",)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32))
+def test_machine_output_is_one_json_line_per_record(fuzz_file, seed):
+    """main's one encoding of all records, cut into lines, prints what
+    encoding each record by itself prints: check-all and every one-name verb
+    on every declaration of a printed random model."""
+    m = random_model(random.Random(seed))
+    fuzz_file.write_text(print_model(m), encoding="utf-8")
+    commands = [["check-all"]] + [[verb, d.name] for d in m.decls for verb in _ONE_NAME]
+    for command in commands:
+        status, out = _main_out([*command, "--model", str(fuzz_file), "--machine"])
+        assert out == _per_record(m, command), command
+        assert status == run_command(m, command).status
+
+
+# DEMO, whose blowup B has two charts, with a map whose least twist is infeasible
+_SHAPES = DEMO + "pair O { dim 1; coords o; divisor {} }\nmap h : O -> X { t <- o }\n"
+
+
+@pytest.mark.parametrize("text, command", [
+    # names the whole-statement matcher leaves to the token path
+    ("pair \u00e9 { dim 1; coords \u00fc; divisor {\u00fc: 1} }\nmap f : \u00e9 -> \u00e9 { \u00fc <- \u00fc^2 }\n",
+     ["check-all"]),
+    ("pair \u00e9 { dim 1; coords \u00fc; divisor {\u00fc: 1} }\n", ["twist", "\u00e9", "3"]),
+    ("pair X { dim 1; coords t; divisor {t: 1} }\npair Y { dim 2; coords u v; divisor {u: 2} }\n", ["check-all"]),
+    (_SHAPES, ["check-all"]),
+    (_SHAPES, ["blowup", "B"]),
+    (_SHAPES, ["corr-check", "C"]),
+    (_SHAPES, ["minimal-twist", "h"]),
+    (_SHAPES, ["twist", "Z", "2"]),
+    (_SHAPES, ["cube", "X", "1"]),
+    (_SHAPES, ["qdiv-eq", "Q", "R"]),
+], ids=["non-ascii-check-all", "non-ascii-twist", "pairs-only", "check-all", "charts", "memberships",
+        "minimal-twist-null", "result", "cube", "qdiv-eq"])
+def test_machine_output_cases(tmp_path, text, command):
+    path = tmp_path / "model.lp"
+    path.write_text(text, encoding="utf-8")
+    m = parse(text)
+    assert isinstance(m, Model)
+    status, out = _main_out([*command, "--model", str(path), "--machine"])
+    assert out == _per_record(m, command)
+    assert status == run_command(m, command).status
+
+
+def test_the_shapes_cover_every_record_field():
+    records = [r for c in (["check-all"], ["twist", "Z", "2"]) for r in run_command(parse(_SHAPES), c).records]
+    assert {"charts", "memberships", "result", "verdict", "level", "divisor"} <= {k for r in records for k in r}
+    assert any(r.get("minimal_twist", 0) is None for r in records)
+    assert any(len(r.get("charts", ())) > 1 for r in records)
+
+
+def _raise_in_run_command(model, command):
+    raise RuntimeError("broken")
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("argv, status, fault", [
+    (["check-all"], EXIT_FALSE, False),
+    (["--help"], EXIT_OK, False),
+    (["twist", "nope", "2"], EXIT_UNKNOWN_NAME, False),
+    (["check-all"], EXIT_INTERNAL, True),
+], ids=["verb", "help", "unknown-name", "internal-error"])
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch, enabled, argv, status, fault):
+    path = tmp_path / "demo.lp"
+    path.write_text(DEMO)
+    if fault:
+        monkeypatch.setattr("modpairs.cli.run_command", _raise_in_run_command)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        try:
+            got, _ = _main_out([*argv, "--model", str(path)])
+        except SystemExit as exc:  # argparse prints help
+            got = exc.code
+        assert (got, gc.isenabled()) == (status, enabled)
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("text", [DEMO, DEMO + "pair \u00e9 { dim x; coords; }\nmap f : X -> Q { }\n"],
+                         ids=["demo", "faulted"])
+def test_a_run_leaves_no_modpairs_cycles(tmp_path, text):
+    """Everything main builds is freed by reference counting alone, which is
+    why main may pause the cyclic collector: a collection afterwards finds
+    no modpairs object in a cycle."""
+    path = tmp_path / "model.lp"
+    path.write_text(text, encoding="utf-8")
+    assert isinstance(parse(text), list) == (text != DEMO)
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for argv in (["check-all"], ["check-all", "--machine"], ["blowup", "B"], ["twist", "Z", "99"]):
+            _main_out([*argv, "--model", str(path)])
+        gc.collect()
+        cyclic = {type(o).__qualname__ for o in gc.garbage if type(o).__module__.startswith("modpairs")}
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert not cyclic
+
+
+class _Refusing(io.StringIO):
+    """A text stdout whose every write fails, with or without a descriptor."""
+
+    def __init__(self, fd=None):
+        super().__init__()
+        self.fd = fd
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def fileno(self):
+        return super().fileno() if self.fd is None else self.fd
+
+
+def _open_fds() -> set[str]:
+    return set(os.listdir("/dev/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="lists open descriptors from /dev/fd")
+@pytest.mark.parametrize("with_fd", [False, True], ids=["no-descriptor", "descriptor"])
+def test_an_output_error_closes_what_it_opens(tmp_path, with_fd):
+    path = tmp_path / "demo.lp"
+    path.write_text(DEMO)
+    read, write = os.pipe()
+    try:
+        stdout, err = _Refusing(write if with_fd else None), io.StringIO()
+        before = _open_fds()
+        with redirect_stdout(stdout), redirect_stderr(err):
+            status = main(["check-all", "--model", str(path)])
+        after = _open_fds()
+    finally:
+        os.close(read)
+        os.close(write)
+    assert (status, err.getvalue()) == (EXIT_IOERR, "error: cannot write output: [Errno 28] No space left on device\n")
+    assert after == before
