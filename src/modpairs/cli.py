@@ -2,10 +2,12 @@
 
 Exit statuses distinguish answers from failures to answer: 0 means every
 queried check passed or the command produced its value, 1 means a queried
-membership or verdict came back false, 2 means malformed input or usage,
-3 an unknown name, 4 a dimension/structure mismatch, 5 an invalid blowup,
-70 an internal error (a fault in modpairs itself, never an answer), 74 output
-that could not be written in full, such as to a pipe whose reader has gone.
+membership or verdict came back false, 2 means malformed input or usage, a
+model that cannot be read (a closed stdin too), 3 an unknown name, 4 a
+dimension/structure mismatch, 5 an invalid blowup, 70 an internal error (a
+fault in modpairs itself, never an answer), 74 stdout or stderr that could not
+be written in full, such as a pipe whose reader has gone.  Stdin is decoded as
+a model file is, in strict UTF-8 with universal newlines, whatever the locale.
 Human text is written with ``backslashreplace``, as Python writes stderr, so
 a name the output encoding cannot hold is escaped, not a fault.
 
@@ -15,8 +17,8 @@ it found it; ``run_command`` and the other library functions never touch it.
 
 from __future__ import annotations
 
+import errno
 import gc
-import os
 import sys
 
 from .blowup import BlowupClass, blowup_charts, classify
@@ -273,10 +275,15 @@ def run_command(model: Model, command) -> Report:
 
 
 def _read_model_text(path: str) -> str:
-    if path == "-":
+    if path != "-":
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    if sys.stdin is None:  # the descriptor was closed when the process started
+        raise OSError(errno.EBADF, "Bad file descriptor")
+    binary = getattr(sys.stdin, "buffer", None)
+    if binary is None:  # text kept in memory
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    return binary.read().decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
 
 
 def main(argv=None) -> int:
@@ -286,13 +293,21 @@ def main(argv=None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _main(argv)
+        status, out, err = _main(argv)
     except Exception as exc:  # a fault in modpairs, which must not read as a verdict
-        print(f"error: internal error: {exc!r}", file=sys.stderr)
-        return EXIT_INTERNAL
+        status, out, err = EXIT_INTERNAL, "", f"error: internal error: {exc!r}\n"
     finally:
         if enabled:
             gc.enable()
+    try:
+        _write(sys.stdout, out)
+    except OSError as exc:  # a closed pipe or a full disk
+        status, err = EXIT_IOERR, err + f"error: cannot write output: {exc}\n"
+    try:
+        _write(sys.stderr, err)
+    except OSError:
+        return EXIT_IOERR
+    return status
 
 
 def _read_argv(argv: list[str]) -> tuple[list[str], str, bool] | None:
@@ -335,7 +350,7 @@ def _parser():
     return parser
 
 
-def _main(argv) -> int:
+def _main(argv) -> tuple[int, str, str]:
     argv = sys.argv[1:] if argv is None else list(argv)
     read = _read_argv(argv)
     if read is None:
@@ -346,16 +361,14 @@ def _main(argv) -> int:
     try:
         text = _read_model_text(model)
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: cannot read model: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_INPUT, "", f"error: cannot read model: {exc}\n"
 
     parsed = parse(text)
     if isinstance(parsed, list):
         report = Report(EXIT_INPUT, "", (), tuple(parsed))
     else:
         report = run_command(parsed, command)
-    for diag in report.diagnostics:
-        print(format_diagnostic(diag), file=sys.stderr)
+    err = "".join(format_diagnostic(diag) + "\n" for diag in report.diagnostics)
     out = ""
     if machine:
         import json
@@ -367,38 +380,30 @@ def _main(argv) -> int:
         out += "\n" if out else ""
     elif report.text and not report.diagnostics:  # a failed command reports on stderr only
         out = report.text + "\n"
-    try:
-        _write_stdout(out)
-    except OSError as exc:  # a closed pipe or a full disk
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        try:  # what stdout still holds goes to the null device, not to a second error at exit
-            null = os.open(os.devnull, os.O_WRONLY)
-            try:
-                os.dup2(null, sys.stdout.fileno())
-            finally:
-                os.close(null)
-        except OSError:
-            pass
-        return EXIT_IOERR
-    return report.status
+    return report.status, out, err
 
 
-def _write_stdout(text: str):
-    """All of ``text`` to stdout, escaping what its encoding cannot hold as
-    Python does on stderr; OSError when it cannot all be written.
-
-    An unbuffered stdout (``python -u``) writes straight to the file, whose
-    writes may be partial, and its text layer would drop the rest unreported."""
-    stream = sys.stdout
+def _write(stream, text: str):
+    """All of ``text`` to ``stream``, escaping what its encoding cannot hold as
+    Python does on stderr; OSError when it cannot all be written.  The bytes go
+    to the raw file, so a failed write leaves nothing for the flush at exit."""
+    if not text:
+        return
+    if stream is None:  # the descriptor was closed when the process started
+        raise OSError(errno.EBADF, "Bad file descriptor")
     binary = getattr(stream, "buffer", None)
     if binary is None:  # text kept in memory
         stream.write(text)
         return
     stream.flush()
+    raw = getattr(binary, "raw", binary)  # the buffer itself under python -u, or a BytesIO
     data = memoryview(text.encode(stream.encoding, "backslashreplace"))
     while data:
-        data = data[binary.write(data):]
-    binary.flush()
+        written = raw.write(data)
+        if written is None:  # a full non-blocking file: wait until it drains
+            import select
+            select.select([], [raw], [])
+        data = data[written:]  # a memoryview sliced from None is all of it
 
 
 if __name__ == "__main__":

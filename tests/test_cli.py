@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -36,6 +37,7 @@ from randgen import random_model
 
 README = Path(__file__).parent.parent / "README.md"
 EXAMPLE = Path(__file__).parent.parent / "scripts" / "example.lp"
+MALFORMED = Path(__file__).parent / "data" / "malformed" / "m01_bad_keyword.lp"
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 # main's help, usage and argparse errors, frozen under one Python version
 ARGV_SURFACE = json.loads((Path(__file__).parent / "data" / "argv_surface.json").read_text(encoding="utf-8"))
@@ -390,12 +392,17 @@ class TestMain:
         assert len(out) >= 10
 
 
-def _cli(argv: list[str], stdout, **env) -> subprocess.Popen:
+def _cli(argv: list[str], stdout, *, stdin=None, stderr=subprocess.PIPE, preexec_fn=None, **env) -> subprocess.Popen:
     """``python -m modpairs argv`` in a child process, without a shell; an
     ``env`` value of None removes the variable."""
     src = str(Path(modpairs.__file__).resolve().parents[1])
     env = {k: v for k, v in dict(os.environ, PYTHONPATH=src, **env).items() if v is not None}
-    return subprocess.Popen([sys.executable, "-m", "modpairs", *argv], stdout=stdout, stderr=subprocess.PIPE, env=env)
+    return subprocess.Popen([sys.executable, "-m", "modpairs", *argv], stdin=stdin, stdout=stdout, stderr=stderr,
+                            preexec_fn=preexec_fn, env=env)
+
+
+# 2 000 maps whose every verdict is true, so check-all exits 0 with output beyond a pipe's capacity
+_MAPS = "pair X { dim 1; coords t; divisor {t: 1} }\n" + "".join(f"map f{i} : X -> X {{ t <- t }}\n" for i in range(2000))
 
 
 class TestOutput:
@@ -417,13 +424,76 @@ class TestOutput:
         # ``check-all | head -c 10`` on an output beyond a pipe's capacity: an
         # unbuffered stdout's write is cut short, and the rest must not be lost unreported
         path = tmp_path / "maps.lp"
-        maps = "".join(f"map f{i} : X -> X {{ t <- t }}\n" for i in range(2000))
-        path.write_text("pair X { dim 1; coords t; divisor {t: 1} }\n" + maps)
+        path.write_text(_MAPS)
         child = _cli(["check-all", "--model", str(path), *flags], subprocess.PIPE, PYTHONUNBUFFERED="1")
         assert len(child.stdout.read(10)) == 10
         child.stdout.close()
         assert (child.wait(), child.stderr.read()) == (EXIT_IOERR, b"error: cannot write output: [Errno 32] Broken pipe\n")
         child.stderr.close()
+
+    @pytest.mark.parametrize("fd, argv, status, err", [
+        (0, ["twist", "X", "2"], EXIT_INPUT, b"error: cannot read model: [Errno 9] Bad file descriptor\n"),
+        (1, ["twist", "X", "2", "--model", str(EXAMPLE)], EXIT_IOERR,
+         b"error: cannot write output: [Errno 9] Bad file descriptor\n"),
+        # a closed stream with nothing to write is no error
+        (1, ["twist", "Q", "2", "--model", str(EXAMPLE)], EXIT_UNKNOWN_NAME, b"1:7: error: unknown pair 'Q' [E021]\n"),
+        (2, ["twist", "Q", "2", "--model", str(EXAMPLE)], EXIT_IOERR, b""),
+        (2, ["check-all", "--model", str(MALFORMED)], EXIT_IOERR, b""),
+    ], ids=["stdin", "stdout", "stdout-nothing-to-write", "stderr-unknown-name", "stderr-malformed"])
+    def test_a_closed_descriptor_is_never_an_answer(self, fd, argv, status, err):
+        # as ``<&-``, ``>&-`` or ``2>&-`` in a shell: the stream is None in the child
+        child = _cli(argv, subprocess.PIPE, preexec_fn=lambda: os.close(fd))
+        out, got = child.communicate()
+        assert (child.returncode, out, got) == (status, b"", err)
+
+    @pytest.mark.parametrize("argv", [["twist", "Q", "2", "--model", str(EXAMPLE)], ["check-all", "--model", str(MALFORMED)]],
+                             ids=["unknown-name", "malformed"])
+    def test_a_stderr_whose_reader_has_gone_is_an_output_error(self, argv):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            child = _cli(argv, subprocess.PIPE, stderr=write)
+        finally:
+            os.close(write)
+        out, _ = child.communicate()
+        assert (child.returncode, out) == (EXIT_IOERR, b"")
+
+    @pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+    def test_a_full_nonblocking_stdout_is_waited_on(self, tmp_path, unbuffered):
+        path = tmp_path / "maps.lp"
+        path.write_text(_MAPS)
+        argv, delay = ["check-all", "--model", str(path), "--machine"], 1.0
+        read, write = os.pipe()
+        os.set_blocking(write, False)  # the child shares the open file, so its writes find the pipe full
+        try:
+            child = _cli(argv, write, PYTHONUNBUFFERED=unbuffered)
+        finally:
+            os.close(write)
+        time.sleep(delay)
+        with open(read, "rb") as reader:
+            out = reader.read()
+        err = child.stderr.read()
+        child.stderr.close()
+        _, wait_status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(wait_status)
+        assert (child.returncode, err, out) == (EXIT_OK, b"", _main_out(argv)[1].encode())
+        assert usage.ru_utime + usage.ru_stime < delay / 2  # waiting, not retrying until the reader comes
+
+    @pytest.mark.parametrize("data, env", [
+        ("pair P { dim 1; coords \u00e9; divisor {\u00e9: 1} }\nmap f : P -> P { \u00e9 <- \u00e9 }\n".encode(),
+         {"PYTHONIOENCODING": "latin-1"}),
+        (b"pair X { dim 1; coords t; divisor { t: \xff } }\n", {"LC_ALL": "C"}),
+        (b"pair X { dim 1; coords t; divisor { t: \xff } }\n", {"PYTHONIOENCODING": "latin-1"}),
+        (b"pair X { dim 1; coords t; divisor { t: 1 } }\rpair Y @\r", {"LC_ALL": "C"}),
+    ], ids=["accent-latin-1", "not-utf8-c-locale", "not-utf8-latin-1", "cr-newlines"])
+    def test_stdin_reads_as_a_model_file(self, tmp_path, data, env):
+        path = tmp_path / "model.lp"
+        path.write_bytes(data)
+        piped = _cli(["check-all"], subprocess.PIPE, stdin=subprocess.PIPE, **env)
+        named = _cli(["check-all", "--model", str(path)], subprocess.PIPE, stdin=subprocess.DEVNULL, **env)
+        assert (*piped.communicate(data), piped.returncode) == (*named.communicate(), named.returncode)
+        if b"\xff" in data:
+            assert named.returncode == EXIT_INPUT
 
     def test_ascii_stdout_escapes_a_name(self, tmp_path):
         path = tmp_path / "accent.lp"
@@ -751,12 +821,13 @@ def test_an_output_error_closes_what_it_opens(tmp_path, with_fd):
     read, write = os.pipe()
     try:
         stdout, err = _Refusing(write if with_fd else None), io.StringIO()
-        before = _open_fds()
+        before, pipe = _open_fds(), os.fstat(write)
         with redirect_stdout(stdout), redirect_stderr(err):
             status = main(["check-all", "--model", str(path)])
-        after = _open_fds()
+        after, still = _open_fds(), os.fstat(write)
     finally:
         os.close(read)
         os.close(write)
     assert (status, err.getvalue()) == (EXIT_IOERR, "error: cannot write output: [Errno 28] No space left on device\n")
     assert after == before
+    assert (still.st_dev, still.st_ino) == (pipe.st_dev, pipe.st_ino)  # the descriptor still refers to the pipe
