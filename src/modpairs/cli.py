@@ -5,9 +5,10 @@ queried check passed or the command produced its value, 1 means a queried
 membership or verdict came back false, 2 means malformed input or usage, a
 model that cannot be read (a closed stdin too), 3 an unknown name, 4 a
 dimension/structure mismatch, 5 an invalid blowup, 70 an internal error (a
-fault in modpairs itself, never an answer), 74 stdout or stderr that could not
-be written in full, such as a pipe whose reader has gone.  Stdin is decoded as
-a model file is, in strict UTF-8 with universal newlines, whatever the locale.
+fault in modpairs itself, never an answer), 74 stdout or stderr, argparse's
+help and usage texts included, that could not be written in full, such as a
+pipe whose reader has gone.  Stdin is decoded as a model file is, in strict
+UTF-8 with universal newlines, whatever the locale.
 Human text is written with ``backslashreplace``, as Python writes stderr, so
 a name the output encoding cannot hold is escaped, not a fault.
 
@@ -354,7 +355,14 @@ def _main(argv) -> tuple[int, str, str]:
     argv = sys.argv[1:] if argv is None else list(argv)
     read = _read_argv(argv)
     if read is None:
-        ns = _parser().parse_args(argv)
+        import contextlib
+        import io
+        out, err = io.StringIO(), io.StringIO()  # argparse's help and usage texts, for main to write
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                ns = _parser().parse_args(argv)
+        except SystemExit as exc:  # help printed, or a usage error
+            return exc.code, out.getvalue(), err.getvalue()
         read = [ns.command] + [getattr(ns, p) for p in COMMANDS[ns.command]], ns.model, ns.machine
     command, model, machine = read
 

@@ -17,7 +17,8 @@ reports every malformed statement.  ``print_model`` emits the canonical
 form: declaration order preserved, divisor entries in coordinate order
 with zeros omitted; parsing it back gives a structurally equal model.
 This module holds the declarations, ``parse``, the printer and the matcher
-that reads statements in that spelling whole.  Any other spelling, such as
+that reads statements in that spelling whole, each distinct chart once per
+parse, shared by the pairs declared on it.  Any other spelling, such as
 ``divisor { a: 1 }``, is accepted too and read by the token parser of
 ``modpairs.tokens``, which makes every diagnostic; ``parse`` imports it only
 when the matcher stops before the end of the text, so a canonical model
@@ -139,60 +140,77 @@ _GAP = re.compile(_SKIP)
 
 class _Matcher:
     """Accepts whole statements from the text (``match``), keeping only the
-    declarations so far, for duplicate names and references to earlier ones."""
+    declarations so far, for duplicate names and references to earlier ones.
+
+    Within one parse, pairs declared on the same coordinate text share one
+    ``Chart`` and one coordinate index (``charts``), so each distinct chart is
+    read and validated once; the index goes with the matcher."""
 
     def __init__(self):
         self.decls: list[Decl] = []
         self.names: dict[type, dict[str, Decl]] = {kind: {} for kind in KEYWORDS}
-
-    def accept(self, decl: Decl):
-        self.decls.append(decl)
-        self.names[type(decl)][decl.name] = decl
+        # a chart and its {coordinate: index}, by its coordinates joined with " "
+        self.charts: dict[str, tuple[Chart, dict[str, int]]] = {}
 
     def match(self, text: str, pos: int = 0) -> int:
         """Accept the canonically spelled statements of ``text`` from ``pos`` on;
         the offset of the first other statement, or ``len(text)``."""
+        decls, names, forms = self.decls, self.names, _FORMS
         pos, end = _GAP.match(text, pos).end(), len(text)  # past the blanks and comments
         while pos < end:
-            form = _FORMS.get(text[pos])
+            form = forms.get(text[pos])
             m = form and form[0].match(text, pos)
             try:
                 decl = m and form[1](self, m)
             except (LookupError, ValueError):  # a lookup or a value constructor refused it
                 break
-            if decl is None or decl.name in self.names[type(decl)]:
+            if decl is None or decl.name in names[type(decl)]:
                 break
-            self.accept(decl)
+            decls.append(decl)
+            names[type(decl)][decl.name] = decl
             pos = m.end()
         return pos
 
+    def _chart(self, key: str, chart: Chart | None = None) -> tuple[Chart, dict[str, int]]:
+        """The chart on the coordinates ``key`` names and its coordinate index,
+        built at the first ask: from ``key``, or from the ``chart`` of a pair
+        the token path accepted."""
+        entry = self.charts.get(key)
+        if entry is None:
+            chart = Chart(key.split()) if chart is None else chart
+            entry = self.charts[key] = chart, {c: i for i, c in enumerate(chart.coords)}
+        return entry
+
+    def _index(self, pair: Pair) -> dict[str, int]:
+        return self._chart(" ".join(pair.chart.coords), pair.chart)[1]
+
     # whole statements: each reader builds the declaration the token parser
-    # would; its lookups, of names and of coordinates in a chart's ``coords``,
-    # and the value constructors raise on most faults, and it returns None on
-    # the few that nothing else finds, marked by their codes
+    # would; its lookups, of names and of coordinates in a chart's index, and
+    # the value constructors raise on most faults, and it returns None on the
+    # few that nothing else finds, marked by their codes
 
     def _whole_pair(self, m) -> Decl | None:
         name, dim, coords, entries = m.groups()
-        chart, entries = Chart(coords.split()), _ENTRY.findall(entries)
-        if int(dim) != chart.dim or len(dict(entries)) != len(entries):  # E030, E033
+        (chart, index), entries = self._chart(coords[1:]), _ENTRY.findall(entries)  # coords has a leading " "
+        if int(dim) != len(index) or len(dict(entries)) != len(entries):  # E030, E033
             return None
-        mults = [0] * chart.dim
+        mults = [0] * len(index)
         for coord, mult in entries:
-            mults[chart.index(coord)] = int(mult)
+            mults[index[coord]] = int(mult)
         return PairDecl(name, Pair(chart, Divisor(tuple(mults))))
 
     def _whole_map(self, m) -> Decl | None:
         name, src, dst, assigns = m.groups()
         s, d = self.names[PairDecl][src].pair, self.names[PairDecl][dst].pair
-        src_coords, dst_coords, rows = s.chart.coords, d.chart.coords, {}
+        src_index, dst_index, rows = self._index(s), self._index(d), {}
         for target, coord, exp in _FACTOR.findall(assigns or ""):
             if target:
-                if target not in dst_coords or target in rows:  # E032, E041
+                if target not in dst_index or target in rows:  # E032, E041
                     return None
-                row = rows[target] = [0] * len(src_coords)
+                row = rows[target] = [0] * len(src_index)
             if coord:  # "" in the empty monomial 1
-                row[src_coords.index(coord)] += int(exp or 1)
-        matrix = tuple(rows[target] for target in dst_coords)
+                row[src_index[coord]] += int(exp or 1)
+        matrix = tuple(rows[target] for target in d.chart.coords)
         return MapDecl(name, src, dst, PairMap(MonomialMap(s.chart, d.chart, matrix), s, d))
 
     def _whole_corr(self, m) -> Decl | None:
@@ -213,7 +231,8 @@ class _Matcher:
     def _whole_blowup(self, m) -> Decl | None:
         name, pair_name, center = m.groups()
         pair, center = self.names[PairDecl][pair_name].pair, center.split(", ")
-        indices = {pair.chart.coords.index(c) for c in center}
+        index = self._index(pair)
+        indices = {index[c] for c in center}
         if len(indices) != len(center):  # E071
             return None
         coords = tuple(pair.chart.coords[i] for i in sorted(indices))

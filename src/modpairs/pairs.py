@@ -36,6 +36,8 @@ class Value:
         cls._key = attrgetter(*cls._fields)
 
     def __eq__(self, other):
+        if other is self:  # every field is an immutable value equal to itself
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._key(self) == self._key(other)
@@ -118,7 +120,7 @@ class Pair(Value):
     __slots__ = ("chart", "divisor")
 
     def __init__(self, chart: Chart, divisor: Divisor):
-        if len(divisor) != chart.dim:
+        if len(divisor.mults) != len(chart.coords):
             raise StructureError(
                 f"divisor has {len(divisor)} entries for a chart of dimension {chart.dim}"
             )
@@ -136,13 +138,13 @@ class MonomialMap(Value):
     __slots__ = ("source", "target", "expo")
 
     def __init__(self, source: Chart, target: Chart, expo: tuple[tuple[int, ...], ...]):
-        rows = tuple(tuple(row) for row in expo)
-        if len(rows) != target.dim:
+        rows, dim = tuple(tuple(row) for row in expo), len(source.coords)
+        if len(rows) != len(target.coords):
             raise StructureError(
                 f"exponent matrix has {len(rows)} rows for a target of dimension {target.dim}"
             )
         for row in rows:
-            if len(row) != source.dim:
+            if len(row) != dim:
                 raise StructureError(
                     f"exponent row has {len(row)} entries for a source of dimension {source.dim}"
                 )
@@ -263,7 +265,7 @@ def compose(g: MonomialMap, f: MonomialMap) -> MonomialMap:
 
 def format_divisor(chart: Chart, divisor: Divisor) -> str:
     """Render ``{coord: mult, ...}`` with zero entries omitted, declaration order."""
-    if len(divisor) != chart.dim:
+    if len(divisor.mults) != len(chart.coords):
         raise StructureError("divisor does not match the chart")
     entries = [f"{name}: {m}" for name, m in zip(chart.coords, divisor.mults) if m > 0]
     return "{" + ", ".join(entries) + "}"

@@ -20,6 +20,7 @@ from .dsl import (
     MAX_INT_DIGITS,
     BlowupDecl,
     CorrDecl,
+    Decl,
     Diagnostic,
     MapDecl,
     Model,
@@ -93,6 +94,10 @@ class _Parser(_Matcher):
     def __init__(self, text: str, matcher: _Matcher):
         self.decls, self.names = matcher.decls, matcher.names
         self.text, self.toks, self.at, self.lexer, self.problems = text, [], [], [], []
+
+    def accept(self, decl: Decl):
+        self.decls.append(decl)
+        self.names[type(decl)][decl.name] = decl
 
     def restart(self, pos: int):
         """Read on from the token at ``pos``, forgetting the tokens before it."""

@@ -419,6 +419,16 @@ class TestOutput:
         _, err = child.communicate()
         assert (child.returncode, err) == (EXIT_IOERR, b"error: cannot write output: [Errno 32] Broken pipe\n")
 
+    def test_help_into_a_pipe_whose_reader_has_gone_is_an_output_error(self):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            child = _cli(["--help"], write)
+        finally:
+            os.close(write)
+        _, err = child.communicate()
+        assert (child.returncode, err) == (EXIT_IOERR, b"error: cannot write output: [Errno 32] Broken pipe\n")
+
     @pytest.mark.parametrize("flags", [[], ["--machine"]], ids=["human", "machine"])
     def test_a_reader_that_stops_early(self, tmp_path, flags):
         # ``check-all | head -c 10`` on an output beyond a pipe's capacity: an
@@ -439,7 +449,11 @@ class TestOutput:
         (1, ["twist", "Q", "2", "--model", str(EXAMPLE)], EXIT_UNKNOWN_NAME, b"1:7: error: unknown pair 'Q' [E021]\n"),
         (2, ["twist", "Q", "2", "--model", str(EXAMPLE)], EXIT_IOERR, b""),
         (2, ["check-all", "--model", str(MALFORMED)], EXIT_IOERR, b""),
-    ], ids=["stdin", "stdout", "stdout-nothing-to-write", "stderr-unknown-name", "stderr-malformed"])
+        # argparse's texts go the same way
+        (1, ["--help"], EXIT_IOERR, b"error: cannot write output: [Errno 9] Bad file descriptor\n"),
+        (2, ["twist", "X"], EXIT_IOERR, b""),
+    ], ids=["stdin", "stdout", "stdout-nothing-to-write", "stderr-unknown-name", "stderr-malformed",
+            "stdout-help", "stderr-usage-error"])
     def test_a_closed_descriptor_is_never_an_answer(self, fd, argv, status, err):
         # as ``<&-``, ``>&-`` or ``2>&-`` in a shell: the stream is None in the child
         child = _cli(argv, subprocess.PIPE, preexec_fn=lambda: os.close(fd))

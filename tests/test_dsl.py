@@ -462,6 +462,19 @@ def test_edge_cases_match_the_token_path(text):
     ("blowup A on Z center { x y }", "E011"),
     ("map g : Z -> Y { s <- x^2 * y * x }", None),
     ("corr D : X -> Y { point a { nx 0; ny 9; ex 1; ey 1 } point b { nx 1; ny 0; ex 2; ey 3 } }", None),
+    # a pair on an earlier pair's coordinate text, which the matcher reads
+    # through the earlier chart's index, then a fault only that index sees
+    ("pair W { dim 2; coords x y; divisor {q: 1} }", "E032"),
+    ("pair W { dim 3; coords x y; divisor {} }", "E030"),
+    ("pair W { dim 2; coords x y; divisor {x: 1} }\nmap g : W -> Y { s <- x * q }", "E032"),
+    ("pair W { dim 1; coords s; divisor {} }\nmap g : X -> W { t <- t }", "E032"),
+    ("pair W { dim 2; coords x y; divisor {x: 1, y: 1} }\nblowup A on W center { y, y }", "E071"),
+    ("pair W { dim 2; coords x y; divisor {y: 2} }\nmap g : W -> Z { x <- x * y; y <- 1 }\n"
+     "blowup A on W center { x, y }", None),
+    # the same after a pair the token path read, on old and on new coordinates
+    ("pair W { dim 2; coords x y; divisor { x: 1 } }\nmap g : W -> Y { s <- x * q }", "E032"),
+    ("pair W { dim 2; coords a b; divisor { a: 1 } }\nmap g : W -> Y { s <- a; s <- b }", "E041"),
+    ("pair W { dim 2; coords a b; divisor { a: 1 } }\nblowup A on W center { a, a }", "E071"),
 ])
 def test_each_check_matches_the_token_path(statement, code):
     text = "\n".join(DEMO_LINES[:6] + [statement] + DEMO_LINES[6:]) + "\n"
@@ -477,6 +490,25 @@ def test_a_duplicate_pair_keeps_the_first_coordinates():
     result = parse(text)
     assert result == token_parse(text)
     assert [d.code for d in result] == ["E020", "E032"]
+
+
+def test_pairs_on_the_same_coordinates_share_one_chart_within_a_parse():
+    text = CANONICAL + (
+        "pair W { dim 2; coords x y; divisor {y: 3} }\npair V { dim 1; coords t; divisor {} }\n"
+        "map g : W -> Z { x <- x; y <- y^2 }\nmap h : V -> X { t <- t }\n"
+    )
+    model, again = parsed(text), parsed(text)
+    pairs = model.namespace(PairDecl)
+    charts = {}
+    for decl in pairs.values():
+        assert charts.setdefault(decl.pair.chart.coords, decl.pair.chart) is decl.pair.chart
+    assert len(charts) < len(pairs)
+    for decl in model.namespace(MapDecl).values():
+        f = decl.pair_map.map
+        assert f.source is pairs[decl.src].pair.chart and f.target is pairs[decl.dst].pair.chart
+    # a second parse builds charts of its own
+    assert again == model
+    assert all(a.pair.chart is not b.pair.chart for a in pairs.values() for b in again.namespace(PairDecl).values())
 
 
 def test_canonical_text_never_reaches_the_lexer(monkeypatch):

@@ -122,6 +122,17 @@ def test_equal_fields_give_equal_objects_and_hashes(cls):
 
 
 @pytest.mark.parametrize("cls", FIELDS, ids=lambda cls: cls.__name__)
+def test_a_value_equals_itself_and_its_copy(cls):
+    value = build()[cls]
+    twin = copy.copy(value)
+    assert value == value and not value != value and value.__eq__(value) is True
+    assert twin is not value and twin == value and value == twin and not twin != value
+    assert hash(twin) == hash(value)
+    # equality with itself is no answer for an object of another class
+    assert value.__eq__(object()) is NotImplemented and value != object()
+
+
+@pytest.mark.parametrize("cls", FIELDS, ids=lambda cls: cls.__name__)
 def test_a_different_field_gives_a_different_object(cls):
     a, other = build()[cls], build(2)[cls]
     assert a != other and not a == other
@@ -138,6 +149,9 @@ def test_objects_of_different_classes_never_compare_equal():
     assert PairDecl("p", build()[Pair]) != QPairDecl("p", "Z", build()[QPair])
     assert Chart(("x",)) != ("x",) and Divisor((1,)) != (1,)
     assert ConstantCorr(True) != True  # noqa: E712
+    # equal fields under two value classes
+    for a, b in ((Chart(()), Divisor(())), (Model(()), NonConstantCorr(()))):
+        assert a != b and not a == b and a.__eq__(b) is NotImplemented
 
 
 @pytest.mark.parametrize("cls", FIELDS, ids=lambda cls: cls.__name__)
