@@ -73,6 +73,9 @@ class Report(Value):
         setfield(self, "records", records)
         setfield(self, "diagnostics", diagnostics)
 
+    def __hash__(self):  # over every field but the records, which are dicts
+        return hash((self.status, self.text, self.diagnostics))
+
 
 class _CommandError(Exception):
     """No answer: an exit status and a diagnostic spanning command word ``index``."""

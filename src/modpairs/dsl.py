@@ -139,12 +139,10 @@ _GAP = re.compile(_SKIP)
 
 
 class _Matcher:
-    """Accepts whole statements from the text (``match``), keeping only the
-    declarations so far, for duplicate names and references to earlier ones.
-
-    Within one parse, pairs declared on the same coordinate text share one
-    ``Chart`` and one coordinate index (``charts``), so each distinct chart is
-    read and validated once; the index goes with the matcher."""
+    """The state of one parse, shared by both readers: the declarations so far
+    (``decls``), by kind and name (``names``), and one chart with its coordinate
+    index per distinct coordinate list (``charts``).  ``match`` reads canonical
+    statements whole; ``accept`` records what it or the token parser reads."""
 
     def __init__(self):
         self.decls: list[Decl] = []
@@ -152,10 +150,14 @@ class _Matcher:
         # a chart and its {coordinate: index}, by its coordinates joined with " "
         self.charts: dict[str, tuple[Chart, dict[str, int]]] = {}
 
+    def accept(self, decl: Decl):
+        self.decls.append(decl)
+        self.names[type(decl)][decl.name] = decl
+
     def match(self, text: str, pos: int = 0) -> int:
         """Accept the canonically spelled statements of ``text`` from ``pos`` on;
         the offset of the first other statement, or ``len(text)``."""
-        decls, names, forms = self.decls, self.names, _FORMS
+        names, forms, accept = self.names, _FORMS, self.accept
         pos, end = _GAP.match(text, pos).end(), len(text)  # past the blanks and comments
         while pos < end:
             form = forms.get(text[pos])
@@ -166,23 +168,20 @@ class _Matcher:
                 break
             if decl is None or decl.name in names[type(decl)]:
                 break
-            decls.append(decl)
-            names[type(decl)][decl.name] = decl
+            accept(decl)
             pos = m.end()
         return pos
 
-    def _chart(self, key: str, chart: Chart | None = None) -> tuple[Chart, dict[str, int]]:
-        """The chart on the coordinates ``key`` names and its coordinate index,
-        built at the first ask: from ``key``, or from the ``chart`` of a pair
-        the token path accepted."""
+    def _chart(self, key: str) -> tuple[Chart, dict[str, int]]:
+        """The chart on the coordinates ``key`` names and its coordinate index, built at the first ask."""
         entry = self.charts.get(key)
         if entry is None:
-            chart = Chart(key.split()) if chart is None else chart
+            chart = Chart(key.split())
             entry = self.charts[key] = chart, {c: i for i, c in enumerate(chart.coords)}
         return entry
 
     def _index(self, pair: Pair) -> dict[str, int]:
-        return self._chart(" ".join(pair.chart.coords), pair.chart)[1]
+        return self.charts[" ".join(pair.chart.coords)][1]
 
     # whole statements: each reader builds the declaration the token parser
     # would; its lookups, of names and of coordinates in a chart's index, and

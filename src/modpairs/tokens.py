@@ -4,8 +4,9 @@
 module only when the matcher stops before the end of the text.  From there
 the token parser reads one statement at a time, lexing each token as it
 first steps onto it and keeping its offset, and makes every diagnostic.
-After each statement the matcher tries again at the next token.  The two
-share the declarations and names read so far.
+After each statement the matcher tries again at the next token.  The
+matcher owns the parse state: the parser looks names and charts up in its
+tables and records each declaration through its ``accept``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .dsl import (
     MAX_INT_DIGITS,
     BlowupDecl,
     CorrDecl,
-    Decl,
     Diagnostic,
     MapDecl,
     Model,
@@ -28,7 +28,7 @@ from .dsl import (
     QPairDecl,
     _Matcher,
 )
-from .pairs import Chart, Divisor, MonomialMap, Pair, PairMap
+from .pairs import Divisor, MonomialMap, Pair, PairMap
 from .qdivisors import QPair
 
 # --- lexer -----------------------------------------------------------------
@@ -81,23 +81,18 @@ class _ParseAbort(Exception):
     pass
 
 
-class _Parser(_Matcher):
+class _Parser:
     """Reads the token texts by index; ``i`` never moves past the end ("").
 
     ``toks`` and ``at`` hold the texts and offsets of the tokens lexed since
     the last ``restart``, each lexed when ``step`` first moves onto it.  The
     lexer's findings go to ``lexer`` and the parser's to ``problems``, each
-    as (offset, length, message, code).  It holds the same ``decls`` and
-    ``names`` objects as the matcher it is given, so each accepts what the
-    other has read."""
+    as (offset, length, message, code).  The parse state is the ``matcher``'s:
+    names and charts are looked up in its tables and every declaration goes
+    to its ``accept``, so each reader sees what the other has read."""
 
     def __init__(self, text: str, matcher: _Matcher):
-        self.decls, self.names = matcher.decls, matcher.names
-        self.text, self.toks, self.at, self.lexer, self.problems = text, [], [], [], []
-
-    def accept(self, decl: Decl):
-        self.decls.append(decl)
-        self.names[type(decl)][decl.name] = decl
+        self.matcher, self.text, self.toks, self.at, self.lexer, self.problems = matcher, text, [], [], [], []
 
     def restart(self, pos: int):
         """Read on from the token at ``pos``, forgetting the tokens before it."""
@@ -155,22 +150,24 @@ class _Parser(_Matcher):
     def fresh_name(self, kind: type) -> str:
         noun = KEYWORDS[kind]
         name = self.name(f"a {noun} name")
-        if name in self.names[kind]:
+        if name in self.matcher.names[kind]:
             self.fail(self.i - 1, "E020", f"duplicate {noun} name '{name}'")
         return name
 
-    def resolve_pair(self, what: str = "pair") -> tuple[str, Pair]:
+    def resolve_pair(self, what: str = "pair") -> tuple[str, Pair, dict[str, int]]:
+        """The name, the pair and its chart's coordinate index."""
         name = self.name(f"a {what} name")
-        decl = self.names[PairDecl].get(name)
+        decl = self.matcher.names[PairDecl].get(name)
         if decl is None:
             self.fail(self.i - 1, "E021", f"unknown pair '{name}'")
-        return name, decl.pair
+        return name, decl.pair, self.matcher._index(decl.pair)
 
-    def coord(self, chart: Chart, what: str) -> int:
+    def coord(self, index: dict[str, int], what: str) -> int:
         name = self.name(what)
-        if name not in chart.coords:
+        idx = index.get(name)
+        if idx is None:
             self.fail(self.i - 1, "E032", f"unknown coordinate '{name}'")
-        return chart.index(name)
+        return idx
 
     # statements
 
@@ -207,7 +204,7 @@ class _Parser(_Matcher):
             if coord in seen:
                 self.fail(at, "E031", f"duplicate coordinate '{coord}'")
             seen.add(coord)
-        chart = Chart(coords)
+        chart, index = self.matcher._chart(" ".join(coords))
         mults = [0] * dim
         assigned: set[int] = set()
         if toks[self.i] == "divisor":
@@ -216,7 +213,7 @@ class _Parser(_Matcher):
             while toks[self.i] != "}":
                 if assigned:
                     self.expect(",", "',' between divisor entries")
-                idx = self.coord(chart, "a coordinate name")
+                idx = self.coord(index, "a coordinate name")
                 if idx in assigned:
                     self.fail(self.i - 1, "E033", f"coordinate '{toks[self.i - 1]}' appears twice in the divisor")
                 assigned.add(idx)
@@ -224,18 +221,18 @@ class _Parser(_Matcher):
                 mults[idx] = self.number("a multiplicity")
             self.step()
         self.expect("}", "'}' closing the pair declaration")
-        self.accept(PairDecl(name, Pair(chart, Divisor(tuple(mults)))))
+        self.matcher.accept(PairDecl(name, Pair(chart, Divisor(tuple(mults)))))
 
-    def _monomial(self, chart: Chart) -> tuple[int, ...]:
+    def _monomial(self, index: dict[str, int]) -> tuple[int, ...]:
         toks = self.toks
-        exps = [0] * chart.dim
+        exps = [0] * len(index)
         at = self.i
         if "0" <= toks[at][:1] <= "9":
             if self.number("") != 1:
                 self.fail(at, "E042", "only the literal 1 denotes the empty monomial")
             return tuple(exps)
         while True:
-            idx = self.coord(chart, "a source coordinate")
+            idx = self.coord(index, "a source coordinate")
             e = 1
             if toks[self.i] == "^":
                 self.step()
@@ -250,17 +247,17 @@ class _Parser(_Matcher):
         self.step()
         name = self.fresh_name(MapDecl)
         self.expect(":")
-        src_name, src_pair = self.resolve_pair("source pair")
+        src_name, src_pair, src_index = self.resolve_pair("source pair")
         self.expect("->")
-        dst_name, dst_pair = self.resolve_pair("destination pair")
+        dst_name, dst_pair, dst_index = self.resolve_pair("destination pair")
         self.expect("{")
         rows: dict[int, tuple[int, ...]] = {}
         while toks[self.i] != "}":
-            j = self.coord(dst_pair.chart, "a target coordinate")
+            j = self.coord(dst_index, "a target coordinate")
             if j in rows:
                 self.fail(self.i - 1, "E041", f"target coordinate '{toks[self.i - 1]}' assigned twice")
             self.expect("<-")
-            rows[j] = self._monomial(src_pair.chart)
+            rows[j] = self._monomial(src_index)
             if toks[self.i] != "}":
                 self.expect(";", "';' between assignments")
         close = self.expect("}")
@@ -269,13 +266,13 @@ class _Parser(_Matcher):
                 self.fail(close, "E040", f"map does not assign target coordinate '{cname}'")
         matrix = tuple(rows[j] for j in range(dst_pair.chart.dim))
         pair_map = PairMap(MonomialMap(src_pair.chart, dst_pair.chart, matrix), src_pair, dst_pair)
-        self.accept(MapDecl(name, src_name, dst_name, pair_map))
+        self.matcher.accept(MapDecl(name, src_name, dst_name, pair_map))
 
-    def _endpoint(self, what: str) -> tuple[str, Pair]:
-        name, pair = self.resolve_pair(what)
-        if pair.chart.dim != 1:
+    def _endpoint(self, what: str) -> str:
+        name, _, index = self.resolve_pair(what)
+        if len(index) != 1:
             self.fail(self.i - 1, "E080", f"correspondence endpoint '{name}' must be a one-dimensional pair")
-        return name, pair
+        return name
 
     def _stmt_corr(self):
         toks = self.toks
@@ -297,12 +294,12 @@ class _Parser(_Matcher):
             if b < 1:
                 self.fail(b_at, "E052", "parametrization exponents must be positive")
             corr = from_monomial_param(a, b, n_x, n_y)
-            self.accept(CorrDecl(name, corr, monomial=(a, b, n_x, n_y)))
+            self.matcher.accept(CorrDecl(name, corr, monomial=(a, b, n_x, n_y)))
             return
         self.expect(":", "':' or 'monomial' after the corr name")
-        src_name, _ = self._endpoint("source pair")
+        src_name = self._endpoint("source pair")
         self.expect("->")
-        dst_name, _ = self._endpoint("destination pair")
+        dst_name = self._endpoint("destination pair")
         self.expect("{")
         records: list[CorrLocalRecord] = []
         labels: set[str] = set()
@@ -337,7 +334,7 @@ class _Parser(_Matcher):
                 self.fail(ey_at, "E051", "ramification degrees must be positive")
             records.append(CorrLocalRecord(label, n_x, n_y, e_x, e_y))
         self.expect("}")
-        self.accept(CorrDecl(name, NonConstantCorr(tuple(records)), src=src_name, dst=dst_name))
+        self.matcher.accept(CorrDecl(name, NonConstantCorr(tuple(records)), src=src_name, dst=dst_name))
 
     def _stmt_qpair(self):
         self.step()
@@ -346,25 +343,25 @@ class _Parser(_Matcher):
         self.expect("(")
         level_at, level = self.i, self.number("the level")
         self.expect(",")
-        pair_name, pair = self.resolve_pair()
+        pair_name, pair, _ = self.resolve_pair()
         self.expect(")")
         if level < 1:
             self.fail(level_at, "E060", "level must be a positive integer")
-        self.accept(QPairDecl(name, pair_name, QPair(level, pair)))
+        self.matcher.accept(QPairDecl(name, pair_name, QPair(level, pair)))
 
     def _stmt_blowup(self):
         toks = self.toks
         self.step()
         name = self.fresh_name(BlowupDecl)
         self.expect("on")
-        pair_name, pair = self.resolve_pair()
+        pair_name, pair, index = self.resolve_pair()
         center_at = self.expect("center")
         self.expect("{")
         indices: set[int] = set()
         while toks[self.i] != "}":
             if indices:
                 self.expect(",", "',' between center coordinates")
-            idx = self.coord(pair.chart, "a coordinate name")
+            idx = self.coord(index, "a coordinate name")
             if idx in indices:
                 self.fail(self.i - 1, "E071", f"coordinate '{toks[self.i - 1]}' appears twice in the center")
             indices.add(idx)
@@ -372,7 +369,7 @@ class _Parser(_Matcher):
         if not indices:
             self.fail(center_at, "E070", "blowup center must name at least one coordinate")
         coords = tuple(pair.chart.coords[i] for i in sorted(indices))
-        self.accept(BlowupDecl(name, pair_name, coords, BlowupSpec(pair, frozenset(indices))))
+        self.matcher.accept(BlowupDecl(name, pair_name, coords, BlowupSpec(pair, frozenset(indices))))
 
 
 def read_from(matcher: _Matcher, text: str, start: int) -> Model | list[Diagnostic]:
@@ -395,4 +392,4 @@ def read_from(matcher: _Matcher, text: str, start: int) -> Model | list[Diagnost
             break
         if start > at:
             parser.restart(start)
-    return _place(text, parser.lexer + parser.problems) or Model(tuple(parser.decls))
+    return _place(text, parser.lexer + parser.problems) or Model(tuple(matcher.decls))

@@ -323,9 +323,22 @@ class TestMain:
         assert status == EXIT_INPUT
         assert "1:14: error: unexpected character '\u00b2' [E001]" in capsys.readouterr().err
 
+    # the example as written (the token parser reads it from line 3), its
+    # canonical text (the matcher alone), and that text with pair X's divisor
+    # respelled, so canonical maps and corrs refer to a pair the token parser read
+    @pytest.mark.parametrize("spelling", ["written", "canonical", "respelled_x"])
     @pytest.mark.parametrize("flags, golden", [([], "check_all_example.txt"), (["--machine"], "check_all_example.jsonl")])
-    def test_check_all_golden(self, flags, golden, capsys):
-        status = main(["check-all", "--model", str(EXAMPLE), *flags])
+    def test_check_all_golden(self, flags, golden, spelling, tmp_path, capsys):
+        text = EXAMPLE.read_text(encoding="utf-8")
+        if spelling != "written":
+            text = print_model(parse(text))
+        if spelling == "respelled_x":
+            pair_x = "pair X { dim 1; coords t; divisor {t: 1} }"
+            assert text.count(pair_x) == 1
+            text = text.replace(pair_x, "pair X { dim 1; coords t; divisor { t: 1 } }")
+        path = tmp_path / "example.lp"
+        path.write_text(text, encoding="utf-8")
+        status = main(["check-all", "--model", str(path), *flags])
         assert status == EXIT_FALSE
         assert capsys.readouterr().out == (GOLDEN_DIR / golden).read_text(encoding="utf-8")
 

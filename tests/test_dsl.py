@@ -309,7 +309,7 @@ def token_parse(text):
     parser.restart(0)
     while parser.toks[parser.i]:
         parser.statement()
-    return _place(text, parser.lexer + parser.problems) or Model(tuple(parser.decls))
+    return _place(text, parser.lexer + parser.problems) or Model(tuple(parser.matcher.decls))
 
 
 # Pieces a mutation inserts or puts in place of a cut: numerals and letters
@@ -493,9 +493,13 @@ def test_a_duplicate_pair_keeps_the_first_coordinates():
 
 
 def test_pairs_on_the_same_coordinates_share_one_chart_within_a_parse():
+    # U and k are hand-spelled, so the token parser reads them; u is canonical
+    # again and refers to U
     text = CANONICAL + (
         "pair W { dim 2; coords x y; divisor {y: 3} }\npair V { dim 1; coords t; divisor {} }\n"
         "map g : W -> Z { x <- x; y <- y^2 }\nmap h : V -> X { t <- t }\n"
+        "pair U { dim 1; coords t; divisor { t: 2 } }\nmap k : Z -> W { x <- x ; y <- y ^ 3 }\n"
+        "map u : U -> X { t <- t }\n"
     )
     model, again = parsed(text), parsed(text)
     pairs = model.namespace(PairDecl)
@@ -503,6 +507,7 @@ def test_pairs_on_the_same_coordinates_share_one_chart_within_a_parse():
     for decl in pairs.values():
         assert charts.setdefault(decl.pair.chart.coords, decl.pair.chart) is decl.pair.chart
     assert len(charts) < len(pairs)
+    assert pairs["U"].pair.chart is pairs["X"].pair.chart is pairs["V"].pair.chart
     for decl in model.namespace(MapDecl).values():
         f = decl.pair_map.map
         assert f.source is pairs[decl.src].pair.chart and f.target is pairs[decl.dst].pair.chart
