@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .pairs import Divisor, MonomialMap, Pair, StructureError, Value, setfield
+from .pairs import Divisor, MonomialMap, Pair, StructureError, Value, _divisor, _monomial_map, setfield
 
 
 class BlowupClass(Enum):
@@ -93,11 +93,12 @@ def blowup_charts(spec: BlowupSpec) -> tuple[BlowupChart, ...]:
     center = sorted(spec.center)
     exceptional = sum(mults[b] for b in center)
     d = len(mults)
+    identity = [(0,) * r + (1,) + (0,) * (d - r - 1) for r in range(d)]
     out = []
     for j in center:
-        rows = [(0,) * r + (1,) + (0,) * (d - r - 1) for r in range(d)]
+        rows = identity.copy()  # each chart replaces its own center rows
         for b in center:
             rows[b] = rows[b][:j] + (1,) + rows[b][j + 1:]  # row j keeps its 1
-        total = Divisor(mults[:j] + (exceptional,) + mults[j + 1:])
-        out.append(BlowupChart(j, MonomialMap(chart, chart, tuple(rows)), total))
+        total = _divisor(mults[:j] + (exceptional,) + mults[j + 1:])
+        out.append(BlowupChart(j, _monomial_map(chart, chart, tuple(rows)), total))
     return tuple(out)

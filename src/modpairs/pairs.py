@@ -9,15 +9,23 @@ coordinates, recorded as a matrix of exponents.  Scalar coefficients are
 dropped throughout since they change no vanishing order and no support.
 
 Everything in this module is an immutable value or a pure function of its
-inputs, so values can be shared freely between threads.
+inputs, so values can be shared freely between threads.  The public
+constructors check every field, since their arguments may come from any
+caller.  The kernels (``pullback``, ``compose`` and ``twist`` here,
+``blowup_charts``, ``q_normalize`` and ``cube`` beside them) build their
+results past those checks, through ``_divisor``, ``_pair`` and
+``_monomial_map``: the fields they pass hold by construction, computed by
+integer arithmetic from values that were checked when they were built.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from operator import attrgetter, ge, mul
 
 # Writes a field of a value under construction, past ``Value.__setattr__``.
 setfield = object.__setattr__
+_new = object.__new__  # a value with no field set yet, for the kernels' builders below
 _map = map  # the builtin, which ``pullback``'s parameter of that name hides
 
 
@@ -26,7 +34,9 @@ class Value:
 
     Two values are equal when they are of the same class with equal fields, and
     hash over those fields; the repr reads ``Name(field=value, ...)``.  Fields
-    are set once, by the class's ``__init__`` through ``setfield``.
+    are set once through ``setfield``: by the class's ``__init__``, which
+    checks and normalises them, or by a kernel's builder in this module, which
+    skips those checks because the kernel's fields hold by construction.
     """
 
     __slots__ = ()
@@ -108,7 +118,7 @@ class Divisor(Value):
     @property
     def support(self) -> frozenset[int]:
         """Indices of the hyperplanes that actually appear."""
-        return frozenset(i for i, m in enumerate(self.mults) if m > 0)
+        return frozenset(compress(range(len(self.mults)), self.mults))
 
     def scaled(self, n: int) -> Divisor:
         return Divisor(tuple(n * m for m in self.mults))
@@ -177,6 +187,32 @@ class PairMap(Value):
         setfield(self, "dst", dst)
 
 
+# The kernels' builders, one per class.  Each takes fields that already pass
+# its class's ``__init__`` checks in their normal form (exact tuples of ints,
+# lengths that match the charts) and skips those checks.
+
+
+def _divisor(mults: tuple[int, ...]) -> Divisor:
+    divisor = _new(Divisor)
+    setfield(divisor, "mults", mults)
+    return divisor
+
+
+def _pair(chart: Chart, divisor: Divisor) -> Pair:
+    pair = _new(Pair)
+    setfield(pair, "chart", chart)
+    setfield(pair, "divisor", divisor)
+    return pair
+
+
+def _monomial_map(source: Chart, target: Chart, expo: tuple[tuple[int, ...], ...]) -> MonomialMap:
+    m = _new(MonomialMap)
+    setfield(m, "source", source)
+    setfield(m, "target", target)
+    setfield(m, "expo", expo)
+    return m
+
+
 def pullback(map: MonomialMap, divisor: Divisor) -> Divisor:
     """Pull a divisor on the target chart back along a monomial map.
 
@@ -192,7 +228,7 @@ def pullback(map: MonomialMap, divisor: Divisor) -> Divisor:
             f"divisor has {len(mults)} entries for a target of dimension {map.target.dim}"
         )
     columns = zip(*map.expo) if mults else ((),) * len(map.source.coords)
-    return Divisor(tuple(sum(_map(mul, column, mults)) for column in columns))
+    return _divisor(tuple(sum(_map(mul, column, mults)) for column in columns))
 
 
 def divisor_leq(a: Divisor, b: Divisor) -> bool:
@@ -211,7 +247,7 @@ def twist(p: Pair, n: int) -> Pair:
     """Multiply the divisor by ``n >= 1``, keeping the chart and the support."""
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"twist level must be a positive integer, got {n!r}")
-    return Pair(p.chart, p.divisor.scaled(n))
+    return _pair(p.chart, _divisor(tuple(n * m for m in p.divisor.mults)))
 
 
 def minimal_twist(f: PairMap) -> int | None:
@@ -260,7 +296,7 @@ def compose(g: MonomialMap, f: MonomialMap) -> MonomialMap:
         raise StructureError("cannot compose: target of the first map differs from source of the second")
     columns = tuple(zip(*f.expo)) if f.expo else ((),) * len(f.source.coords)
     rows = tuple(tuple(sum(map(mul, row, column)) for column in columns) for row in g.expo)
-    return MonomialMap(f.source, g.target, rows)
+    return _monomial_map(f.source, g.target, rows)
 
 
 def format_divisor(chart: Chart, divisor: Divisor) -> str:

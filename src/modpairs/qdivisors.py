@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .pairs import Chart, Divisor, MonomialMap, Pair, PairMap, StructureError, Value, setfield, twist
+from .pairs import Chart, MonomialMap, Pair, PairMap, StructureError, Value, _divisor, _pair, setfield, twist
 
 
 class QPair(Value):
@@ -47,8 +47,7 @@ def q_normalize(q: QPair) -> QPair:
     g = gcd(q.level, *mults)
     if g == 1:
         return q
-    divisor = Divisor(tuple(m // g for m in mults))
-    return QPair(q.level // g, Pair(q.pair.chart, divisor))
+    return QPair(q.level // g, _pair(q.pair.chart, _divisor(tuple(m // g for m in mults))))
 
 
 def q_eq(a: QPair, b: QPair) -> bool:
@@ -81,7 +80,7 @@ def cube(p: Pair, n: int, coord: str = "inf") -> Pair:
     if coord in p.chart.coords:
         raise StructureError(f"fresh coordinate name {coord!r} collides with the chart")
     chart = Chart(p.chart.coords + (coord,))
-    return Pair(chart, Divisor(p.divisor.mults + (n,)))
+    return _pair(chart, _divisor(p.divisor.mults + (n,)))
 
 
 def cube_projection(p: Pair, n: int, coord: str = "inf") -> PairMap:

@@ -22,6 +22,10 @@ arithmetic: each blowup chart map is minimal from the chart with the total
 transform to the pair; the graph of a nonconstant map between curve pairs
 has the map's verdicts; and levelled divisors are equal exactly when their
 gcd-reduced forms are.
+
+The kernels build their results past the public constructors' checks, so a
+last law holds every result on these scopes to what those constructors
+would build from the same fields.
 """
 
 import math
@@ -43,14 +47,16 @@ from modpairs.pairs import (
     MonomialMap,
     Pair,
     PairMap,
+    Value,
     compose,
     hom_log_exists,
     is_admissible,
     is_minimal,
     minimal_twist,
+    pullback,
     twist,
 )
-from modpairs.qdivisors import QPair, q_eq, q_normalize, q_transition
+from modpairs.qdivisors import QPair, cube, q_eq, q_normalize, q_transition
 from oracles import pullback_orders
 
 DIMS, MULTS, EXPONENTS = range(3), range(3), range(2)
@@ -172,24 +178,31 @@ def test_the_identity_has_least_twist_one_and_is_minimal():
             assert is_minimal(PairMap(identity, x, x))
 
 
-def test_each_blowup_chart_map_is_minimal_onto_the_pair():
-    # every pair of dimension 1-3 with multiplicities 0-2 and every center
-    # that meets the divisor's support; the divisor pulled back along a chart
-    # map is each source column of exponents summed against the multiplicities
-    charts = 0
+def valid_blowups():
+    """Every pair of dimension 1-3 with multiplicities 0-2, with every center
+    that meets the divisor's support."""
     for d in (1, 2, 3):
         chart = Chart(("u", "v", "w")[:d])
         for mults, size in product(product(MULTS, repeat=d), range(1, d + 1)):
             pair = Pair(chart, Divisor(mults))
             for center in combinations(range(d), size):
                 spec = BlowupSpec(pair, frozenset(center))
-                if classify(spec) is BlowupClass.INVALID:
-                    continue
-                for bc in blowup_charts(spec):
-                    pulled = tuple(sum(row[i] * m for row, m in zip(bc.chart_map.expo, mults)) for i in range(d))
-                    assert bc.total_transform.mults == pulled
-                    assert is_minimal(PairMap(bc.chart_map, Pair(chart, bc.total_transform), pair))
-                    charts += 1
+                if classify(spec) is not BlowupClass.INVALID:
+                    yield spec
+
+
+def test_each_blowup_chart_map_is_minimal_onto_the_pair():
+    # the divisor pulled back along a chart map is each source column of
+    # exponents summed against the multiplicities
+    charts = 0
+    for spec in valid_blowups():
+        pair = spec.pair
+        mults = pair.divisor.mults
+        for bc in blowup_charts(spec):
+            pulled = tuple(sum(row[i] * m for row, m in zip(bc.chart_map.expo, mults)) for i in range(len(mults)))
+            assert bc.total_transform.mults == pulled
+            assert is_minimal(PairMap(bc.chart_map, Pair(pair.chart, bc.total_transform), pair))
+            charts += 1
     assert charts == 306
 
 
@@ -220,12 +233,16 @@ def normal_form(level: int, mults: tuple) -> tuple:
     return level // g, tuple(m // g for m in mults)
 
 
+def levelled(d: int) -> list[QPair]:
+    """Every level 1-4 over multiplicities 0-3 on the chart of dimension ``d``."""
+    return [QPair(level, Pair(CHARTS[d], Divisor(mults)))
+            for level, mults in product(range(1, 5), product(range(4), repeat=d))]
+
+
 def test_levelled_divisors_are_equal_iff_their_normal_forms_are():
-    # every level 1-4 over multiplicities 0-3 on the charts of dimension 0-2;
     # a transition to level·k scales the divisor and keeps the value
     for d in DIMS:
-        qpairs = [QPair(level, Pair(CHARTS[d], Divisor(mults)))
-                  for level, mults in product(range(1, 5), product(range(4), repeat=d))]
+        qpairs = levelled(d)
         forms = [normal_form(q.level, q.pair.divisor.mults) for q in qpairs]
         for q, form in zip(qpairs, forms):
             n = q_normalize(q)
@@ -235,3 +252,39 @@ def test_levelled_divisors_are_equal_iff_their_normal_forms_are():
                 assert normal_form(moved.level, moved.pair.divisor.mults) == form and q_eq(q, moved)
         for (a, form_a), (b, form_b) in product(zip(qpairs, forms), repeat=2):
             assert q_eq(a, b) == (form_a == form_b)
+
+
+def rebuilt(value: Value) -> Value:
+    """``value`` built again from its fields through the public constructors, all the way down."""
+    fields = (getattr(value, name) for name in value._fields)
+    return type(value)(*(rebuilt(f) if isinstance(f, Value) else f for f in fields))
+
+
+def exact(field) -> bool:
+    """Whether ``field`` is an int, a str, an exact tuple of such fields, or a value made of them."""
+    if isinstance(field, Value):
+        return all(exact(getattr(field, name)) for name in field._fields)
+    if isinstance(field, tuple):
+        return type(field) is tuple and all(map(exact, field))
+    return type(field) in (int, str)
+
+
+def test_kernel_results_are_valid_values():
+    # what the public constructors would build from the same fields, in the
+    # same normal form, with the same hash and repr
+    results = [pullback(m, y.divisor) for m, _, y, _ in each_map()]
+    for dx, dy, dz in product(DIMS, repeat=3):
+        for f_expo, g_expo in product(matrices(dx, dy), matrices(dy, dz)):
+            f, g = MonomialMap(CHARTS[dx], CHARTS[dy], f_expo), MonomialMap(CHARTS[dy], CHARTS[dz], g_expo)
+            results.append(compose(g, f))
+    for x, k in product([x for pairs in PAIRS for x in pairs], (1, 2, 3)):
+        results += [twist(x, k), cube(x, k)]
+    for spec in valid_blowups():
+        results += [v for bc in blowup_charts(spec) for v in (bc.chart_map, bc.total_transform)]
+    for q, k in product([q for d in DIMS for q in levelled(d)], (1, 2, 3)):
+        results += [q_normalize(q), q_transition(q, k)]
+    assert len(results) == 3248
+    for value in results:
+        again = rebuilt(value)
+        assert value == again and hash(value) == hash(again) and repr(value) == repr(again)
+        assert exact(value)

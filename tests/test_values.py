@@ -24,8 +24,8 @@ from modpairs.blowup import BlowupChart, BlowupSpec
 from modpairs.cli import Report
 from modpairs.correspondences import ConstantCorr, CorrLocalRecord, NonConstantCorr
 from modpairs.dsl import BlowupDecl, CorrDecl, Diagnostic, MapDecl, Model, PairDecl, QPairDecl, parse, print_model
-from modpairs.pairs import Chart, Divisor, MonomialMap, Pair, PairMap, StructureError
-from modpairs.qdivisors import QPair, q_rationals
+from modpairs.pairs import Chart, Divisor, MonomialMap, Pair, PairMap, StructureError, compose, pullback, twist
+from modpairs.qdivisors import QPair, cube, q_rationals
 from randgen import random_model
 
 EXAMPLE = Path(__file__).parent.parent / "scripts" / "example.lp"
@@ -240,6 +240,34 @@ def test_validation_is_unchanged(make, message):
     with pytest.raises(StructureError) as info:
         make()
     assert str(info.value) == message
+
+
+LINE, PLANE = Chart(("x",)), Chart(("x", "y"))
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        # scaled is public and builds through the checked constructor; the kernels build past it
+        (lambda: Divisor((1,)).scaled(-1), StructureError, "multiplicities must be non-negative integers, got -1"),
+        (lambda: Divisor((1,)).scaled(1.5), StructureError, "multiplicities must be non-negative integers, got 1.5"),
+        (lambda: twist(Pair(LINE, Divisor((1,))), 0), ValueError, "twist level must be a positive integer, got 0"),
+        (lambda: pullback(MonomialMap(LINE, PLANE, [[1], [1]]), Divisor((1,))), StructureError,
+         "divisor has 1 entries for a target of dimension 2"),
+        (lambda: compose(MonomialMap(LINE, PLANE, [[1], [1]]), MonomialMap(LINE, PLANE, [[1], [1]])), StructureError,
+         "cannot compose: target of the first map differs from source of the second"),
+        (lambda: cube(Pair(LINE, Divisor((1,))), 1, "x"), StructureError,
+         "fresh coordinate name 'x' collides with the chart"),
+        (lambda: cube(Pair(LINE, Divisor((1,))), 1, ""), StructureError,
+         "coordinate names must be nonempty strings, got ''"),
+    ],
+    ids=["scaled-negative", "scaled-fraction", "twist-zero", "pullback-length", "compose-mismatch",
+         "cube-collision", "cube-empty"],
+)
+def test_kernels_keep_their_checks(make, error, message):
+    with pytest.raises(error) as info:
+        make()
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_model_built_directly():
