@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .pairs import Divisor, MonomialMap, Pair, StructureError, Value, _divisor, _monomial_map, setfield
+from .pairs import Divisor, MonomialMap, Pair, StructureError, Value, _divisor, _monomial_map, _setters
 
 
 class BlowupClass(Enum):
@@ -49,8 +49,11 @@ class BlowupSpec(Value):
                 raise StructureError(
                     f"center index {i!r} out of range for a chart of dimension {pair.chart.dim}"
                 )
-        setfield(self, "pair", pair)
-        setfield(self, "center", center)
+        _spec_pair(self, pair)
+        _spec_center(self, center)
+
+
+_spec_pair, _spec_center = _setters(BlowupSpec)
 
 
 class BlowupChart(Value):
@@ -59,9 +62,12 @@ class BlowupChart(Value):
     __slots__ = ("index", "chart_map", "total_transform")
 
     def __init__(self, index: int, chart_map: MonomialMap, total_transform: Divisor):
-        setfield(self, "index", index)
-        setfield(self, "chart_map", chart_map)
-        setfield(self, "total_transform", total_transform)
+        _bchart_index(self, index)
+        _bchart_map(self, chart_map)
+        _bchart_total(self, total_transform)
+
+
+_bchart_index, _bchart_map, _bchart_total = _setters(BlowupChart)
 
 
 def classify(spec: BlowupSpec) -> BlowupClass:

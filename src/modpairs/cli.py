@@ -43,12 +43,12 @@ from .pairs import (
     Pair,
     StructureError,
     Value,
+    _setters,
     format_divisor,
     hom_log_exists,
     is_admissible,
     is_minimal,
     minimal_twist,
-    setfield,
     twist,
 )
 from .qdivisors import cube, q_eq, q_normalize
@@ -68,13 +68,16 @@ class Report(Value):
     __slots__ = ("status", "text", "records", "diagnostics")
 
     def __init__(self, status: int, text: str, records: tuple[dict, ...], diagnostics: tuple[Diagnostic, ...] = ()):
-        setfield(self, "status", status)
-        setfield(self, "text", text)
-        setfield(self, "records", records)
-        setfield(self, "diagnostics", diagnostics)
+        _report_status(self, status)
+        _report_text(self, text)
+        _report_records(self, records)
+        _report_diagnostics(self, diagnostics)
 
     def __hash__(self):  # over every field but the records, which are dicts
         return hash((self.status, self.text, self.diagnostics))
+
+
+_report_status, _report_text, _report_records, _report_diagnostics = _setters(Report)
 
 
 class _CommandError(Exception):

@@ -15,7 +15,7 @@ never checked; so is completeness of the record list.
 
 from __future__ import annotations
 
-from .pairs import PairMap, StructureError, Value, setfield
+from .pairs import PairMap, StructureError, Value, _setters
 
 
 class CorrLocalRecord(Value):
@@ -28,11 +28,14 @@ class CorrLocalRecord(Value):
             raise StructureError("divisor coefficients must be non-negative")
         if e_x < 1 or e_y < 1:
             raise StructureError("ramification degrees must be positive")
-        setfield(self, "label", label)
-        setfield(self, "n_x", n_x)
-        setfield(self, "n_y", n_y)
-        setfield(self, "e_x", e_x)
-        setfield(self, "e_y", e_y)
+        _record_label(self, label)
+        _record_n_x(self, n_x)
+        _record_n_y(self, n_y)
+        _record_e_x(self, e_x)
+        _record_e_y(self, e_y)
+
+
+_record_label, _record_n_x, _record_n_y, _record_e_x, _record_e_y = _setters(CorrLocalRecord)
 
 
 class ConstantCorr(Value):
@@ -41,7 +44,10 @@ class ConstantCorr(Value):
     __slots__ = ("image_in_interior",)
 
     def __init__(self, image_in_interior: bool):
-        setfield(self, "image_in_interior", image_in_interior)
+        _constant_image(self, image_in_interior)
+
+
+(_constant_image,) = _setters(ConstantCorr)
 
 
 class NonConstantCorr(Value):
@@ -58,7 +64,10 @@ class NonConstantCorr(Value):
         labels = [r.label for r in records]
         if len(set(labels)) != len(labels):
             raise StructureError("record labels must be distinct")
-        setfield(self, "records", records)
+        _nonconstant_records(self, records)
+
+
+(_nonconstant_records,) = _setters(NonConstantCorr)
 
 
 CurveCorr = ConstantCorr | NonConstantCorr

@@ -33,7 +33,7 @@ from types import MappingProxyType
 
 from .blowup import BlowupSpec
 from .correspondences import CorrLocalRecord, CurveCorr, NonConstantCorr, from_monomial_param
-from .pairs import Chart, Divisor, MonomialMap, Pair, PairMap, Value, format_divisor, setfield
+from .pairs import Chart, Divisor, MonomialMap, Pair, PairMap, Value, _setters, format_divisor
 from .qdivisors import QPair
 
 
@@ -43,12 +43,15 @@ class Diagnostic(Value):
     __slots__ = ("severity", "line", "column", "length", "message", "code")
 
     def __init__(self, severity: str, line: int, column: int, length: int, message: str, code: str):
-        setfield(self, "severity", severity)  # "error" | "warning"
-        setfield(self, "line", line)          # 1-based
-        setfield(self, "column", column)      # 1-based
-        setfield(self, "length", length)
-        setfield(self, "message", message)
-        setfield(self, "code", code)
+        _diag_severity(self, severity)  # "error" | "warning"
+        _diag_line(self, line)          # 1-based
+        _diag_column(self, column)      # 1-based
+        _diag_length(self, length)
+        _diag_message(self, message)
+        _diag_code(self, code)
+
+
+_diag_severity, _diag_line, _diag_column, _diag_length, _diag_message, _diag_code = _setters(Diagnostic)
 
 
 def format_diagnostic(d: Diagnostic) -> str:
@@ -59,18 +62,24 @@ class PairDecl(Value):
     __slots__ = ("name", "pair")
 
     def __init__(self, name: str, pair: Pair):
-        setfield(self, "name", name)
-        setfield(self, "pair", pair)
+        _pairdecl_name(self, name)
+        _pairdecl_pair(self, pair)
+
+
+_pairdecl_name, _pairdecl_pair = _setters(PairDecl)
 
 
 class MapDecl(Value):
     __slots__ = ("name", "src", "dst", "pair_map")
 
     def __init__(self, name: str, src: str, dst: str, pair_map: PairMap):
-        setfield(self, "name", name)
-        setfield(self, "src", src)
-        setfield(self, "dst", dst)
-        setfield(self, "pair_map", pair_map)
+        _mapdecl_name(self, name)
+        _mapdecl_src(self, src)
+        _mapdecl_dst(self, dst)
+        _mapdecl_pair_map(self, pair_map)
+
+
+_mapdecl_name, _mapdecl_src, _mapdecl_dst, _mapdecl_pair_map = _setters(MapDecl)
 
 
 class CorrDecl(Value):
@@ -78,30 +87,39 @@ class CorrDecl(Value):
 
     def __init__(self, name: str, corr: CurveCorr, src: str | None = None, dst: str | None = None,
                  monomial: tuple[int, int, int, int] | None = None):
-        setfield(self, "name", name)
-        setfield(self, "corr", corr)
-        setfield(self, "src", src)
-        setfield(self, "dst", dst)
-        setfield(self, "monomial", monomial)
+        _corrdecl_name(self, name)
+        _corrdecl_corr(self, corr)
+        _corrdecl_src(self, src)
+        _corrdecl_dst(self, dst)
+        _corrdecl_monomial(self, monomial)
+
+
+_corrdecl_name, _corrdecl_corr, _corrdecl_src, _corrdecl_dst, _corrdecl_monomial = _setters(CorrDecl)
 
 
 class QPairDecl(Value):
     __slots__ = ("name", "pair_name", "qpair")
 
     def __init__(self, name: str, pair_name: str, qpair: QPair):
-        setfield(self, "name", name)
-        setfield(self, "pair_name", pair_name)
-        setfield(self, "qpair", qpair)
+        _qpairdecl_name(self, name)
+        _qpairdecl_pair_name(self, pair_name)
+        _qpairdecl_qpair(self, qpair)
+
+
+_qpairdecl_name, _qpairdecl_pair_name, _qpairdecl_qpair = _setters(QPairDecl)
 
 
 class BlowupDecl(Value):
     __slots__ = ("name", "pair_name", "center_coords", "spec")
 
     def __init__(self, name: str, pair_name: str, center_coords: tuple[str, ...], spec: BlowupSpec):
-        setfield(self, "name", name)
-        setfield(self, "pair_name", pair_name)
-        setfield(self, "center_coords", center_coords)  # in chart coordinate order
-        setfield(self, "spec", spec)
+        _blowupdecl_name(self, name)
+        _blowupdecl_pair_name(self, pair_name)
+        _blowupdecl_center_coords(self, center_coords)  # in chart coordinate order
+        _blowupdecl_spec(self, spec)
+
+
+_blowupdecl_name, _blowupdecl_pair_name, _blowupdecl_center_coords, _blowupdecl_spec = _setters(BlowupDecl)
 
 
 Decl = PairDecl | MapDecl | CorrDecl | QPairDecl | BlowupDecl
@@ -119,11 +137,14 @@ class Model(Value):
     __slots__ = ("decls",)
 
     def __init__(self, decls: tuple[Decl, ...] = ()):
-        setfield(self, "decls", decls)
+        _model_decls(self, decls)
 
     def namespace(self, kind: type) -> Mapping[str, Decl]:
         """Read-only view of the declarations of one kind, by name."""
         return MappingProxyType({d.name: d for d in self.decls if type(d) is kind})
+
+
+(_model_decls,) = _setters(Model)
 
 
 # --- statement matcher -------------------------------------------------------
@@ -147,8 +168,9 @@ class _Matcher:
     def __init__(self):
         self.decls: list[Decl] = []
         self.names: dict[type, dict[str, Decl]] = {kind: {} for kind in KEYWORDS}
-        # a chart and its {coordinate: index}, by its coordinates joined with " "
-        self.charts: dict[str, tuple[Chart, dict[str, int]]] = {}
+        # a chart and its {coordinate: index}, by its coordinates joined with " ",
+        # as the readers find them, and by the chart's own coordinate tuple
+        self.charts: dict[str | tuple[str, ...], tuple[Chart, dict[str, int]]] = {}
 
     def accept(self, decl: Decl):
         self.decls.append(decl)
@@ -177,11 +199,12 @@ class _Matcher:
         entry = self.charts.get(key)
         if entry is None:
             chart = Chart(key.split())
-            entry = self.charts[key] = chart, {c: i for i, c in enumerate(chart.coords)}
+            entry = chart, {c: i for i, c in enumerate(chart.coords)}
+            self.charts[key] = self.charts[chart.coords] = entry
         return entry
 
     def _index(self, pair: Pair) -> dict[str, int]:
-        return self.charts[" ".join(pair.chart.coords)][1]
+        return self.charts[pair.chart.coords][1]
 
     # whole statements: each reader builds the declaration the token parser
     # would; its lookups, of names and of coordinates in a chart's index, and

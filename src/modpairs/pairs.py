@@ -16,6 +16,10 @@ caller.  The kernels (``pullback``, ``compose`` and ``twist`` here,
 results past those checks, through ``_divisor``, ``_pair`` and
 ``_monomial_map``: the fields they pass hold by construction, computed by
 integer arithmetic from values that were checked when they were built.
+Every field of every value class is written through its slot's own setter,
+bound once below the class (``_pair_chart, _pair_divisor = _setters(Pair)``),
+which looks no name up on the type per write; ``Value.__setattr__`` refuses
+every other write.
 """
 
 from __future__ import annotations
@@ -23,10 +27,13 @@ from __future__ import annotations
 from itertools import compress
 from operator import attrgetter, ge, mul
 
-# Writes a field of a value under construction, past ``Value.__setattr__``.
-setfield = object.__setattr__
 _new = object.__new__  # a value with no field set yet, for the kernels' builders below
 _map = map  # the builtin, which ``pullback``'s parameter of that name hides
+
+
+def _setters(cls: type) -> list:
+    """The ``__set__`` of each slot of ``cls``, in field order."""
+    return [getattr(cls, name).__set__ for name in cls.__slots__]
 
 
 class Value:
@@ -34,15 +41,17 @@ class Value:
 
     Two values are equal when they are of the same class with equal fields, and
     hash over those fields; the repr reads ``Name(field=value, ...)``.  Fields
-    are set once through ``setfield``: by the class's ``__init__``, which
-    checks and normalises them, or by a kernel's builder in this module, which
-    skips those checks because the kernel's fields hold by construction.
+    are set once, through the slot setters bound beside each class: by the
+    class's ``__init__``, which checks and normalises them, or by a kernel's
+    builder in this module, which skips those checks because the kernel's
+    fields hold by construction.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        cls._fields = cls.__slots__
+        # a subclass of a value class keeps its base's fields, then any slots it adds
+        cls._fields = getattr(cls, "_fields", ()) + tuple(vars(cls).get("__slots__", ()))
         cls._key = attrgetter(*cls._fields)
 
     def __eq__(self, other):
@@ -86,7 +95,7 @@ class Chart(Value):
                 raise StructureError(f"coordinate names must be nonempty strings, got {name!r}")
         if len(set(coords)) != len(coords):
             raise StructureError(f"coordinate names must be distinct: {coords}")
-        setfield(self, "coords", coords)
+        _chart_coords(self, coords)
 
     @property
     def dim(self) -> int:
@@ -97,6 +106,9 @@ class Chart(Value):
             return self.coords.index(name)
         except ValueError:
             raise StructureError(f"chart has no coordinate {name!r}") from None
+
+
+(_chart_coords,) = _setters(Chart)
 
 
 class Divisor(Value):
@@ -110,7 +122,7 @@ class Divisor(Value):
         for m in mults:
             if not isinstance(m, int) or m < 0:
                 raise StructureError(f"multiplicities must be non-negative integers, got {m!r}")
-        setfield(self, "mults", mults)
+        _divisor_mults(self, mults)
 
     def __len__(self) -> int:
         return len(self.mults)
@@ -124,6 +136,9 @@ class Divisor(Value):
         return Divisor(tuple(n * m for m in self.mults))
 
 
+(_divisor_mults,) = _setters(Divisor)
+
+
 class Pair(Value):
     """A chart together with an effective divisor bounding poles along it."""
 
@@ -134,8 +149,11 @@ class Pair(Value):
             raise StructureError(
                 f"divisor has {len(divisor)} entries for a chart of dimension {chart.dim}"
             )
-        setfield(self, "chart", chart)
-        setfield(self, "divisor", divisor)
+        _pair_chart(self, chart)
+        _pair_divisor(self, divisor)
+
+
+_pair_chart, _pair_divisor = _setters(Pair)
 
 
 class MonomialMap(Value):
@@ -161,9 +179,9 @@ class MonomialMap(Value):
             for e in row:
                 if not isinstance(e, int) or e < 0:
                     raise StructureError(f"exponents must be non-negative integers, got {e!r}")
-        setfield(self, "source", source)
-        setfield(self, "target", target)
-        setfield(self, "expo", rows)
+        _map_source(self, source)
+        _map_target(self, target)
+        _map_expo(self, rows)
 
     @classmethod
     def identity(cls, chart: Chart) -> MonomialMap:
@@ -172,19 +190,26 @@ class MonomialMap(Value):
         return cls(chart, chart, rows)
 
 
+_map_source, _map_target, _map_expo = _setters(MonomialMap)
+
+
 class PairMap(Value):
     """Candidate morphism of pairs; admissibility is queried, never assumed."""
 
     __slots__ = ("map", "src", "dst")
 
     def __init__(self, map: MonomialMap, src: Pair, dst: Pair):
-        if src.chart != map.source:
+        # charts are most often shared, so identity settles the test before ``Value.__eq__``
+        if src.chart is not map.source and src.chart != map.source:
             raise StructureError("source pair does not live on the map's source chart")
-        if dst.chart != map.target:
+        if dst.chart is not map.target and dst.chart != map.target:
             raise StructureError("destination pair does not live on the map's target chart")
-        setfield(self, "map", map)
-        setfield(self, "src", src)
-        setfield(self, "dst", dst)
+        _pairmap_map(self, map)
+        _pairmap_src(self, src)
+        _pairmap_dst(self, dst)
+
+
+_pairmap_map, _pairmap_src, _pairmap_dst = _setters(PairMap)
 
 
 # The kernels' builders, one per class.  Each takes fields that already pass
@@ -194,22 +219,22 @@ class PairMap(Value):
 
 def _divisor(mults: tuple[int, ...]) -> Divisor:
     divisor = _new(Divisor)
-    setfield(divisor, "mults", mults)
+    _divisor_mults(divisor, mults)
     return divisor
 
 
 def _pair(chart: Chart, divisor: Divisor) -> Pair:
     pair = _new(Pair)
-    setfield(pair, "chart", chart)
-    setfield(pair, "divisor", divisor)
+    _pair_chart(pair, chart)
+    _pair_divisor(pair, divisor)
     return pair
 
 
 def _monomial_map(source: Chart, target: Chart, expo: tuple[tuple[int, ...], ...]) -> MonomialMap:
     m = _new(MonomialMap)
-    setfield(m, "source", source)
-    setfield(m, "target", target)
-    setfield(m, "expo", expo)
+    _map_source(m, source)
+    _map_target(m, target)
+    _map_expo(m, expo)
     return m
 
 
@@ -292,7 +317,7 @@ def compose(g: MonomialMap, f: MonomialMap) -> MonomialMap:
     Entry ``(k, i)`` is row ``k`` of ``g`` against column ``i`` of ``f``, and
     0 when the middle chart is the point chart and ``f`` has no rows.
     """
-    if f.target != g.source:
+    if f.target is not g.source and f.target != g.source:
         raise StructureError("cannot compose: target of the first map differs from source of the second")
     columns = tuple(zip(*f.expo)) if f.expo else ((),) * len(f.source.coords)
     rows = tuple(tuple(sum(map(mul, row, column)) for column in columns) for row in g.expo)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .pairs import Chart, MonomialMap, Pair, PairMap, StructureError, Value, _divisor, _pair, setfield, twist
+from .pairs import Chart, MonomialMap, Pair, PairMap, StructureError, Value, _divisor, _pair, _setters, twist
 
 
 class QPair(Value):
@@ -25,8 +25,11 @@ class QPair(Value):
     def __init__(self, level: int, pair: Pair):
         if not isinstance(level, int) or level < 1:
             raise StructureError(f"level must be a positive integer, got {level!r}")
-        setfield(self, "level", level)
-        setfield(self, "pair", pair)
+        _qpair_level(self, level)
+        _qpair_pair(self, pair)
+
+
+_qpair_level, _qpair_pair = _setters(QPair)
 
 
 def q_rationals(q: QPair) -> tuple:
@@ -52,7 +55,7 @@ def q_normalize(q: QPair) -> QPair:
 
 def q_eq(a: QPair, b: QPair) -> bool:
     """Equality of the underlying rational divisors, by exact cross-multiplication."""
-    if a.pair.chart != b.pair.chart:
+    if a.pair.chart is not b.pair.chart and a.pair.chart != b.pair.chart:
         raise StructureError("cannot compare levelled divisors on different charts")
     return all(
         b.level * x == a.level * y

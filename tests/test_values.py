@@ -3,7 +3,8 @@
 Every value class compares equal exactly when its class and its fields are
 equal, hashes over the same fields, prints as ``Name(field=value, ...)``,
 refuses assignment and deletion, and keeps its constructor's parameter
-names, order and defaults.
+names, order and defaults.  So does a user subclass that adds no field,
+built through its base's constructor, whose slot setters write its fields.
 """
 
 import copy
@@ -25,12 +26,23 @@ from modpairs.cli import Report
 from modpairs.correspondences import ConstantCorr, CorrLocalRecord, NonConstantCorr
 from modpairs.dsl import BlowupDecl, CorrDecl, Diagnostic, MapDecl, Model, PairDecl, QPairDecl, parse, print_model
 from modpairs.pairs import Chart, Divisor, MonomialMap, Pair, PairMap, StructureError, compose, pullback, twist
-from modpairs.qdivisors import QPair, cube, q_rationals
+from modpairs.qdivisors import QPair, cube, q_eq, q_rationals
 from randgen import random_model
 
 EXAMPLE = Path(__file__).parent.parent / "scripts" / "example.lp"
 
-# field names in constructor order, one entry per value class
+
+class UserPair(Pair):
+    """A subclass with no ``__slots__`` of its own, so its instances also get a ``__dict__``."""
+
+
+class SlottedUserDiagnostic(Diagnostic):
+    """A subclass with its own empty ``__slots__``, so its instances have no ``__dict__`` either."""
+
+    __slots__ = ()
+
+
+# field names in constructor order, one entry per value class and per user subclass above
 FIELDS = {
     Chart: ("coords",),
     Divisor: ("mults",),
@@ -51,6 +63,8 @@ FIELDS = {
     BlowupDecl: ("name", "pair_name", "center_coords", "spec"),
     Model: ("decls",),
     Report: ("status", "text", "records", "diagnostics"),
+    UserPair: ("chart", "divisor"),
+    SlottedUserDiagnostic: ("severity", "line", "column", "length", "message", "code"),
 }
 
 TEXT = """\
@@ -104,6 +118,8 @@ def build(k: int = 1) -> dict:
         BlowupDecl: decls[5],
         Model: Model(decls[: 4 + k]),
         Report: Report(k, "error: unknown pair 'nope'", ({"verdict": k == 1},), (diag,)),
+        UserPair: UserPair(x, Divisor([k])),
+        SlottedUserDiagnostic: SlottedUserDiagnostic("error", k, 2, 3, "unknown pair 'nope'", "E021"),
     }
 
 
@@ -180,7 +196,8 @@ def test_fields_cannot_be_assigned_or_deleted(cls):
         assert getattr(value, name) is before
     with pytest.raises(AttributeError):
         value.extra = 1
-    assert not hasattr(value, "__dict__")
+    # only a subclass that declares no __slots__ has a __dict__, and nothing gets into it
+    assert not hasattr(value, "__dict__") or (cls is UserPair and value.__dict__ == {})
 
 
 @pytest.mark.parametrize("cls", FIELDS, ids=lambda cls: cls.__name__)
@@ -220,6 +237,9 @@ def test_inputs_are_normalised():
     assert NonConstantCorr([CorrLocalRecord("a", 1, 1, 1, 1)]).records == (CorrLocalRecord("a", 1, 1, 1, 1),)
 
 
+LINE, PLANE, OTHER = Chart(("x",)), Chart(("x", "y")), Chart(("y",))
+
+
 @pytest.mark.parametrize(
     "make, message",
     [
@@ -234,15 +254,16 @@ def test_inputs_are_normalised():
         (lambda: CorrLocalRecord("a", 1, 1, 0, 1), "ramification degrees must be positive"),
         (lambda: NonConstantCorr([CorrLocalRecord("a", 1, 1, 1, 1)] * 2), "record labels must be distinct"),
         (lambda: QPair(0, Pair(Chart(()), Divisor(()))), "level must be a positive integer, got 0"),
+        (lambda: PairMap(MonomialMap.identity(LINE), Pair(OTHER, Divisor((1,))), Pair(LINE, Divisor((1,)))),
+         "source pair does not live on the map's source chart"),
+        (lambda: PairMap(MonomialMap.identity(LINE), Pair(LINE, Divisor((1,))), Pair(OTHER, Divisor((1,)))),
+         "destination pair does not live on the map's target chart"),
     ],
 )
 def test_validation_is_unchanged(make, message):
     with pytest.raises(StructureError) as info:
         make()
     assert str(info.value) == message
-
-
-LINE, PLANE = Chart(("x",)), Chart(("x", "y"))
 
 
 @pytest.mark.parametrize(
@@ -260,14 +281,26 @@ LINE, PLANE = Chart(("x",)), Chart(("x", "y"))
          "fresh coordinate name 'x' collides with the chart"),
         (lambda: cube(Pair(LINE, Divisor((1,))), 1, ""), StructureError,
          "coordinate names must be nonempty strings, got ''"),
+        (lambda: q_eq(QPair(1, Pair(LINE, Divisor((1,)))), QPair(1, Pair(OTHER, Divisor((1,))))),
+         StructureError, "cannot compare levelled divisors on different charts"),
     ],
     ids=["scaled-negative", "scaled-fraction", "twist-zero", "pullback-length", "compose-mismatch",
-         "cube-collision", "cube-empty"],
+         "cube-collision", "cube-empty", "q_eq-charts"],
 )
 def test_kernels_keep_their_checks(make, error, message):
     with pytest.raises(error) as info:
         make()
     assert type(info.value) is error and str(info.value) == message
+
+
+def test_the_chart_checks_take_an_equal_chart_that_is_another_object():
+    # the checks test identity first; an equal chart built apart must pass all the same
+    line, plane = Chart(("x",)), Chart(("x", "y"))
+    assert line is not LINE and line == LINE and plane is not PLANE and plane == PLANE
+    f, g = MonomialMap(LINE, PLANE, [[1], [1]]), MonomialMap(plane, LINE, [[1, 2]])
+    assert PairMap(f, Pair(line, Divisor((2,))), Pair(plane, Divisor((1, 1)))).src.chart is line
+    assert compose(g, f) == MonomialMap(LINE, LINE, [[3]])
+    assert q_eq(QPair(1, Pair(line, Divisor((1,)))), QPair(2, Pair(LINE, Divisor((2,)))))
 
 
 def test_model_built_directly():
