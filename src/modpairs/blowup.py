@@ -98,13 +98,13 @@ def blowup_charts(spec: BlowupSpec) -> tuple[BlowupChart, ...]:
     chart, mults = spec.pair.chart, spec.pair.divisor.mults
     center = sorted(spec.center)
     exceptional = sum(mults[b] for b in center)
-    d = len(mults)
-    identity = [(0,) * r + (1,) + (0,) * (d - r - 1) for r in range(d)]
+    identity = [((r, 1),) for r in range(len(mults))]  # sparse rows, shared by every chart
     out = []
     for j in center:
         rows = identity.copy()  # each chart replaces its own center rows
         for b in center:
-            rows[b] = rows[b][:j] + (1,) + rows[b][j + 1:]  # row j keeps its 1
+            if b != j:  # row j keeps its identity row
+                rows[b] = ((b, 1), (j, 1)) if b < j else ((j, 1), (b, 1))
         total = _divisor(mults[:j] + (exceptional,) + mults[j + 1:])
         out.append(BlowupChart(j, _monomial_map(chart, chart, tuple(rows)), total))
     return tuple(out)

@@ -24,9 +24,9 @@ class CorrLocalRecord(Value):
     __slots__ = ("label", "n_x", "n_y", "e_x", "e_y")
 
     def __init__(self, label: str, n_x: int, n_y: int, e_x: int, e_y: int):
-        if n_x < 0 or n_y < 0:
+        if type(n_x) is not int or type(n_y) is not int or n_x < 0 or n_y < 0:
             raise StructureError("divisor coefficients must be non-negative")
-        if e_x < 1 or e_y < 1:
+        if type(e_x) is not int or type(e_y) is not int or e_x < 1 or e_y < 1:
             raise StructureError("ramification degrees must be positive")
         _record_label(self, label)
         _record_n_x(self, n_x)
@@ -146,7 +146,8 @@ def graph_corr(f: PairMap) -> CurveCorr:
     """
     if f.src.chart.dim != 1 or f.dst.chart.dim != 1:
         raise StructureError("graph records are defined for one-dimensional charts only")
-    m = f.map.expo[0][0]
+    (row,) = f.map.rows
+    m = row[0][1] if row else 0
     p = f.src.divisor.mults[0]
     q = f.dst.divisor.mults[0]
     if m == 0:

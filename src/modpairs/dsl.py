@@ -33,7 +33,7 @@ from types import MappingProxyType
 
 from .blowup import BlowupSpec
 from .correspondences import CorrLocalRecord, CurveCorr, NonConstantCorr, from_monomial_param
-from .pairs import Chart, Divisor, MonomialMap, Pair, PairMap, Value, _setters, format_divisor
+from .pairs import Chart, Divisor, MonomialMap, Pair, PairMap, Value, _monomial_map, _setters, format_divisor
 from .qdivisors import QPair
 
 
@@ -147,6 +147,21 @@ class Model(Value):
 (_model_decls,) = _setters(Model)
 
 
+def _monomial_row(factors: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """A map's sparse row from a monomial's ``(source index, exponent)`` factors
+    as read: a repeated coordinate's exponents summed, ``^0`` dropped, by
+    increasing index.  Both readers build each row here."""
+    if len(factors) < 2:
+        return () if not factors or not factors[0][1] else (factors[0],)
+    exps = dict(factors)
+    if len(exps) < len(factors):  # a coordinate repeated, as in ``x * x``
+        exps = {}
+        for i, e in factors:
+            exps[i] = exps.get(i, 0) + e
+    row = sorted(exps.items())
+    return tuple([f for f in row if f[1]] if 0 in exps.values() else row)
+
+
 # --- statement matcher -------------------------------------------------------
 
 # Longer literals are rejected (E012): every number derived from two of them
@@ -224,16 +239,16 @@ class _Matcher:
     def _whole_map(self, m) -> Decl | None:
         name, src, dst, assigns = m.groups()
         s, d = self.names[PairDecl][src].pair, self.names[PairDecl][dst].pair
-        src_index, dst_index, rows = self._index(s), self._index(d), {}
+        src_index, dst_index, monomials = self._index(s), self._index(d), {}
         for target, coord, exp in _FACTOR.findall(assigns or ""):
             if target:
-                if target not in dst_index or target in rows:  # E032, E041
+                if target not in dst_index or target in monomials:  # E032, E041
                     return None
-                row = rows[target] = [0] * len(src_index)
+                factors = monomials[target] = []
             if coord:  # "" in the empty monomial 1
-                row[src_index[coord]] += int(exp or 1)
-        matrix = tuple(rows[target] for target in d.chart.coords)
-        return MapDecl(name, src, dst, PairMap(MonomialMap(s.chart, d.chart, matrix), s, d))
+                factors.append((src_index[coord], int(exp or 1)))
+        rows = tuple([_monomial_row(monomials[target]) for target in d.chart.coords])
+        return MapDecl(name, src, dst, PairMap(_monomial_map(s.chart, d.chart, rows), s, d))
 
     def _whole_corr(self, m) -> Decl | None:
         name, a, b, n_x, n_y, src, dst, points = m.groups()
@@ -307,20 +322,16 @@ def parse(text: str) -> Model | list[Diagnostic]:
 
 # --- canonical printer -------------------------------------------------------
 
-def format_monomial(chart: Chart, exps: tuple[int, ...]) -> str:
-    """``x^2 * y`` over the chart's coordinates, or ``1`` for the empty monomial."""
-    parts = [
-        name if e == 1 else f"{name}^{e}"
-        for name, e in zip(chart.coords, exps)
-        if e > 0
-    ]
-    return " * ".join(parts) if parts else "1"
+def format_monomial(chart: Chart, row: tuple[tuple[int, int], ...]) -> str:
+    """``x^2 * y`` from a map's sparse row over the chart's coordinates, or ``1`` for ``()``."""
+    coords = chart.coords
+    return " * ".join([coords[i] if e == 1 else f"{coords[i]}^{e}" for i, e in row]) or "1"
 
 
 def format_assignments(m: MonomialMap) -> str:
     """``y <- x^2; z <- 1``: each target coordinate's monomial over the source."""
     return "; ".join(
-        f"{name} <- {format_monomial(m.source, row)}" for name, row in zip(m.target.coords, m.expo)
+        f"{name} <- {format_monomial(m.source, row)}" for name, row in zip(m.target.coords, m.rows)
     )
 
 

@@ -5,8 +5,12 @@ assigns a non-negative multiplicity to each coordinate hyperplane, and a
 pair couples a chart with such a divisor; the pair's interior is the
 complement of the divisor's support.  Morphisms are monomial: each target
 coordinate pulls back to a single unit-coefficient monomial in the source
-coordinates, recorded as a matrix of exponents.  Scalar coefficients are
-dropped throughout since they change no vanishing order and no support.
+coordinates.  A map stores that monomial sparse, as the row of its
+``(source index, exponent)`` factors with positive exponents by increasing
+index, so every kernel, reader and the printer walk only the nonzero
+exponents; the dense exponent matrix is the public constructor's input and
+is built again on demand.  Scalar coefficients are dropped throughout since
+they change no vanishing order and no support.
 
 Everything in this module is an immutable value or a pure function of its
 inputs, so values can be shared freely between threads.  The public
@@ -25,10 +29,9 @@ every other write.
 from __future__ import annotations
 
 from itertools import compress
-from operator import attrgetter, ge, mul
+from operator import attrgetter, ge
 
 _new = object.__new__  # a value with no field set yet, for the kernels' builders below
-_map = map  # the builtin, which ``pullback``'s parameter of that name hides
 
 
 def _setters(cls: type) -> list:
@@ -120,7 +123,7 @@ class Divisor(Value):
         if not isinstance(mults, tuple):
             mults = tuple(mults)
         for m in mults:
-            if not isinstance(m, int) or m < 0:
+            if type(m) is not int or m < 0:
                 raise StructureError(f"multiplicities must be non-negative integers, got {m!r}")
         _divisor_mults(self, mults)
 
@@ -157,40 +160,65 @@ _pair_chart, _pair_divisor = _setters(Pair)
 
 
 class MonomialMap(Value):
-    """Exponent-matrix presentation of a monomial morphism of charts.
+    """Monomial morphism of charts, one sparse row per target coordinate.
 
-    Row ``j`` of ``expo`` records the monomial that target coordinate ``j``
-    pulls back to: ``y_j = prod_i x_i ** expo[j][i]``, coefficient 1.
+    Row ``j`` of ``rows`` lists the factors ``(i, e)`` of the monomial that
+    target coordinate ``j`` pulls back to, ``y_j = prod x_i ** e`` with
+    coefficient 1: positive exponents only, by increasing source index, and
+    ``()`` for the empty monomial 1.  That form is canonical, so equal maps
+    have equal rows.  The constructor takes the dense exponent matrix,
+    ``expo[j][i]`` the exponent of ``x_i`` in row ``j``; ``expo`` builds it
+    again on demand, and the repr, copies and pickles go through it.
     """
 
-    __slots__ = ("source", "target", "expo")
+    __slots__ = ("source", "target", "rows")
 
     def __init__(self, source: Chart, target: Chart, expo: tuple[tuple[int, ...], ...]):
-        rows, dim = tuple(tuple(row) for row in expo), len(source.coords)
-        if len(rows) != len(target.coords):
+        dense, dim = tuple(tuple(row) for row in expo), len(source.coords)
+        if len(dense) != len(target.coords):
             raise StructureError(
-                f"exponent matrix has {len(rows)} rows for a target of dimension {target.dim}"
+                f"exponent matrix has {len(dense)} rows for a target of dimension {target.dim}"
             )
-        for row in rows:
+        rows = []
+        for row in dense:
             if len(row) != dim:
                 raise StructureError(
                     f"exponent row has {len(row)} entries for a source of dimension {source.dim}"
                 )
-            for e in row:
-                if not isinstance(e, int) or e < 0:
+            factors = []
+            for i, e in enumerate(row):  # one pass checks each entry and keeps the nonzero ones
+                if type(e) is not int or e < 0:
                     raise StructureError(f"exponents must be non-negative integers, got {e!r}")
+                if e:
+                    factors.append((i, e))
+            rows.append(tuple(factors))
         _map_source(self, source)
         _map_target(self, target)
-        _map_expo(self, rows)
+        _map_rows(self, tuple(rows))
+
+    @property
+    def expo(self) -> tuple[tuple[int, ...], ...]:
+        """The dense exponent matrix, built from the rows at each call."""
+        dim, out = len(self.source.coords), []
+        for row in self.rows:
+            dense = [0] * dim
+            for i, e in row:
+                dense[i] = e
+            out.append(tuple(dense))
+        return tuple(out)
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(source={self.source!r}, target={self.target!r}, expo={self.expo!r})"
+
+    def __reduce__(self):
+        return type(self), (self.source, self.target, self.expo)
 
     @classmethod
     def identity(cls, chart: Chart) -> MonomialMap:
-        d = chart.dim
-        rows = tuple(tuple(1 if i == j else 0 for i in range(d)) for j in range(d))
-        return cls(chart, chart, rows)
+        return _monomial_map(chart, chart, tuple(((i, 1),) for i in range(len(chart.coords))), cls)
 
 
-_map_source, _map_target, _map_expo = _setters(MonomialMap)
+_map_source, _map_target, _map_rows = _setters(MonomialMap)
 
 
 class PairMap(Value):
@@ -214,7 +242,8 @@ _pairmap_map, _pairmap_src, _pairmap_dst = _setters(PairMap)
 
 # The kernels' builders, one per class.  Each takes fields that already pass
 # its class's ``__init__`` checks in their normal form (exact tuples of ints,
-# lengths that match the charts) and skips those checks.
+# lengths that match the charts, a map's rows sparse and sorted as
+# ``MonomialMap`` keeps them) and skips those checks.
 
 
 def _divisor(mults: tuple[int, ...]) -> Divisor:
@@ -230,11 +259,12 @@ def _pair(chart: Chart, divisor: Divisor) -> Pair:
     return pair
 
 
-def _monomial_map(source: Chart, target: Chart, expo: tuple[tuple[int, ...], ...]) -> MonomialMap:
-    m = _new(MonomialMap)
+def _monomial_map(source: Chart, target: Chart, rows: tuple[tuple[tuple[int, int], ...], ...],
+                  cls: type = MonomialMap) -> MonomialMap:
+    m = _new(cls)
     _map_source(m, source)
     _map_target(m, target)
-    _map_expo(m, expo)
+    _map_rows(m, rows)
     return m
 
 
@@ -243,17 +273,21 @@ def pullback(map: MonomialMap, divisor: Divisor) -> Divisor:
 
     The multiplicity of the pullback along ``{x_i = 0}`` is the vanishing
     order there of the product of the pulled-back target equations, which
-    for monomials is the transpose action of the exponent matrix:
-    ``E_i = sum_j expo[j][i] * D_j``, a sum down column ``i`` (all 0 when
-    the target is the point chart and ``expo`` has no rows).
+    for monomials is the transpose action of the exponents:
+    ``E_i = sum_j expo[j][i] * D_j``.  One pass over the rows with
+    ``D_j > 0`` adds each factor ``(i, e)`` of row ``j`` as ``e * D_j``.
     """
     mults = divisor.mults
     if len(mults) != len(map.target.coords):
         raise StructureError(
             f"divisor has {len(mults)} entries for a target of dimension {map.target.dim}"
         )
-    columns = zip(*map.expo) if mults else ((),) * len(map.source.coords)
-    return _divisor(tuple(sum(_map(mul, column, mults)) for column in columns))
+    out = [0] * len(map.source.coords)
+    for row, m in zip(map.rows, mults):
+        if m:
+            for i, e in row:
+                out[i] += e * m
+    return _divisor(tuple(out))
 
 
 def divisor_leq(a: Divisor, b: Divisor) -> bool:
@@ -314,14 +348,19 @@ def is_minimal(f: PairMap) -> bool:
 def compose(g: MonomialMap, f: MonomialMap) -> MonomialMap:
     """Composite ``g after f`` by monomial substitution; exponent matrices multiply.
 
-    Entry ``(k, i)`` is row ``k`` of ``g`` against column ``i`` of ``f``, and
-    0 when the middle chart is the point chart and ``f`` has no rows.
+    Each factor ``(j, e)`` of a row of ``g`` contributes the row ``j`` of
+    ``f`` raised to ``e``; exponents of the same source coordinate add.
     """
     if f.target is not g.source and f.target != g.source:
         raise StructureError("cannot compose: target of the first map differs from source of the second")
-    columns = tuple(zip(*f.expo)) if f.expo else ((),) * len(f.source.coords)
-    rows = tuple(tuple(sum(map(mul, row, column)) for column in columns) for row in g.expo)
-    return _monomial_map(f.source, g.target, rows)
+    inner, rows = f.rows, []
+    for row in g.rows:
+        acc: dict[int, int] = {}
+        for j, e in row:
+            for i, x in inner[j]:
+                acc[i] = acc.get(i, 0) + e * x
+        rows.append(tuple(sorted(acc.items())))
+    return _monomial_map(f.source, g.target, tuple(rows))
 
 
 def format_divisor(chart: Chart, divisor: Divisor) -> str:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .pairs import Chart, MonomialMap, Pair, PairMap, StructureError, Value, _divisor, _pair, _setters, twist
+from .pairs import Chart, Pair, PairMap, StructureError, Value, _divisor, _monomial_map, _pair, _setters, twist
 
 
 class QPair(Value):
@@ -23,7 +23,7 @@ class QPair(Value):
     __slots__ = ("level", "pair")
 
     def __init__(self, level: int, pair: Pair):
-        if not isinstance(level, int) or level < 1:
+        if type(level) is not int or level < 1:
             raise StructureError(f"level must be a positive integer, got {level!r}")
         _qpair_level(self, level)
         _qpair_pair(self, pair)
@@ -78,7 +78,7 @@ def cube(p: Pair, n: int, coord: str = "inf") -> Pair:
     materialized.  The fresh coordinate name must not collide with the
     chart's.
     """
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:  # ``n`` becomes a multiplicity, which takes exact ints only
         raise ValueError(f"cube weight must be a positive integer, got {n!r}")
     if coord in p.chart.coords:
         raise StructureError(f"fresh coordinate name {coord!r} collides with the chart")
@@ -89,9 +89,8 @@ def cube(p: Pair, n: int, coord: str = "inf") -> Pair:
 def cube_projection(p: Pair, n: int, coord: str = "inf") -> PairMap:
     """The coordinate-forgetting projection from ``cube(p, n)`` down to ``p``."""
     top = cube(p, n, coord)
-    d = p.chart.dim
-    rows = tuple(tuple(1 if i == j else 0 for i in range(d + 1)) for j in range(d))
-    return PairMap(MonomialMap(top.chart, p.chart, rows), top, p)
+    rows = tuple(((i, 1),) for i in range(len(p.chart.coords)))
+    return PairMap(_monomial_map(top.chart, p.chart, rows), top, p)
 
 
 def cube_weight(f: PairMap) -> int | None:
@@ -105,12 +104,10 @@ def cube_weight(f: PairMap) -> int | None:
     if ds != dt + 1:
         return None
     used = []
-    for j in range(dt):
-        row = f.map.expo[j]
-        hits = [i for i, e in enumerate(row) if e != 0]
-        if len(hits) != 1 or row[hits[0]] != 1:
+    for row in f.map.rows:
+        if len(row) != 1 or row[0][1] != 1:
             return None
-        used.append(hits[0])
+        used.append(row[0][0])
     if len(set(used)) != dt:
         return None
     (extra,) = set(range(ds)) - set(used)

@@ -27,8 +27,9 @@ from .dsl import (
     PairDecl,
     QPairDecl,
     _Matcher,
+    _monomial_row,
 )
-from .pairs import Divisor, MonomialMap, Pair, PairMap
+from .pairs import Divisor, Pair, PairMap, _monomial_map
 from .qdivisors import QPair
 
 # --- lexer -----------------------------------------------------------------
@@ -223,23 +224,23 @@ class _Parser:
         self.expect("}", "'}' closing the pair declaration")
         self.matcher.accept(PairDecl(name, Pair(chart, Divisor(tuple(mults)))))
 
-    def _monomial(self, index: dict[str, int]) -> tuple[int, ...]:
+    def _monomial(self, index: dict[str, int]) -> tuple[tuple[int, int], ...]:
         toks = self.toks
-        exps = [0] * len(index)
         at = self.i
         if "0" <= toks[at][:1] <= "9":
             if self.number("") != 1:
                 self.fail(at, "E042", "only the literal 1 denotes the empty monomial")
-            return tuple(exps)
+            return ()
+        factors = []
         while True:
             idx = self.coord(index, "a source coordinate")
             e = 1
             if toks[self.i] == "^":
                 self.step()
                 e = self.number("an exponent")
-            exps[idx] += e
+            factors.append((idx, e))
             if toks[self.i] != "*":
-                return tuple(exps)
+                return _monomial_row(factors)
             self.step()
 
     def _stmt_map(self):
@@ -251,7 +252,7 @@ class _Parser:
         self.expect("->")
         dst_name, dst_pair, dst_index = self.resolve_pair("destination pair")
         self.expect("{")
-        rows: dict[int, tuple[int, ...]] = {}
+        rows: dict[int, tuple[tuple[int, int], ...]] = {}
         while toks[self.i] != "}":
             j = self.coord(dst_index, "a target coordinate")
             if j in rows:
@@ -264,8 +265,8 @@ class _Parser:
         for j, cname in enumerate(dst_pair.chart.coords):
             if j not in rows:
                 self.fail(close, "E040", f"map does not assign target coordinate '{cname}'")
-        matrix = tuple(rows[j] for j in range(dst_pair.chart.dim))
-        pair_map = PairMap(MonomialMap(src_pair.chart, dst_pair.chart, matrix), src_pair, dst_pair)
+        ordered = tuple(rows[j] for j in range(dst_pair.chart.dim))
+        pair_map = PairMap(_monomial_map(src_pair.chart, dst_pair.chart, ordered), src_pair, dst_pair)
         self.matcher.accept(MapDecl(name, src_name, dst_name, pair_map))
 
     def _endpoint(self, what: str) -> str:

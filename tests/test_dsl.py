@@ -22,7 +22,7 @@ from modpairs.dsl import (
     parse,
     print_model,
 )
-from modpairs.pairs import Chart, Divisor, Pair
+from modpairs.pairs import Chart, Divisor, MonomialMap, Pair
 from modpairs.tokens import _Parser, _place
 from oracles import reference_lex
 from randgen import random_model
@@ -111,6 +111,16 @@ class TestParse:
             "map f : X -> Y { s <- t * t^2 }\n"
         )
         assert parsed(text).namespace(MapDecl)["f"].pair_map.map.expo == ((3,),)
+
+    def test_map_rows_are_sparse_and_sorted(self):
+        text = (
+            "pair X { dim 3; coords a b c; divisor {} }\n"
+            "pair Y { dim 2; coords s t; divisor {} }\n"
+            "map f : X -> Y { s <- c * a^0 * b^2 * c; t <- b^0 }\n"
+        )
+        for spelling in (text, text.replace(" <- ", " <-  ")):  # the matcher's, then the token parser's
+            f = parsed(spelling).namespace(MapDecl)["f"].pair_map.map
+            assert f.rows == (((1, 2), (2, 2)), ()) and f.expo == ((0, 2, 2), (0, 0, 0))
 
     def test_empty_text(self):
         assert parsed("") == Model(())
@@ -298,6 +308,37 @@ def test_round_trip_random_models(seed):
     again = parse(text)
     assert again == model
     assert print_model(again) == text
+
+
+@st.composite
+def monomial_texts(draw):
+    """A monomial in ``a``, ``b`` and ``c`` with repeated factors and ``^0`` factors, or ``1``."""
+    factors = draw(st.lists(st.tuples(st.sampled_from("abc"), st.sampled_from(["", "^0", "^1", "^2", "^13"])),
+                            max_size=6))
+    return " * ".join(coord + power for coord, power in factors) or "1"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(monomial_texts(), min_size=2, max_size=2), st.booleans())
+def test_each_map_read_equals_its_rebuild_from_expo(monomials, spaced):
+    text = (
+        "pair S { dim 3; coords a b c; divisor {} }\n"
+        "pair T { dim 2; coords y z; divisor {} }\n"
+        f"map f : S -> T {{ y <- {monomials[0]}; z <- {monomials[1]} }}\n"
+    )
+    if spaced:  # the matcher refuses it, so the token parser reads it
+        text = text.replace(" <- ", "  <- ")
+    f = parsed(text).namespace(MapDecl)["f"].pair_map.map
+    again = MonomialMap(f.source, f.target, f.expo)
+    assert f == again and hash(f) == hash(again) and repr(f) == repr(again)
+    # the expo sums each coordinate's exponents, a bare factor counting 1
+    want = []
+    for monomial in monomials:
+        row = [0, 0, 0]
+        for factor in re.findall(r"([abc])(?:\^(\d+))?", monomial):
+            row["abc".index(factor[0])] += int(factor[1] or 1)
+        want.append(tuple(row))
+    assert f.expo == tuple(want)
 
 
 # --- the statement matcher against the token path ---------------------------

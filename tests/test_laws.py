@@ -25,7 +25,8 @@ gcd-reduced forms are.
 
 The kernels build their results past the public constructors' checks, so a
 last law holds every result on these scopes to what those constructors
-would build from the same fields.
+would build from the same fields; a map's sparse rows to what the public
+constructor makes of its dense ``expo``.
 """
 
 import math
@@ -255,9 +256,10 @@ def test_levelled_divisors_are_equal_iff_their_normal_forms_are():
 
 
 def rebuilt(value: Value) -> Value:
-    """``value`` built again from its fields through the public constructors, all the way down."""
-    fields = (getattr(value, name) for name in value._fields)
-    return type(value)(*(rebuilt(f) if isinstance(f, Value) else f for f in fields))
+    """``value`` built again through the public constructors, all the way down, from
+    the arguments its pickle passes: a map from its dense ``expo``, rows not reused."""
+    cls, args = value.__reduce__()
+    return cls(*(rebuilt(a) if isinstance(a, Value) else a for a in args))
 
 
 def exact(field) -> bool:

@@ -39,6 +39,22 @@ def curve_map(m, p, q):
     )
 
 
+@given(st.data())
+def test_a_map_keeps_the_nonzero_exponents_of_its_matrix_as_sparse_rows(data):
+    source, target = data.draw(charts(0, 6)), data.draw(charts(0, 6))
+    exponent = st.integers(0, 3) | st.integers(0, 10**20)
+    expo = data.draw(st.lists(st.lists(exponent, min_size=source.dim, max_size=source.dim),
+                              min_size=target.dim, max_size=target.dim))
+    m = MonomialMap(source, target, expo)
+    assert m.expo == tuple(map(tuple, expo))
+    # canonical: per target, the (index, exponent) factors with a positive exponent, by increasing index
+    assert m.rows == tuple(tuple((i, e) for i, e in enumerate(row) if e) for row in expo)
+    assert all(type(m.rows) is tuple and type(row) is tuple for row in m.rows)
+    for row in m.rows:
+        assert all(e > 0 for _, e in row) and [i for i, _ in row] == sorted({i for i, _ in row})
+    assert m == MonomialMap(source, target, m.expo) and hash(m) == hash(MonomialMap(source, target, m.expo))
+
+
 class TestPullback:
     def test_power_map(self):
         expected = pullback_orders(SQUARE, Divisor((3,)))

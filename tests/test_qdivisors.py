@@ -131,6 +131,9 @@ class TestCube:
             p,
         )
         assert cube_weight(not_proj) is None
+        # one coordinate squared, one row empty, one coordinate taken twice
+        for expo in (((2, 0, 0), (0, 1, 0)), ((0, 0, 0), (0, 1, 0)), ((1, 0, 0), (1, 0, 0))):
+            assert cube_weight(PairMap(MonomialMap(proj.src.chart, p.chart, expo), proj.src, p)) is None
 
 
 # properties

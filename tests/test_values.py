@@ -5,6 +5,8 @@ equal, hashes over the same fields, prints as ``Name(field=value, ...)``,
 refuses assignment and deletion, and keeps its constructor's parameter
 names, order and defaults.  So does a user subclass that adds no field,
 built through its base's constructor, whose slot setters write its fields.
+``MonomialMap`` stores sparse ``rows``; its repr, copies and pickles pass
+the dense ``expo`` that its constructor takes.
 """
 
 import copy
@@ -19,6 +21,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import modpairs
 from modpairs.blowup import BlowupChart, BlowupSpec
@@ -184,16 +188,37 @@ def test_repr_reads_like_a_constructor_call():
     assert repr(Model()) == "Model(decls=())"
 
 
+def test_the_identity_map_is_of_the_class_it_is_called_on():
+    class UserMap(MonomialMap):
+        pass
+
+    ident = UserMap.identity(PLANE)
+    assert type(ident) is UserMap and ident == UserMap(PLANE, PLANE, [[1, 0], [0, 1]])
+    assert type(MonomialMap.identity(PLANE)) is MonomialMap
+
+
+def test_a_maps_repr_and_pickle_pass_its_dense_matrix():
+    f = MonomialMap(LINE, PLANE, [[2], [0]])
+    assert f.rows == (((0, 2),), ())
+    assert repr(f) == f"MonomialMap(source={LINE!r}, target={PLANE!r}, expo=((2,), (0,)))"
+    assert f.__reduce__() == (MonomialMap, (LINE, PLANE, ((2,), (0,))))
+    assert eval(repr(f)) == f
+
+
 @pytest.mark.parametrize("cls", FIELDS, ids=lambda cls: cls.__name__)
 def test_fields_cannot_be_assigned_or_deleted(cls):
     value = build()[cls]
-    for name in FIELDS[cls]:
+    # the constructor's parameters and the stored slots, which differ only for a map (expo, rows)
+    for name in dict.fromkeys(FIELDS[cls] + value._fields):
         before = getattr(value, name)
         with pytest.raises(AttributeError):
             setattr(value, name, before)
         with pytest.raises(AttributeError):
             delattr(value, name)
-        assert getattr(value, name) is before
+        if name in value._fields:
+            assert getattr(value, name) is before
+        else:  # built on demand
+            assert getattr(value, name) == before
     with pytest.raises(AttributeError):
         value.extra = 1
     # only a subclass that declares no __slots__ has a __dict__, and nothing gets into it
@@ -233,6 +258,7 @@ def test_inputs_are_normalised():
     assert Divisor([1, 2]).mults == (1, 2)
     chart = Chart(("x", "y"))
     assert MonomialMap(chart, chart, [[1, 0], [0, 1]]).expo == ((1, 0), (0, 1))
+    assert MonomialMap(chart, chart, iter([[1, 0], (0, 1)])).rows == (((0, 1),), ((1, 1),))
     assert BlowupSpec(Pair(chart, Divisor((1, 1))), [0, 1, 1]).center == frozenset({0, 1})
     assert NonConstantCorr([CorrLocalRecord("a", 1, 1, 1, 1)]).records == (CorrLocalRecord("a", 1, 1, 1, 1),)
 
@@ -266,6 +292,48 @@ def test_validation_is_unchanged(make, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("bad", [True, False, 1.0, 1.5, "1", None], ids=repr)
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda x: Divisor((1, x)), "multiplicities must be non-negative integers, got {!r}"),
+        (lambda x: MonomialMap(LINE, PLANE, [[1], [x]]), "exponents must be non-negative integers, got {!r}"),
+        (lambda x: QPair(x, Pair(LINE, Divisor((1,)))), "level must be a positive integer, got {!r}"),
+        (lambda x: CorrLocalRecord("a", x, 1, 1, 1), "divisor coefficients must be non-negative"),
+        (lambda x: CorrLocalRecord("a", 1, x, 1, 1), "divisor coefficients must be non-negative"),
+        (lambda x: CorrLocalRecord("a", 1, 1, x, 1), "ramification degrees must be positive"),
+        (lambda x: CorrLocalRecord("a", 1, 1, 1, x), "ramification degrees must be positive"),
+    ],
+    ids=["Divisor", "MonomialMap", "QPair", "n_x", "n_y", "e_x", "e_y"],
+)
+def test_integer_fields_take_exact_ints_only(make, message, bad):
+    # a bool would print as True, which the DSL cannot read back; a float or a str is no integer
+    make(1)
+    with pytest.raises(StructureError) as info:
+        make(bad)
+    assert type(info.value) is StructureError and str(info.value) == message.format(bad)
+
+
+@given(st.lists(st.one_of(st.integers(0, 3), st.booleans(), st.floats(0, 3), st.text("1", max_size=1)),
+                min_size=7, max_size=7))
+def test_no_integer_field_breaks_the_round_trip(values):
+    # every value the constructors accept prints as a model that parses back equal
+    mult, expo, level, n_x, n_y, e_x, e_y = values
+    try:
+        line = Pair(Chart(("t",)), Divisor((mult,)))
+        decls = (
+            PairDecl("X", line),
+            MapDecl("f", "X", "X", PairMap(MonomialMap(line.chart, line.chart, ((expo,),)), line, line)),
+            CorrDecl("c", NonConstantCorr((CorrLocalRecord("w", n_x, n_y, e_x, e_y),)), src="X", dst="X"),
+            QPairDecl("q", "X", QPair(level, line)),
+        )
+    except StructureError:
+        assert not all(type(v) is int for v in values) or level == 0 or 0 in (e_x, e_y)
+        return
+    model = Model(decls)
+    assert parse(print_model(model)) == model
+
+
 @pytest.mark.parametrize(
     "make, error, message",
     [
@@ -281,11 +349,12 @@ def test_validation_is_unchanged(make, message):
          "fresh coordinate name 'x' collides with the chart"),
         (lambda: cube(Pair(LINE, Divisor((1,))), 1, ""), StructureError,
          "coordinate names must be nonempty strings, got ''"),
+        (lambda: cube(Pair(LINE, Divisor((1,))), True), ValueError, "cube weight must be a positive integer, got True"),
         (lambda: q_eq(QPair(1, Pair(LINE, Divisor((1,)))), QPair(1, Pair(OTHER, Divisor((1,))))),
          StructureError, "cannot compare levelled divisors on different charts"),
     ],
     ids=["scaled-negative", "scaled-fraction", "twist-zero", "pullback-length", "compose-mismatch",
-         "cube-collision", "cube-empty", "q_eq-charts"],
+         "cube-collision", "cube-empty", "cube-bool", "q_eq-charts"],
 )
 def test_kernels_keep_their_checks(make, error, message):
     with pytest.raises(error) as info:
