@@ -22,7 +22,8 @@ parse, shared by the pairs declared on it.  Any other spelling, such as
 ``divisor { a: 1 }``, is accepted too and read by the token parser of
 ``modpairs.tokens``, which makes every diagnostic; ``parse`` imports it only
 when the matcher stops before the end of the text, so a canonical model
-never loads it.
+never loads it.  Both readers only read, resolve and check: this module
+builds every declaration, each derived form by one builder they share.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from types import MappingProxyType
 
 from .blowup import BlowupSpec
 from .correspondences import CorrLocalRecord, CurveCorr, NonConstantCorr, from_monomial_param
-from .pairs import Chart, Divisor, MonomialMap, Pair, PairMap, Value, _monomial_map, _setters, format_divisor
+from .pairs import Chart, MonomialMap, Pair, PairMap, Value, _divisor, _monomial_map, _pair, _setters, format_divisor
 from .qdivisors import QPair
 
 
@@ -147,19 +148,41 @@ class Model(Value):
 (_model_decls,) = _setters(Model)
 
 
-def _monomial_row(factors: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    """A map's sparse row from a monomial's ``(source index, exponent)`` factors
-    as read: a repeated coordinate's exponents summed, ``^0`` dropped, by
-    increasing index.  Both readers build each row here."""
-    if len(factors) < 2:
-        return () if not factors or not factors[0][1] else (factors[0],)
-    exps = dict(factors)
-    if len(exps) < len(factors):  # a coordinate repeated, as in ``x * x``
-        exps = {}
-        for i, e in factors:
-            exps[i] = exps.get(i, 0) + e
-    row = sorted(exps.items())
-    return tuple([f for f in row if f[1]] if 0 in exps.values() else row)
+# --- declaration builders, one per form derived from what is read ------------
+# A qpair or a corr derives nothing: each reader calls its constructors.
+
+
+def _pair_decl(name: str, chart: Chart, mults: dict[int, int]) -> PairDecl:
+    """A pair from ``{coordinate index: multiplicity}``, 0 where nothing is given."""
+    dense = [0] * len(chart.coords)
+    for i, m in mults.items():
+        dense[i] = m
+    return PairDecl(name, _pair(chart, _divisor(tuple(dense))))  # each read from digits, so past the checks
+
+
+def _map_decl(name: str, src: str, s: Pair, dst: str, d: Pair,
+              monomials: dict[int, list[tuple[int, int]]]) -> MapDecl:
+    """A map from each target index's ``(source index, exponent)`` factors as read."""
+    rows = []
+    for j in range(len(d.chart.coords)):
+        factors = monomials[j]  # made a row: exponents summed per coordinate, ``^0`` dropped, sorted
+        if len(factors) < 2:
+            rows.append(() if not factors or not factors[0][1] else (factors[0],))
+            continue
+        exps = dict(factors)
+        if len(exps) < len(factors):  # a coordinate repeated, as in ``x * x``
+            exps = {}
+            for i, e in factors:
+                exps[i] = exps.get(i, 0) + e
+        row = sorted(exps.items())
+        rows.append(tuple([f for f in row if f[1]] if 0 in exps.values() else row))
+    return MapDecl(name, src, dst, PairMap(_monomial_map(s.chart, d.chart, tuple(rows)), s, d))
+
+
+def _blowup_decl(name: str, pair_name: str, pair: Pair, indices: set[int]) -> BlowupDecl:
+    """A blowup at the center coordinates ``indices``, listed in chart order."""
+    coords = pair.chart.coords
+    return BlowupDecl(name, pair_name, tuple([coords[i] for i in sorted(indices)]), BlowupSpec(pair, indices))
 
 
 # --- statement matcher -------------------------------------------------------
@@ -178,7 +201,8 @@ class _Matcher:
     """The state of one parse, shared by both readers: the declarations so far
     (``decls``), by kind and name (``names``), and one chart with its coordinate
     index per distinct coordinate list (``charts``).  ``match`` reads canonical
-    statements whole; ``accept`` records what it or the token parser reads."""
+    statements whole, built as the token parser's are, by the builders above;
+    ``accept`` records what either reader builds."""
 
     def __init__(self):
         self.decls: list[Decl] = []
@@ -221,20 +245,19 @@ class _Matcher:
     def _index(self, pair: Pair) -> dict[str, int]:
         return self.charts[pair.chart.coords][1]
 
-    # whole statements: each reader builds the declaration the token parser
-    # would; its lookups, of names and of coordinates in a chart's index, and
-    # the value constructors raise on most faults, and it returns None on the
-    # few that nothing else finds, marked by their codes
+    # whole statements: the lookups, of names and of coordinates in a chart's
+    # index, and the value constructors raise on most faults, and a reader
+    # returns None on the few that nothing else finds, marked by their codes
 
     def _whole_pair(self, m) -> Decl | None:
         name, dim, coords, entries = m.groups()
         (chart, index), entries = self._chart(coords[1:]), _ENTRY.findall(entries)  # coords has a leading " "
-        if int(dim) != len(index) or len(dict(entries)) != len(entries):  # E030, E033
-            return None
-        mults = [0] * len(index)
+        mults = {}
         for coord, mult in entries:
             mults[index[coord]] = int(mult)
-        return PairDecl(name, Pair(chart, Divisor(tuple(mults))))
+        if int(dim) != len(index) or len(mults) != len(entries):  # E030, E033
+            return None
+        return _pair_decl(name, chart, mults)
 
     def _whole_map(self, m) -> Decl | None:
         name, src, dst, assigns = m.groups()
@@ -242,13 +265,13 @@ class _Matcher:
         src_index, dst_index, monomials = self._index(s), self._index(d), {}
         for target, coord, exp in _FACTOR.findall(assigns or ""):
             if target:
-                if target not in dst_index or target in monomials:  # E032, E041
+                j = dst_index[target]
+                if j in monomials:  # E041
                     return None
-                factors = monomials[target] = []
+                factors = monomials[j] = []
             if coord:  # "" in the empty monomial 1
                 factors.append((src_index[coord], int(exp or 1)))
-        rows = tuple([_monomial_row(monomials[target]) for target in d.chart.coords])
-        return MapDecl(name, src, dst, PairMap(_monomial_map(s.chart, d.chart, rows), s, d))
+        return _map_decl(name, src, s, dst, d, monomials)
 
     def _whole_corr(self, m) -> Decl | None:
         name, a, b, n_x, n_y, src, dst, points = m.groups()
@@ -268,12 +291,10 @@ class _Matcher:
     def _whole_blowup(self, m) -> Decl | None:
         name, pair_name, center = m.groups()
         pair, center = self.names[PairDecl][pair_name].pair, center.split(", ")
-        index = self._index(pair)
-        indices = {index[c] for c in center}
+        indices = set(map(self._index(pair).__getitem__, center))
         if len(indices) != len(center):  # E071
             return None
-        coords = tuple(pair.chart.coords[i] for i in sorted(indices))
-        return BlowupDecl(name, pair_name, coords, BlowupSpec(pair, frozenset(indices)))
+        return _blowup_decl(name, pair_name, pair, indices)
 
 
 # A statement spelled exactly as ``format_decl`` prints it is matched whole by

@@ -304,7 +304,7 @@ def is_admissible(f: PairMap) -> bool:
 
 def twist(p: Pair, n: int) -> Pair:
     """Multiply the divisor by ``n >= 1``, keeping the chart and the support."""
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError(f"twist level must be a positive integer, got {n!r}")
     return _pair(p.chart, _divisor(tuple(n * m for m in p.divisor.mults)))
 

@@ -65,7 +65,7 @@ def q_eq(a: QPair, b: QPair) -> bool:
 
 def q_transition(q: QPair, m: int) -> QPair:
     """Pass to level ``level * m`` by scaling the integer divisor; value unchanged."""
-    if not isinstance(m, int) or m < 1:
+    if type(m) is not int or m < 1:
         raise ValueError(f"transition factor must be a positive integer, got {m!r}")
     return QPair(q.level * m, twist(q.pair, m))
 

@@ -4,37 +4,38 @@
 module only when the matcher stops before the end of the text.  From there
 the token parser reads one statement at a time, lexing each token as it
 first steps onto it and keeping its offset, and makes every diagnostic.
-After each statement the matcher tries again at the next token.  The
-matcher owns the parse state: the parser looks names and charts up in its
-tables and records each declaration through its ``accept``.
+After each statement the matcher tries again at the next token.  The parser
+reads, resolves and reports, and ``dsl`` builds: names and charts are looked
+up in the matcher's tables, which hold the parse state, and what the parser
+resolved goes to ``dsl``'s builders, then to the matcher's ``accept``.
 """
 
 from __future__ import annotations
 
 import re
 
-from .blowup import BlowupSpec
 from .correspondences import CorrLocalRecord, NonConstantCorr, from_monomial_param
 from .dsl import (
     _SKIP,
     KEYWORDS,
     MAX_INT_DIGITS,
-    BlowupDecl,
     CorrDecl,
+    Decl,
     Diagnostic,
-    MapDecl,
     Model,
     PairDecl,
     QPairDecl,
+    _blowup_decl,
+    _map_decl,
     _Matcher,
-    _monomial_row,
+    _pair_decl,
 )
-from .pairs import Divisor, Pair, PairMap, _monomial_map
+from .pairs import Pair
 from .qdivisors import QPair
 
 # --- lexer -----------------------------------------------------------------
 
-_TOP = tuple(KEYWORDS.values())
+_KINDS = {keyword: kind for kind, keyword in KEYWORDS.items()}
 _PUNCT = frozenset(("->", "<-", "{", "}", "(", ")", ":", ";", ",", "=", "^", "*"))
 
 # One match per token, whitespace and comments skipped inside the match; the
@@ -89,8 +90,8 @@ class _Parser:
     the last ``restart``, each lexed when ``step`` first moves onto it.  The
     lexer's findings go to ``lexer`` and the parser's to ``problems``, each
     as (offset, length, message, code).  The parse state is the ``matcher``'s:
-    names and charts are looked up in its tables and every declaration goes
-    to its ``accept``, so each reader sees what the other has read."""
+    names and charts are looked up in its tables, and every declaration, built
+    by ``dsl``, goes to its ``accept``, so each reader sees what the other read."""
 
     def __init__(self, text: str, matcher: _Matcher):
         self.matcher, self.text, self.toks, self.at, self.lexer, self.problems = matcher, text, [], [], [], []
@@ -148,13 +149,6 @@ class _Parser:
             raise _ParseAbort  # already reported by the lexer (E012)
         return int(tok)
 
-    def fresh_name(self, kind: type) -> str:
-        noun = KEYWORDS[kind]
-        name = self.name(f"a {noun} name")
-        if name in self.matcher.names[kind]:
-            self.fail(self.i - 1, "E020", f"duplicate {noun} name '{name}'")
-        return name
-
     def resolve_pair(self, what: str = "pair") -> tuple[str, Pair, dict[str, int]]:
         """The name, the pair and its chart's coordinate index."""
         name = self.name(f"a {what} name")
@@ -173,21 +167,25 @@ class _Parser:
     # statements
 
     def statement(self):
-        """Read one statement; after a fault, resynchronize at the next declaration."""
+        """Read a keyword and a new name, then the rest by its ``_stmt_*``; after a fault, skip to a keyword."""
         toks = self.toks
         try:
-            if toks[self.i] not in _TOP:
+            keyword = toks[self.i]
+            kind = _KINDS.get(keyword)
+            if kind is None:
                 self.fail(self.i, "E010", "expected a declaration ('pair', 'map', 'corr', "
-                          f"'qpair' or 'blowup'), found {_describe(toks[self.i])}")
-            getattr(self, "_stmt_" + toks[self.i])()
+                          f"'qpair' or 'blowup'), found {_describe(keyword)}")
+            self.step()
+            name = self.name(f"a {keyword} name")
+            if name in self.matcher.names[kind]:
+                self.fail(self.i - 1, "E020", f"duplicate {keyword} name '{name}'")
+            self.matcher.accept(getattr(self, "_stmt_" + keyword)(name))
         except _ParseAbort:
-            while toks[self.i] and toks[self.i] not in _TOP:
+            while toks[self.i] and toks[self.i] not in _KINDS:
                 self.step()
 
-    def _stmt_pair(self):
+    def _stmt_pair(self, name: str) -> Decl:
         toks = self.toks
-        self.step()
-        name = self.fresh_name(PairDecl)
         self.expect("{")
         self.expect("dim")
         dim_at, dim = self.i, self.number("the chart dimension")
@@ -206,31 +204,29 @@ class _Parser:
                 self.fail(at, "E031", f"duplicate coordinate '{coord}'")
             seen.add(coord)
         chart, index = self.matcher._chart(" ".join(coords))
-        mults = [0] * dim
-        assigned: set[int] = set()
+        mults: dict[int, int] = {}
         if toks[self.i] == "divisor":
             self.step()
             self.expect("{")
             while toks[self.i] != "}":
-                if assigned:
+                if mults:
                     self.expect(",", "',' between divisor entries")
                 idx = self.coord(index, "a coordinate name")
-                if idx in assigned:
+                if idx in mults:
                     self.fail(self.i - 1, "E033", f"coordinate '{toks[self.i - 1]}' appears twice in the divisor")
-                assigned.add(idx)
                 self.expect(":")
                 mults[idx] = self.number("a multiplicity")
             self.step()
         self.expect("}", "'}' closing the pair declaration")
-        self.matcher.accept(PairDecl(name, Pair(chart, Divisor(tuple(mults)))))
+        return _pair_decl(name, chart, mults)
 
-    def _monomial(self, index: dict[str, int]) -> tuple[tuple[int, int], ...]:
+    def _monomial(self, index: dict[str, int]) -> list[tuple[int, int]]:
         toks = self.toks
         at = self.i
         if "0" <= toks[at][:1] <= "9":
             if self.number("") != 1:
                 self.fail(at, "E042", "only the literal 1 denotes the empty monomial")
-            return ()
+            return []
         factors = []
         while True:
             idx = self.coord(index, "a source coordinate")
@@ -240,34 +236,30 @@ class _Parser:
                 e = self.number("an exponent")
             factors.append((idx, e))
             if toks[self.i] != "*":
-                return _monomial_row(factors)
+                return factors
             self.step()
 
-    def _stmt_map(self):
+    def _stmt_map(self, name: str) -> Decl:
         toks = self.toks
-        self.step()
-        name = self.fresh_name(MapDecl)
         self.expect(":")
         src_name, src_pair, src_index = self.resolve_pair("source pair")
         self.expect("->")
         dst_name, dst_pair, dst_index = self.resolve_pair("destination pair")
         self.expect("{")
-        rows: dict[int, tuple[tuple[int, int], ...]] = {}
+        monomials: dict[int, list[tuple[int, int]]] = {}
         while toks[self.i] != "}":
             j = self.coord(dst_index, "a target coordinate")
-            if j in rows:
+            if j in monomials:
                 self.fail(self.i - 1, "E041", f"target coordinate '{toks[self.i - 1]}' assigned twice")
             self.expect("<-")
-            rows[j] = self._monomial(src_index)
+            monomials[j] = self._monomial(src_index)
             if toks[self.i] != "}":
                 self.expect(";", "';' between assignments")
         close = self.expect("}")
         for j, cname in enumerate(dst_pair.chart.coords):
-            if j not in rows:
+            if j not in monomials:
                 self.fail(close, "E040", f"map does not assign target coordinate '{cname}'")
-        ordered = tuple(rows[j] for j in range(dst_pair.chart.dim))
-        pair_map = PairMap(_monomial_map(src_pair.chart, dst_pair.chart, ordered), src_pair, dst_pair)
-        self.matcher.accept(MapDecl(name, src_name, dst_name, pair_map))
+        return _map_decl(name, src_name, src_pair, dst_name, dst_pair, monomials)
 
     def _endpoint(self, what: str) -> str:
         name, _, index = self.resolve_pair(what)
@@ -275,10 +267,8 @@ class _Parser:
             self.fail(self.i - 1, "E080", f"correspondence endpoint '{name}' must be a one-dimensional pair")
         return name
 
-    def _stmt_corr(self):
+    def _stmt_corr(self, name: str) -> Decl:
         toks = self.toks
-        self.step()
-        name = self.fresh_name(CorrDecl)
         if toks[self.i] == "monomial":
             self.step()
             self.expect("(")
@@ -290,13 +280,9 @@ class _Parser:
             self.expect(",")
             n_y = self.number("the destination multiplicity")
             self.expect(")")
-            if a < 1:
-                self.fail(a_at, "E052", "parametrization exponents must be positive")
-            if b < 1:
-                self.fail(b_at, "E052", "parametrization exponents must be positive")
-            corr = from_monomial_param(a, b, n_x, n_y)
-            self.matcher.accept(CorrDecl(name, corr, monomial=(a, b, n_x, n_y)))
-            return
+            if a < 1 or b < 1:
+                self.fail(a_at if a < 1 else b_at, "E052", "parametrization exponents must be positive")
+            return CorrDecl(name, from_monomial_param(a, b, n_x, n_y), monomial=(a, b, n_x, n_y))
         self.expect(":", "':' or 'monomial' after the corr name")
         src_name = self._endpoint("source pair")
         self.expect("->")
@@ -329,17 +315,13 @@ class _Parser:
             if toks[self.i] == ";":
                 self.step()
             self.expect("}")
-            if e_x < 1:
-                self.fail(ex_at, "E051", "ramification degrees must be positive")
-            if e_y < 1:
-                self.fail(ey_at, "E051", "ramification degrees must be positive")
+            if e_x < 1 or e_y < 1:
+                self.fail(ex_at if e_x < 1 else ey_at, "E051", "ramification degrees must be positive")
             records.append(CorrLocalRecord(label, n_x, n_y, e_x, e_y))
         self.expect("}")
-        self.matcher.accept(CorrDecl(name, NonConstantCorr(tuple(records)), src=src_name, dst=dst_name))
+        return CorrDecl(name, NonConstantCorr(tuple(records)), src=src_name, dst=dst_name)
 
-    def _stmt_qpair(self):
-        self.step()
-        name = self.fresh_name(QPairDecl)
+    def _stmt_qpair(self, name: str) -> Decl:
         self.expect("=")
         self.expect("(")
         level_at, level = self.i, self.number("the level")
@@ -348,12 +330,10 @@ class _Parser:
         self.expect(")")
         if level < 1:
             self.fail(level_at, "E060", "level must be a positive integer")
-        self.matcher.accept(QPairDecl(name, pair_name, QPair(level, pair)))
+        return QPairDecl(name, pair_name, QPair(level, pair))
 
-    def _stmt_blowup(self):
+    def _stmt_blowup(self, name: str) -> Decl:
         toks = self.toks
-        self.step()
-        name = self.fresh_name(BlowupDecl)
         self.expect("on")
         pair_name, pair, index = self.resolve_pair()
         center_at = self.expect("center")
@@ -369,8 +349,7 @@ class _Parser:
         self.step()
         if not indices:
             self.fail(center_at, "E070", "blowup center must name at least one coordinate")
-        coords = tuple(pair.chart.coords[i] for i in sorted(indices))
-        self.matcher.accept(BlowupDecl(name, pair_name, coords, BlowupSpec(pair, frozenset(indices))))
+        return _blowup_decl(name, pair_name, pair, indices)
 
 
 def read_from(matcher: _Matcher, text: str, start: int) -> Model | list[Diagnostic]:

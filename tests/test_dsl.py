@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modpairs import dsl, tokens
+from modpairs.blowup import BlowupSpec
 from modpairs.correspondences import CorrLocalRecord
 from modpairs.dsl import (
     MAX_INT_DIGITS,
@@ -19,10 +20,11 @@ from modpairs.dsl import (
     PairDecl,
     QPairDecl,
     format_decl,
+    format_diagnostic,
     parse,
     print_model,
 )
-from modpairs.pairs import Chart, Divisor, MonomialMap, Pair
+from modpairs.pairs import Chart, Divisor, MonomialMap, Pair, PairMap
 from modpairs.tokens import _Parser, _place
 from oracles import reference_lex
 from randgen import random_model
@@ -522,6 +524,46 @@ def test_each_check_matches_the_token_path(statement, code):
     result = parse(text)
     assert result == token_parse(text)
     assert [d.code for d in result] == [code] if code else isinstance(result, Model)
+
+
+@pytest.mark.parametrize("keyword, name", [("pair", "X"), ("map", "f"), ("corr", "C"), ("qpair", "Q"), ("blowup", "B")])
+def test_each_keyword_names_its_own_statement(keyword, name):
+    # one statement head serves every form; its messages name the keyword read
+    result = parse(f"{keyword} 1 {{")
+    assert [(format_diagnostic(d), d.length) for d in result] == [
+        (f"1:{len(keyword) + 2}: error: expected a {keyword} name, found integer '1' [E011]", 1)
+    ]
+    result = parse(DEMO + f"{keyword} {name} {{")
+    assert [format_diagnostic(d) for d in result] == [
+        f"8:{len(keyword) + 2}: error: duplicate {keyword} name '{name}' [E020]"
+    ]
+
+
+# Derived forms read out of order: divisor entries, a `: 0` entry, targets, a
+# repeated factor, a `^0` factor, the monomial 1 and a center.
+BUILT = """\
+pair S { dim 3; coords x y z; divisor {z: 2, x: 1, y: 0} }
+pair T { dim 3; coords u v w; divisor {} }
+map f : S -> T { w <- 1; u <- z^0; v <- y * x^2 * y }
+blowup B on S center { z, x }
+"""
+
+
+@pytest.mark.parametrize("text, read", [(BUILT, len(BUILT)), (BUILT.replace(" ", "  "), 0)],
+                         ids=["canonical", "hand-spelled"])
+def test_each_reader_builds_what_the_constructors_build(text, read):
+    # both readers share one builder per derived form, so each is checked
+    # against the public constructors with a dense exponent matrix
+    assert dsl._Matcher().match(text) == read  # the matcher reads all of it, or the token parser does
+    s = Pair(Chart(("x", "y", "z")), Divisor((1, 0, 2)))
+    t = Pair(Chart(("u", "v", "w")), Divisor((0, 0, 0)))
+    f = PairMap(MonomialMap(s.chart, t.chart, ((0, 0, 0), (2, 2, 0), (0, 0, 0))), s, t)
+    assert parsed(text).decls == (
+        PairDecl("S", s),
+        PairDecl("T", t),
+        MapDecl("f", "S", "T", f),
+        BlowupDecl("B", "S", ("x", "z"), BlowupSpec(s, frozenset({0, 2}))),
+    )
 
 
 def test_a_duplicate_pair_keeps_the_first_coordinates():

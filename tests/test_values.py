@@ -30,7 +30,7 @@ from modpairs.cli import Report
 from modpairs.correspondences import ConstantCorr, CorrLocalRecord, NonConstantCorr
 from modpairs.dsl import BlowupDecl, CorrDecl, Diagnostic, MapDecl, Model, PairDecl, QPairDecl, parse, print_model
 from modpairs.pairs import Chart, Divisor, MonomialMap, Pair, PairMap, StructureError, compose, pullback, twist
-from modpairs.qdivisors import QPair, cube, q_eq, q_rationals
+from modpairs.qdivisors import QPair, cube, q_eq, q_rationals, q_transition
 from randgen import random_model
 
 EXAMPLE = Path(__file__).parent.parent / "scripts" / "example.lp"
@@ -303,8 +303,10 @@ def test_validation_is_unchanged(make, message):
         (lambda x: CorrLocalRecord("a", 1, x, 1, 1), "divisor coefficients must be non-negative"),
         (lambda x: CorrLocalRecord("a", 1, 1, x, 1), "ramification degrees must be positive"),
         (lambda x: CorrLocalRecord("a", 1, 1, 1, x), "ramification degrees must be positive"),
+        (lambda x: BlowupSpec(Pair(PLANE, Divisor((1, 1))), {x}),
+         "center index {!r} out of range for a chart of dimension 2"),
     ],
-    ids=["Divisor", "MonomialMap", "QPair", "n_x", "n_y", "e_x", "e_y"],
+    ids=["Divisor", "MonomialMap", "QPair", "n_x", "n_y", "e_x", "e_y", "BlowupSpec"],
 )
 def test_integer_fields_take_exact_ints_only(make, message, bad):
     # a bool would print as True, which the DSL cannot read back; a float or a str is no integer
@@ -341,6 +343,9 @@ def test_no_integer_field_breaks_the_round_trip(values):
         (lambda: Divisor((1,)).scaled(-1), StructureError, "multiplicities must be non-negative integers, got -1"),
         (lambda: Divisor((1,)).scaled(1.5), StructureError, "multiplicities must be non-negative integers, got 1.5"),
         (lambda: twist(Pair(LINE, Divisor((1,))), 0), ValueError, "twist level must be a positive integer, got 0"),
+        (lambda: twist(Pair(LINE, Divisor((1,))), True), ValueError, "twist level must be a positive integer, got True"),
+        (lambda: q_transition(QPair(1, Pair(LINE, Divisor((1,)))), True), ValueError,
+         "transition factor must be a positive integer, got True"),
         (lambda: pullback(MonomialMap(LINE, PLANE, [[1], [1]]), Divisor((1,))), StructureError,
          "divisor has 1 entries for a target of dimension 2"),
         (lambda: compose(MonomialMap(LINE, PLANE, [[1], [1]]), MonomialMap(LINE, PLANE, [[1], [1]])), StructureError,
@@ -353,8 +358,8 @@ def test_no_integer_field_breaks_the_round_trip(values):
         (lambda: q_eq(QPair(1, Pair(LINE, Divisor((1,)))), QPair(1, Pair(OTHER, Divisor((1,))))),
          StructureError, "cannot compare levelled divisors on different charts"),
     ],
-    ids=["scaled-negative", "scaled-fraction", "twist-zero", "pullback-length", "compose-mismatch",
-         "cube-collision", "cube-empty", "cube-bool", "q_eq-charts"],
+    ids=["scaled-negative", "scaled-fraction", "twist-zero", "twist-bool", "q_transition-bool", "pullback-length",
+         "compose-mismatch", "cube-collision", "cube-empty", "cube-bool", "q_eq-charts"],
 )
 def test_kernels_keep_their_checks(make, error, message):
     with pytest.raises(error) as info:
