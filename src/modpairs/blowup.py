@@ -45,7 +45,9 @@ class BlowupSpec(Value):
         if not center:
             raise StructureError("blowup center must name at least one coordinate")
         for i in center:
-            if type(i) is not int or not 0 <= i < pair.chart.dim:
+            if type(i) is not int:
+                raise StructureError(f"center indices must be integers, got {i!r}")
+            if not 0 <= i < pair.chart.dim:
                 raise StructureError(
                     f"center index {i!r} out of range for a chart of dimension {pair.chart.dim}"
                 )

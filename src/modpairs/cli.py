@@ -13,7 +13,10 @@ Human text is written with ``backslashreplace``, as Python writes stderr, so
 a name the output encoding cannot hold is escaped, not a fault.
 
 ``main`` pauses the cyclic garbage collector for its run and restores it as
-it found it; ``run_command`` and the other library functions never touch it.
+it found it.  ``entry``, the process entry point (``python -m modpairs``,
+``python -m modpairs.cli`` and the installed ``modpairs`` script), runs
+``main`` and then freezes the collector before the interpreter exits;
+``run_command`` and the other library functions never touch it.
 """
 
 from __future__ import annotations
@@ -296,7 +299,7 @@ def _read_model_text(path: str) -> str:
 def main(argv=None) -> int:
     # A run builds only immutable trees without reference cycles, which
     # reference counting frees, so collector passes would reclaim nothing.
-    # Only main pauses it, since only main owns the process.
+    # Only main pauses it, and restores it, so an in-process caller keeps its own.
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -315,6 +318,20 @@ def main(argv=None) -> int:
     except OSError:
         return EXIT_IOERR
     return status
+
+
+def entry():
+    """Run ``main`` as a process: its status is the exit status.
+
+    Only the process's entry point freezes the collector: every object still
+    alive moves into the permanent generation, which the interpreter's
+    shutdown collections skip, and the OS reclaims it as on any exit.  It
+    leaves through ``sys.exit``, so ``atexit`` handlers and a tool wrapping
+    the run, such as a profiler, still run.
+    """
+    status = main()
+    gc.freeze()
+    sys.exit(status)
 
 
 def _read_argv(argv: list[str]) -> tuple[list[str], str, bool] | None:
@@ -421,4 +438,4 @@ def _write(stream, text: str):
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -1,5 +1,6 @@
 import errno
 import gc
+import importlib
 import io
 import json
 import os
@@ -28,6 +29,7 @@ from modpairs.cli import (
     Report,
     _parser,
     _read_argv,
+    entry,
     main,
     run_command,
 )
@@ -405,12 +407,13 @@ class TestMain:
         assert len(out) >= 10
 
 
-def _cli(argv: list[str], stdout, *, stdin=None, stderr=subprocess.PIPE, preexec_fn=None, **env) -> subprocess.Popen:
-    """``python -m modpairs argv`` in a child process, without a shell; an
-    ``env`` value of None removes the variable."""
+def _cli(argv: list[str], stdout, *, stdin=None, stderr=subprocess.PIPE, preexec_fn=None, run=("-m", "modpairs"),
+         **env) -> subprocess.Popen:
+    """``python -m modpairs argv``, or ``python *run argv``, in a child process,
+    without a shell; an ``env`` value of None removes the variable."""
     src = str(Path(modpairs.__file__).resolve().parents[1])
     env = {k: v for k, v in dict(os.environ, PYTHONPATH=src, **env).items() if v is not None}
-    return subprocess.Popen([sys.executable, "-m", "modpairs", *argv], stdin=stdin, stdout=stdout, stderr=stderr,
+    return subprocess.Popen([sys.executable, *run, *argv], stdin=stdin, stdout=stdout, stderr=stderr,
                             preexec_fn=preexec_fn, env=env)
 
 
@@ -530,6 +533,52 @@ class TestOutput:
         out, err = child.communicate()
         assert (child.returncode, err) == (EXIT_OK, b"")
         assert out == b"command: check-admissible f\nmap: map f : P -> P { \\xe9 <- \\xe9 }\nadmissible: true\n"
+
+
+def _ran(argv: list[str], run=("-m", "modpairs")) -> tuple[int, bytes, bytes]:
+    """(status, stdout, stderr) of ``_cli(argv, run=run)`` run to its end."""
+    child = _cli(argv, subprocess.PIPE, stdin=subprocess.DEVNULL, run=run)
+    out, err = child.communicate()
+    return child.returncode, out, err
+
+
+# modpairs run as __main__ under a wrapper that registered an atexit handler first
+_WRAPPED = """\
+import atexit, gc, runpy, sys
+atexit.register(lambda: sys.stderr.write(f"atexit: frozen {gc.get_freeze_count() > 0}\\n"))
+runpy.run_module("modpairs", run_name="__main__")
+"""
+_TWIST = ["twist", "X", "2", "--model", str(EXAMPLE), "--machine"]
+_CHECK_ALL = ["check-all", "--model", str(EXAMPLE), "--machine"]
+
+
+class TestEntry:
+    """Every process start goes through ``cli.entry``: ``main``, then a frozen
+    collector, then ``sys.exit``, so what wraps the run still sees its end."""
+
+    @pytest.mark.parametrize("argv", [_TWIST, _CHECK_ALL], ids=["twist", "check-all"])
+    def test_atexit_handlers_run_after_the_freeze(self, argv):
+        status, out, err = _ran(argv, run=("-c", _WRAPPED))
+        assert (status, out, err) == (*_ran(argv)[:2], b"atexit: frozen True\n")
+
+    def test_a_profiler_prints_after_the_answer(self):
+        _, out, err = _ran(_TWIST, run=("-m", "cProfile", "-m", "modpairs"))  # cProfile's own status
+        answer, profile = out.split(b"\n", 1)
+        assert (answer + b"\n", err) == (_ran(_TWIST)[1], b"")
+        assert b"function calls" in profile.splitlines()[0]
+
+    @pytest.mark.parametrize("argv", [_TWIST, _CHECK_ALL], ids=["twist", "check-all"])
+    def test_the_cli_module_runs_as_the_package_does(self, argv):
+        assert _ran(argv, run=("-m", "modpairs.cli")) == _ran(argv)
+
+    def test_dev_mode_shutdown_is_quiet(self):
+        golden = (GOLDEN_DIR / "check_all_example.jsonl").read_bytes()
+        assert _ran(_CHECK_ALL, run=("-X", "dev", "-m", "modpairs")) == (EXIT_FALSE, golden, b"")
+
+    def test_the_installed_script_is_the_entry(self):
+        script = re.search(r'^modpairs = "(.+)"$', (README.parent / "pyproject.toml").read_text(), re.M)
+        module, _, name = script.group(1).partition(":")
+        assert getattr(importlib.import_module(module), name) is entry
 
 
 # the names of DEMO that each verb accepts
@@ -788,14 +837,15 @@ def test_main_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch, enabled
     path.write_text(DEMO)
     if fault:
         monkeypatch.setattr("modpairs.cli.run_command", _raise_in_run_command)
-    was = gc.isenabled()
+    was, frozen = gc.isenabled(), gc.get_freeze_count()
     (gc.enable if enabled else gc.disable)()
     try:
         try:
             got, _ = _main_out([*argv, "--model", str(path)])
         except SystemExit as exc:  # argparse prints help
             got = exc.code
-        assert (got, gc.isenabled()) == (status, enabled)
+        # only the process entry freezes, never main
+        assert (got, gc.isenabled(), gc.get_freeze_count()) == (status, enabled, frozen)
     finally:
         (gc.enable if was else gc.disable)()
 

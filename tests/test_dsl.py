@@ -539,6 +539,38 @@ def test_each_keyword_names_its_own_statement(keyword, name):
     ]
 
 
+_LINE = "pair X { dim 1; coords t; }\n"
+_POINT = "point a { nx 1; ny 1; ex 1; ey 1 }"
+
+
+@pytest.mark.parametrize("text, line", [
+    ("foo", "1:1: error: expected a declaration ('pair', 'map', 'corr', 'qpair' or 'blowup'), found name 'foo' [E010]"),
+    ("pair X { dim 2; coords t; }", "1:14: error: dim 2 does not match the 1 declared coordinate(s) [E030]"),
+    ("pair X { dim 2; coords t t; }", "1:26: error: duplicate coordinate 't' [E031]"),
+    ("map f : Q -> Q { }", "1:9: error: unknown pair 'Q' [E021]"),
+    ("pair X { dim 1; coords t; divisor {s: 1} }", "1:36: error: unknown coordinate 's' [E032]"),
+    ("pair X { dim 1; coords t; divisor {t: 1, t: 2} }",
+     "1:42: error: coordinate 't' appears twice in the divisor [E033]"),
+    (_LINE + "map f : X -> X { }", "2:18: error: map does not assign target coordinate 't' [E040]"),
+    (_LINE + "map f : X -> X { t <- t; t <- t }", "2:26: error: target coordinate 't' assigned twice [E041]"),
+    (_LINE + "map f : X -> X { t <- 2 }", "2:23: error: only the literal 1 denotes the empty monomial [E042]"),
+    (_LINE + f"corr C : X -> X {{ {_POINT} {_POINT} }}", "2:60: error: duplicate point label 'a' [E050]"),
+    (_LINE + "corr C : X -> X { point a { nx 1; ny 1; ex 0; ey 1 } }",
+     "2:44: error: ramification degrees must be positive [E051]"),
+    ("corr C monomial(0, 1, 1, 1)", "1:17: error: parametrization exponents must be positive [E052]"),
+    ("corr C monomial(1, 0, 1, 1)", "1:20: error: parametrization exponents must be positive [E052]"),
+    (_LINE + "qpair Q = (0, X)", "2:12: error: level must be a positive integer [E060]"),
+    (_LINE + "blowup B on X center { }", "2:15: error: blowup center must name at least one coordinate [E070]"),
+    (_LINE + "blowup B on X center { t, t }", "2:27: error: coordinate 't' appears twice in the center [E071]"),
+    ("pair X { dim 2; coords s t; }\ncorr C : X -> X { }",
+     "2:10: error: correspondence endpoint 'X' must be a one-dimensional pair [E080]"),
+], ids=["E010", "E021", "E030", "E031", "E032", "E033", "E040", "E041", "E042", "E050", "E051", "E052-first",
+        "E052-second", "E060", "E070", "E071", "E080"])
+def test_each_diagnostic_says_what_it_found(text, line):
+    # expected.json holds only (code, line, column); this pins the words too
+    assert [format_diagnostic(d) for d in parse(text)] == [line]
+
+
 # Derived forms read out of order: divisor entries, a `: 0` entry, targets, a
 # repeated factor, a `^0` factor, the monomial 1 and a center.
 BUILT = """\

@@ -277,6 +277,10 @@ LINE, PLANE, OTHER = Chart(("x",)), Chart(("x", "y")), Chart(("y",))
          "exponent matrix has 1 rows for a target of dimension 0"),
         (lambda: BlowupSpec(Pair(Chart(("x",)), Divisor((1,))), ()),
          "blowup center must name at least one coordinate"),
+        # an int center index out of range keeps the range message
+        (lambda: BlowupSpec(Pair(PLANE, Divisor((1, 1))), {2}), "center index 2 out of range for a chart of dimension 2"),
+        (lambda: BlowupSpec(Pair(PLANE, Divisor((1, 1))), {-1}),
+         "center index -1 out of range for a chart of dimension 2"),
         (lambda: CorrLocalRecord("a", 1, 1, 0, 1), "ramification degrees must be positive"),
         (lambda: NonConstantCorr([CorrLocalRecord("a", 1, 1, 1, 1)] * 2), "record labels must be distinct"),
         (lambda: QPair(0, Pair(Chart(()), Divisor(()))), "level must be a positive integer, got 0"),
@@ -303,8 +307,7 @@ def test_validation_is_unchanged(make, message):
         (lambda x: CorrLocalRecord("a", 1, x, 1, 1), "divisor coefficients must be non-negative"),
         (lambda x: CorrLocalRecord("a", 1, 1, x, 1), "ramification degrees must be positive"),
         (lambda x: CorrLocalRecord("a", 1, 1, 1, x), "ramification degrees must be positive"),
-        (lambda x: BlowupSpec(Pair(PLANE, Divisor((1, 1))), {x}),
-         "center index {!r} out of range for a chart of dimension 2"),
+        (lambda x: BlowupSpec(Pair(PLANE, Divisor((1, 1))), {x}), "center indices must be integers, got {!r}"),
     ],
     ids=["Divisor", "MonomialMap", "QPair", "n_x", "n_y", "e_x", "e_y", "BlowupSpec"],
 )
