@@ -1,8 +1,7 @@
 """Text format for declaring pairs, maps, correspondences, levelled pairs and blowups.
 
 Grammar, one declaration per statement, ``#`` starting a line comment,
-whitespace insensitive, all integers non-negative and written with at most
-``MAX_INT_DIGITS`` ASCII digits::
+whitespace insensitive::
 
     pair NAME { dim INT; coords a b c; divisor {a: INT, ...} }
     map NAME : SRC -> DST { y <- x1^2 * x2; ... }
@@ -10,6 +9,12 @@ whitespace insensitive, all integers non-negative and written with at most
     corr NAME monomial(A, B, NX, NY)
     qpair NAME = (LEVEL, PAIR)
     blowup NAME on PAIR center { a, b }
+
+A name (NAME, SRC, DST, PAIR, a coordinate) is a letter, Unicode included,
+or ``_``, then word characters; an integer literal (INT, A, LEVEL, ...) is
+ASCII digits, at most ``MAX_INT_DIGITS`` of them; a point LABEL is a name or
+an integer literal.  The matcher reads only names led by an ASCII letter or
+``_``, and the token parser every other name.
 
 Names are unique per namespace and references resolve to earlier
 declarations.  The parser recovers at statement boundaries, so one run
@@ -297,10 +302,17 @@ class _Matcher:
         return _blowup_decl(name, pair_name, pair, indices)
 
 
+def _is_name(word: str) -> bool:
+    """The name rule, which the lexer applies to every word (a run of ``\\w``,
+    ``str.isalnum()`` or ``_``): a letter, Unicode included, or ``_`` first."""
+    return word[0].isalpha() or word[0] == "_"
+
+
 # A statement spelled exactly as ``format_decl`` prints it is matched whole by
 # one pattern per form, which also takes the blanks and comments after it.
-# Names start with an ASCII letter or ``_``, and a literal longer than
-# MAX_INT_DIGITS fails the pattern at the piece after it.
+# ``_N`` and ``_I`` are the matcher's ASCII fast-path subset of the names and
+# literals above: any other name, or a literal longer than MAX_INT_DIGITS,
+# fails the pattern, and the token parser reads the statement.
 
 _N = r"[A-Za-z_]\w*"
 _I = rf"[0-9]{{1,{MAX_INT_DIGITS}}}"

@@ -104,12 +104,6 @@ class Chart(Value):
     def dim(self) -> int:
         return len(self.coords)
 
-    def index(self, name: str) -> int:
-        try:
-            return self.coords.index(name)
-        except ValueError:
-            raise StructureError(f"chart has no coordinate {name!r}") from None
-
 
 (_chart_coords,) = _setters(Chart)
 

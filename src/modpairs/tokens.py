@@ -26,6 +26,7 @@ from .dsl import (
     PairDecl,
     QPairDecl,
     _blowup_decl,
+    _is_name,
     _map_decl,
     _Matcher,
     _pair_decl,
@@ -36,22 +37,17 @@ from .qdivisors import QPair
 # --- lexer -----------------------------------------------------------------
 
 _KINDS = {keyword: kind for kind, keyword in KEYWORDS.items()}
-_PUNCT = frozenset(("->", "<-", "{", "}", "(", ")", ":", ";", ",", "=", "^", "*"))
 
 # One match per token, whitespace and comments skipped inside the match; the
-# text of a token is the only group, and the empty end of the text is the
-# last match.  ``\w`` is exactly ``str.isalnum()`` plus ``_``.  A single
-# character outside a word is punctuation or a stray character.
-_TOKEN = re.compile(_SKIP + r"(->|<-|[0-9]+|\w+|.|\Z)", re.DOTALL)
-
-
-def _plain(tok: str) -> bool:
-    """Kept as it is: the end, punctuation, a name or a literal within the bound."""
-    first = tok[:1]
-    return (
-        tok in _PUNCT or first.isalpha() or first == "_" or not tok
-        or ("0" <= first <= "9" and len(tok) <= MAX_INT_DIGITS)
-    )
+# empty end of the text is the last match.  The group that matched classes the
+# token: punctuation, an integer literal (ASCII digits), a word (``\w``, exactly
+# ``str.isalnum()`` plus ``_``; a name or not), a stray character or the end.
+_TOKEN = re.compile(
+    _SKIP + r"(?:(?P<punct>->|<-|[{}():;,=^*])|(?P<int>[0-9]+)|(?P<word>\w+)|(?P<stray>.)|(?P<end>\Z))",
+    re.DOTALL,
+)
+# how a diagnostic shows a token of each class the lexer keeps
+_SHOWN = {"end": "end of input", "punct": "'{}'", "int": "integer '{}'", "name": "name '{}'"}
 
 
 def _place(text: str, found: list) -> list[Diagnostic]:
@@ -67,16 +63,6 @@ def _place(text: str, found: list) -> list[Diagnostic]:
     return [Diagnostic("error", *where[offset], *rest) for offset, *rest in found]
 
 
-def _describe(tok: str) -> str:
-    if not tok:
-        return "end of input"
-    if tok in _PUNCT:
-        return f"'{tok}'"
-    if "0" <= tok[0] <= "9":
-        return f"integer '{tok}'"
-    return f"name '{tok}'"
-
-
 # --- parser ----------------------------------------------------------------
 
 class _ParseAbort(Exception):
@@ -86,79 +72,86 @@ class _ParseAbort(Exception):
 class _Parser:
     """Reads the token texts by index; ``i`` never moves past the end ("").
 
-    ``toks`` and ``at`` hold the texts and offsets of the tokens lexed since
-    the last ``restart``, each lexed when ``step`` first moves onto it.  The
+    ``toks``, ``at`` and ``classes`` hold the texts, offsets and classes
+    ("punct", "int", "name" or "end") of the tokens lexed since the last
+    ``restart``, each lexed when ``step`` first moves onto it.  The
     lexer's findings go to ``lexer`` and the parser's to ``problems``, each
     as (offset, length, message, code).  The parse state is the ``matcher``'s:
     names and charts are looked up in its tables, and every declaration, built
     by ``dsl``, goes to its ``accept``, so each reader sees what the other read."""
 
     def __init__(self, text: str, matcher: _Matcher):
-        self.matcher, self.text, self.toks, self.at, self.lexer, self.problems = matcher, text, [], [], [], []
+        self.matcher, self.text, self.lexer, self.problems = matcher, text, [], []
+        self.toks, self.at, self.classes = [], [], []
 
     def restart(self, pos: int):
         """Read on from the token at ``pos``, forgetting the tokens before it."""
-        self.toks.clear()
-        self.at.clear()
-        self.i, self.pos = -1, pos
+        self.toks, self.at, self.classes, self.i, self.pos = [], [], [], -1, pos
         self.step()
 
     def step(self):
         """Move to the next token, lexing it when ``i`` reaches the end of ``toks``.
-        An over-long literal is reported and kept as a token.  A stray character,
-        or the numeral leading a word such as ``²x``, is reported and the text is
-        lexed on from the character after it."""
+        A word is a name by ``dsl``'s name rule.  An over-long literal is
+        reported and kept as a token.  A stray character, or the one leading a
+        word that is not a name, such as the numeral of ``²x``, is reported and
+        the text is lexed on from the character after it."""
         self.i += 1
         while self.i == len(self.toks):
             m = _TOKEN.match(self.text, self.pos)
-            tok, start, self.pos = m[1], m.start(1), m.end()
-            if not _plain(tok):
-                if not "0" <= tok[0] <= "9":
-                    self.lexer.append((start, 1, f"unexpected character {tok[0]!r}", "E001"))
-                    self.pos = start + 1
-                    continue
+            cls = m.lastgroup
+            tok, start, self.pos = m[cls], m.start(cls), m.end()
+            if cls == "word":
+                cls = "name" if _is_name(tok) else "stray"
+            if cls == "stray":
+                self.lexer.append((start, 1, f"unexpected character {tok[0]!r}", "E001"))
+                self.pos = start + 1
+                continue
+            if cls == "int" and len(tok) > MAX_INT_DIGITS:
                 self.lexer.append((start, len(tok), f"integer literal longer than {MAX_INT_DIGITS} digits", "E012"))
             self.toks.append(tok)
             self.at.append(start)
+            self.classes.append(cls)
 
     def fail(self, at: int, code: str, message: str):
         self.problems.append((self.at[at], len(self.toks[at]), message, code))
         raise _ParseAbort
 
+    def found(self) -> str:
+        """The current token as a diagnostic shows it, by its class."""
+        return _SHOWN[self.classes[self.i]].format(self.toks[self.i])
+
     def expect(self, text: str, what: str = "") -> int:
         """Step over the punctuation or keyword ``text``; its index."""
         at = self.i
         if self.toks[at] != text:
-            self.fail(at, "E011", f"expected {what or repr(text)}, found {_describe(self.toks[at])}")
+            self.fail(at, "E011", f"expected {what or repr(text)}, found {self.found()}")
         self.step()
         return at
 
-    def name(self, what: str) -> str:
-        tok = self.toks[self.i]
-        if not (tok[:1].isalpha() or tok[:1] == "_"):
-            self.fail(self.i, "E011", f"expected {what}, found {_describe(tok)}")
+    def take(self, cls: str, what: str) -> str:
+        """Step over a token of the class ``cls``; its text."""
+        at = self.i
+        if self.classes[at] != cls:
+            self.fail(at, "E011", f"expected {what}, found {self.found()}")
         self.step()
-        return tok
+        return self.toks[at]
 
     def number(self, what: str) -> int:
-        tok = self.toks[self.i]
-        if not "0" <= tok[:1] <= "9":
-            self.fail(self.i, "E011", f"expected {what}, found {_describe(tok)}")
-        self.step()
+        tok = self.take("int", what)
         if len(tok) > MAX_INT_DIGITS:
             raise _ParseAbort  # already reported by the lexer (E012)
         return int(tok)
 
     def resolve_pair(self, what: str = "pair") -> tuple[str, Pair, dict[str, int]]:
         """The name, the pair and its chart's coordinate index."""
-        name = self.name(f"a {what} name")
+        name = self.take("name", f"a {what} name")
         decl = self.matcher.names[PairDecl].get(name)
         if decl is None:
             self.fail(self.i - 1, "E021", f"unknown pair '{name}'")
         return name, decl.pair, self.matcher._index(decl.pair)
 
     def coord(self, index: dict[str, int], what: str) -> int:
-        name = self.name(what)
+        name = self.take("name", what)
         idx = index.get(name)
         if idx is None:
             self.fail(self.i - 1, "E032", f"unknown coordinate '{name}'")
@@ -174,9 +167,9 @@ class _Parser:
             kind = _KINDS.get(keyword)
             if kind is None:
                 self.fail(self.i, "E010", "expected a declaration ('pair', 'map', 'corr', "
-                          f"'qpair' or 'blowup'), found {_describe(keyword)}")
+                          f"'qpair' or 'blowup'), found {self.found()}")
             self.step()
-            name = self.name(f"a {keyword} name")
+            name = self.take("name", f"a {keyword} name")
             if name in self.matcher.names[kind]:
                 self.fail(self.i - 1, "E020", f"duplicate {keyword} name '{name}'")
             self.matcher.accept(getattr(self, "_stmt_" + keyword)(name))
@@ -185,14 +178,14 @@ class _Parser:
                 self.step()
 
     def _stmt_pair(self, name: str) -> Decl:
-        toks = self.toks
+        toks, classes = self.toks, self.classes
         self.expect("{")
         self.expect("dim")
         dim_at, dim = self.i, self.number("the chart dimension")
         self.expect(";")
         self.expect("coords")
         first = self.i
-        while toks[self.i][:1].isalpha() or toks[self.i][:1] == "_":
+        while classes[self.i] == "name":
             self.step()
         coords = tuple(toks[first:self.i])
         self.expect(";", "';' after the coordinate list")
@@ -223,7 +216,7 @@ class _Parser:
     def _monomial(self, index: dict[str, int]) -> list[tuple[int, int]]:
         toks = self.toks
         at = self.i
-        if "0" <= toks[at][:1] <= "9":
+        if self.classes[at] == "int":
             if self.number("") != 1:
                 self.fail(at, "E042", "only the literal 1 denotes the empty monomial")
             return []
@@ -294,8 +287,8 @@ class _Parser:
             self.step()
             at = self.i
             label = toks[at]
-            if not label or label in _PUNCT:
-                self.fail(at, "E011", f"expected a point label, found {_describe(label)}")
+            if self.classes[at] not in ("name", "int"):
+                self.fail(at, "E011", f"expected a point label, found {self.found()}")
             self.step()
             if label in labels:
                 self.fail(at, "E050", f"duplicate point label '{label}'")

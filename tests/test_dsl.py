@@ -564,8 +564,13 @@ _POINT = "point a { nx 1; ny 1; ex 1; ey 1 }"
     (_LINE + "blowup B on X center { t, t }", "2:27: error: coordinate 't' appears twice in the center [E071]"),
     ("pair X { dim 2; coords s t; }\ncorr C : X -> X { }",
      "2:10: error: correspondence endpoint 'X' must be a one-dimensional pair [E080]"),
+    # E011 names what it found by the token's class: punctuation, a literal, the end
+    (_LINE + "corr C : X -> X { point { nx 1; ny 1; ex 1; ey 1 } }",
+     "2:25: error: expected a point label, found '{' [E011]"),
+    ("pair X { dim 1; coords 1; }", "1:24: error: expected ';' after the coordinate list, found integer '1' [E011]"),
+    ("pair X {", "1:9: error: expected 'dim', found end of input [E011]"),
 ], ids=["E010", "E021", "E030", "E031", "E032", "E033", "E040", "E041", "E042", "E050", "E051", "E052-first",
-        "E052-second", "E060", "E070", "E071", "E080"])
+        "E052-second", "E060", "E070", "E071", "E080", "E011-punctuation", "E011-literal", "E011-end"])
 def test_each_diagnostic_says_what_it_found(text, line):
     # expected.json holds only (code, line, column); this pins the words too
     assert [format_diagnostic(d) for d in parse(text)] == [line]
