@@ -12,11 +12,11 @@ UTF-8 with universal newlines, whatever the locale.
 Human text is written with ``backslashreplace``, as Python writes stderr, so
 a name the output encoding cannot hold is escaped, not a fault.
 
-``main`` pauses the cyclic garbage collector for its run and restores it as
-it found it.  ``entry``, the process entry point (``python -m modpairs``,
-``python -m modpairs.cli`` and the installed ``modpairs`` script), runs
-``main`` and then freezes the collector before the interpreter exits;
-``run_command`` and the other library functions never touch it.
+``entry``, the process entry point (``python -m modpairs``, ``python -m
+modpairs.cli`` and the installed ``modpairs`` script), is the one owner of
+the cyclic garbage collector: it turns it off, runs ``main`` and freezes it
+before the interpreter exits.  ``main``, ``run_command`` and the other
+library functions never touch it.
 """
 
 from __future__ import annotations
@@ -285,30 +285,24 @@ def run_command(model: Model, command) -> Report:
 
 
 def _read_model_text(path: str) -> str:
+    """A file's or stdin's bytes in strict UTF-8, every line ending read as a newline."""
     if path != "-":
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
-    if sys.stdin is None:  # the descriptor was closed when the process started
+        with open(path, "rb") as handle:
+            text = handle.read().decode("utf-8")
+    elif sys.stdin is None:  # the descriptor was closed when the process started
         raise OSError(errno.EBADF, "Bad file descriptor")
-    binary = getattr(sys.stdin, "buffer", None)
-    if binary is None:  # text kept in memory
-        return sys.stdin.read()
-    return binary.read().decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    elif getattr(sys.stdin, "buffer", None) is None:  # text kept in memory
+        text = sys.stdin.read()
+    else:
+        text = sys.stdin.buffer.read().decode("utf-8")
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def main(argv=None) -> int:
-    # A run builds only immutable trees without reference cycles, which
-    # reference counting frees, so collector passes would reclaim nothing.
-    # Only main pauses it, and restores it, so an in-process caller keeps its own.
-    enabled = gc.isenabled()
-    gc.disable()
     try:
         status, out, err = _main(argv)
     except Exception as exc:  # a fault in modpairs, which must not read as a verdict
         status, out, err = EXIT_INTERNAL, "", f"error: internal error: {exc!r}\n"
-    finally:
-        if enabled:
-            gc.enable()
     try:
         _write(sys.stdout, out)
     except OSError as exc:  # a closed pipe or a full disk
@@ -323,12 +317,14 @@ def main(argv=None) -> int:
 def entry():
     """Run ``main`` as a process: its status is the exit status.
 
-    Only the process's entry point freezes the collector: every object still
-    alive moves into the permanent generation, which the interpreter's
-    shutdown collections skip, and the OS reclaims it as on any exit.  It
-    leaves through ``sys.exit``, so ``atexit`` handlers and a tool wrapping
-    the run, such as a profiler, still run.
+    A run builds only immutable trees without reference cycles, which
+    reference counting frees, so the collector is off for it and never turned
+    back on.  Then every object still alive moves into the permanent
+    generation, which the interpreter's shutdown collections skip, and the OS
+    reclaims it as on any exit.  It leaves through ``sys.exit``, so ``atexit``
+    handlers and a tool wrapping the run, such as a profiler, still run.
     """
+    gc.disable()
     status = main()
     gc.freeze()
     sys.exit(status)

@@ -12,9 +12,10 @@ whitespace insensitive::
 
 A name (NAME, SRC, DST, PAIR, a coordinate) is a letter, Unicode included,
 or ``_``, then word characters; an integer literal (INT, A, LEVEL, ...) is
-ASCII digits, at most ``MAX_INT_DIGITS`` of them; a point LABEL is a name or
-an integer literal.  The matcher reads only names led by an ASCII letter or
-``_``, and the token parser every other name.
+ASCII digits, at most ``MAX_INT_DIGITS`` (300) of them, so that every answer
+converts to text under any digit limit Python accepts; a point LABEL is a
+name or an integer literal.  The matcher reads only names led by an ASCII
+letter or ``_``, and the token parser every other name.
 
 Names are unique per namespace and references resolve to earlier
 declarations.  The parser recovers at statement boundaries, so one run
@@ -192,10 +193,14 @@ def _blowup_decl(name: str, pair_name: str, pair: Pair, indices: set[int]) -> Bl
 
 # --- statement matcher -------------------------------------------------------
 
-# Longer literals are rejected (E012): every number derived from two of them
-# (a product, a ceiling ratio) then stays within Python's default limit of
-# 4 300 digits on int/str conversion.
-MAX_INT_DIGITS = 1000
+# Longer literals are rejected (E012).  Python refuses int/str conversion past
+# ``sys.get_int_max_str_digits()``, which no setting can bring below
+# ``sys.int_info.str_digits_check_threshold``, 640 digits.  Every number that
+# ``parse`` or the CLI converts or prints is a literal or at most a sum of
+# products of two literals (a pullback multiplicity, a twist, a ceiling ratio,
+# a corr twist, an exceptional multiplicity), so it stays within 600 digits
+# plus the log of its term count, under that floor whatever the setting.
+MAX_INT_DIGITS = 300
 # blanks and comments, skipped between statements here and between tokens by
 # the lexer (``tokens._TOKEN``)
 _SKIP = r"(?:[ \t\r\n]+|#[^\n]*)*"

@@ -13,7 +13,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from modpairs.cli import (
@@ -197,6 +197,7 @@ class TestErrors:
         assert report.status == EXIT_INPUT
         assert report.diagnostics[0].code == "E011"
 
+    @pytest.mark.usefixtures("lowest_digit_limit")
     def test_overlong_integer_argument(self):
         command = ["twist", "X", "7" * (MAX_INT_DIGITS + 1)]
         report = run_command(model(), command)
@@ -398,6 +399,17 @@ class TestMain:
         assert status == EXIT_OK
         assert "modification" in capsys.readouterr().out
 
+    def test_stdin_text_in_memory_reads_as_a_model_file(self, tmp_path, capsys, monkeypatch):
+        text = "pair X { dim 1; coords t; divisor {t: 1} }\rpair Y { dim 2; coords t; }\r"
+        path = tmp_path / "cr.lp"
+        path.write_bytes(text.encode())
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        piped = main(["check-all"]), capsys.readouterr()
+        named = main(["check-all", "--model", str(path)]), capsys.readouterr()
+        assert piped == named
+        assert (piped[0], piped[1].out) == (EXIT_INPUT, "")
+        assert piped[1].err.startswith("2:14: error: dim 2 does not match")
+
     def test_check_all_machine_is_ndjson(self, model_file, capsys):
         status = main(["check-all", "--model", model_file, "--machine"])
         out = capsys.readouterr().out.strip().splitlines()
@@ -548,18 +560,35 @@ import atexit, gc, runpy, sys
 atexit.register(lambda: sys.stderr.write(f"atexit: frozen {gc.get_freeze_count() > 0}\\n"))
 runpy.run_module("modpairs", run_name="__main__")
 """
+# modpairs run as __main__ with main wrapped to report the collector's state as it starts
+_OBSERVED = """\
+import gc, runpy, sys
+from modpairs import cli
+run = cli.main
+def main(argv=None):
+    sys.stderr.write(f"main: collector on {gc.isenabled()}\\n")
+    return run(argv)
+cli.main = main
+runpy.run_module("modpairs", run_name="__main__")
+"""
 _TWIST = ["twist", "X", "2", "--model", str(EXAMPLE), "--machine"]
 _CHECK_ALL = ["check-all", "--model", str(EXAMPLE), "--machine"]
 
 
 class TestEntry:
-    """Every process start goes through ``cli.entry``: ``main``, then a frozen
-    collector, then ``sys.exit``, so what wraps the run still sees its end."""
+    """Every process start goes through ``cli.entry``: the collector off,
+    ``main``, then a frozen collector, then ``sys.exit``, so what wraps the run
+    still sees its end."""
 
     @pytest.mark.parametrize("argv", [_TWIST, _CHECK_ALL], ids=["twist", "check-all"])
     def test_atexit_handlers_run_after_the_freeze(self, argv):
         status, out, err = _ran(argv, run=("-c", _WRAPPED))
         assert (status, out, err) == (*_ran(argv)[:2], b"atexit: frozen True\n")
+
+    @pytest.mark.parametrize("argv", [_TWIST, _CHECK_ALL], ids=["twist", "check-all"])
+    def test_main_starts_with_the_collector_off(self, argv):
+        status, out, err = _ran(argv, run=("-c", _OBSERVED))
+        assert (status, out, err) == (*_ran(argv)[:2], b"main: collector on False\n")
 
     def test_a_profiler_prints_after_the_answer(self):
         _, out, err = _ran(_TWIST, run=("-m", "cProfile", "-m", "modpairs"))  # cProfile's own status
@@ -581,13 +610,15 @@ class TestEntry:
         assert getattr(importlib.import_module(module), name) is entry
 
 
+# one digit past 640, the lowest that Python's int/str conversion limit can be set to
+_PAST_THE_FLOOR = 641
 # the names of DEMO that each verb accepts
 _FITS = {"check-admissible": "fg", "minimal-twist": "fg", "hom-log": "fg", "check-minimal": "fg",
          "classify": "BV", "blowup": "BV", "corr-check": "CD", "qdiv-normalize": "QR", "qdiv-eq": "QR",
          "cube": "XYZW", "twist": "XYZW", "check-all": ""}
 _NUMBER = st.one_of(
     st.integers(min_value=0, max_value=10**6).map(str),
-    st.sampled_from(["\u00b2", "-1", "7" * (MAX_INT_DIGITS + 1)]),
+    st.sampled_from(["\u00b2", "-1", "7" * (MAX_INT_DIGITS + 1), "7" * _PAST_THE_FLOOR]),
 )
 _ARG = st.one_of(st.sampled_from("XYfgCDQRZWBV"), st.sampled_from(["nope", "inf"]), _NUMBER, st.text(max_size=8))
 
@@ -619,7 +650,8 @@ def demo_file(tmp_path_factory):
     return str(path)
 
 
-@settings(max_examples=150, deadline=None)
+@pytest.mark.usefixtures("lowest_digit_limit")
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(command=_command(), machine=st.booleans())
 def test_main_on_any_argv(demo_file, command, machine):
     """Any argv gives a status, never a traceback or an internal error; 1 comes
@@ -708,7 +740,7 @@ _EXTRA = [
 _STATEMENTS = DEMO.splitlines() + _EXTRA
 _WORDS = ["pair", "map", "corr", "qpair", "blowup", "dim", "coords", "divisor", "monomial", "point",
           "nx", "ny", "ex", "ey", "on", "center", "{", "}", "(", ")", ";", ":", ",", "=", "->", "<-",
-          "^", "*", "X", "Y", "Z", "P", "t", "s", "0", "1", "007", "9" * (MAX_INT_DIGITS + 1),
+          "^", "*", "X", "Y", "Z", "P", "t", "s", "0", "1", "007", "9" * (MAX_INT_DIGITS + 1), "9" * _PAST_THE_FLOOR,
           "\u00b2", " ", "\n", "\r\n", "# note"]
 _TEXT = st.lists(st.sampled_from(_STATEMENTS) | st.sampled_from(_WORDS) | st.text(max_size=4), max_size=16)
 _BAD_UTF8 = st.sampled_from([b"\xff", b"\xc3(", b"\x80", b"\xed\xa0\x80", b"\xf4\x90\x80\x80", b"\xe2\x82"])
@@ -738,7 +770,8 @@ _VERBS = sorted(set(COMMANDS) - {"check-all"})
 _NAMES = st.sampled_from("XYZPWfghkbCDEQRHBVA")
 
 
-@settings(max_examples=150, deadline=None)
+@pytest.mark.usefixtures("lowest_digit_limit")
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=_model_bytes(), verb=st.sampled_from(_VERBS), first=_NAMES, second=_NAMES,
        n=st.sampled_from(["0", "1", "3", "9" * MAX_INT_DIGITS]), machine=st.booleans())
 def test_main_on_any_model_bytes(fuzz_file, data, verb, first, second, n, machine):
@@ -754,6 +787,34 @@ def test_main_on_any_model_bytes(fuzz_file, data, verb, first, second, n, machin
         assert status in (EXIT_OK, EXIT_FALSE, EXIT_INPUT, EXIT_UNKNOWN_NAME, EXIT_DIMENSION, EXIT_INVALID_BLOWUP)
         if status not in (EXIT_OK, EXIT_FALSE):
             assert out.getvalue() == ""
+
+
+@pytest.mark.usefixtures("lowest_digit_limit")
+@pytest.mark.parametrize("digits, argv", [
+    (700, ["check-all"]),
+    (600, ["twist", "X", "9" * 600, "--machine"]),  # an answer of 1 200 digits
+], ids=["literal", "twist-of-literals"])
+def test_a_literal_past_the_bound_is_refused_under_the_lowest_digit_limit(tmp_path, digits, argv):
+    path = tmp_path / "long.lp"
+    path.write_text(f"pair X {{ dim 1; coords t; divisor {{t: {'9' * digits}}} }}\n")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        status = main([*argv, "--model", str(path)])
+    assert (status, out.getvalue()) == (EXIT_INPUT, "")
+    assert err.getvalue() == f"1:39: error: integer literal longer than {MAX_INT_DIGITS} digits [E012]\n"
+
+
+@pytest.mark.usefixtures("lowest_digit_limit")
+@pytest.mark.parametrize("machine", [False, True], ids=["text", "machine"])
+def test_the_longest_literals_twist_exactly_under_the_lowest_digit_limit(tmp_path, machine):
+    longest = "9" * MAX_INT_DIGITS
+    path = tmp_path / "longest.lp"
+    path.write_text(f"pair X {{ dim 1; coords t; divisor {{t: {longest}}} }}\n")
+    status, out = _main_out(["twist", "X", longest, "--model", str(path)] + ["--machine"] * machine)
+    product = str(int(longest) ** 2)
+    assert (status, len(product)) == (EXIT_OK, 2 * MAX_INT_DIGITS)
+    divisor = json.loads(out)["result"]["divisor"] if machine else out.splitlines()[-1].split("divisor ")[1]
+    assert divisor == f"{{t: {product}}}"
 
 
 def _main_out(argv: list[str]) -> tuple[int, str]:
@@ -854,8 +915,8 @@ def test_main_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch, enabled
                          ids=["demo", "faulted"])
 def test_a_run_leaves_no_modpairs_cycles(tmp_path, text):
     """Everything main builds is freed by reference counting alone, which is
-    why main may pause the cyclic collector: a collection afterwards finds
-    no modpairs object in a cycle."""
+    why ``entry`` runs it with the cyclic collector off: a collection
+    afterwards finds no modpairs object in a cycle."""
     path = tmp_path / "model.lp"
     path.write_text(text, encoding="utf-8")
     assert isinstance(parse(text), list) == (text != DEMO)

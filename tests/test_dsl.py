@@ -194,6 +194,7 @@ class TestDiagnostics:
         result = parse("map f : X -> X { }\npair X { dim 0; coords; divisor {} }\n")
         assert [d.code for d in result] == ["E021"]
 
+    @pytest.mark.usefixtures("lowest_digit_limit")
     def test_literal_length_bound(self):
         longest = "1" * MAX_INT_DIGITS
         parser = _Parser(longest, dsl._Matcher())

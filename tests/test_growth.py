@@ -1,0 +1,149 @@
+"""Cost linear in what is read and written, as each dimension of a model grows.
+
+Each shape is a model text at a size ``n`` and at ``4·n``.  ``parse``, and
+``run_command(["check-all"])`` when the text parses, are counted in Python
+byte-code instructions executed, which repeat to the unit from run to run, so
+the law can be tight: the count at ``4·n`` is at most 4.4 times the count at
+``n``.  The count cannot see work done in C, such as a pattern that
+backtracks or a string scanned from its start again, so each shape is also
+timed, best of 5 with the collector off as the process entry runs it, with a
+wide bound: at most 8 times.  A full-center blowup's answer has ``d`` charts
+of ``d`` assignments, so its ``check-all`` grows 16-fold from ``d`` to ``4·d``
+and is held to 4 times those bounds.
+"""
+
+import gc
+import sys
+import time
+
+import pytest
+
+from modpairs.cli import run_command
+from modpairs.dsl import Model, parse
+from test_memory import full_center_blowup_model, identity_map_model
+
+COUNT_LAW, WALL_LAW = 4.4, 8.0
+
+
+def opcodes(fn, *args) -> int:
+    """Byte-code instructions executed by ``fn(*args)``, counted by ``sys.settrace``."""
+    count = 0
+
+    def trace(frame, event, arg):
+        nonlocal count
+        frame.f_trace_opcodes = True
+        if event == "opcode":
+            count += 1
+        return trace
+
+    sys.settrace(trace)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(None)
+    return count
+
+
+def best_wall(fn, *args, repeat: int = 5) -> float:
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        best = float("inf")
+        for _ in range(repeat):
+            start = time.perf_counter()
+            fn(*args)
+            best = min(best, time.perf_counter() - start)
+    finally:
+        if was:
+            gc.enable()
+    return best
+
+
+def declarations(n: int) -> str:
+    """``n`` blocks of eight declarations, one of each form the matcher reads."""
+    return "".join(
+        f"pair X{i} {{ dim 1; coords t; divisor {{t: {i % 5 + 1}}} }}\n"
+        f"pair Z{i} {{ dim 2; coords x y; divisor {{x: 1, y: {i % 3}}} }}\n"
+        f"map f{i} : X{i} -> X{i} {{ t <- t^2 }}\n"
+        f"map g{i} : Z{i} -> X{i} {{ t <- x * y^{i % 4} }}\n"
+        f"corr c{i} monomial(2, 3, 1, {i % 7})\n"
+        f"corr d{i} : X{i} -> X{i} {{ point w {{ nx 1; ny 2; ex 1; ey 1 }} }}\n"
+        f"qpair q{i} = ({i % 6 + 1}, X{i})\n"
+        f"blowup b{i} on Z{i} center {{ x, y }}\n"
+        for i in range(n)
+    )
+
+
+def stray_characters(n: int) -> str:
+    return "@" * n
+
+
+def pair_semicolons(n: int) -> str:
+    return "pair;\n" * n
+
+
+def duplicate_names(n: int) -> str:
+    return "pair X { dim 1; coords t; divisor {t: 1} }\n" * n
+
+
+def alternating_spellings(n: int) -> str:
+    """``n`` pairs, every other one spelled for the token path."""
+    return "".join(
+        f"pair A{i} {{ dim 1; coords t; divisor {{t: 1}} }}\n" if i % 2 else
+        f"pair A{i} {{ dim 1; coords t; divisor {{ t: 1 }} }}\n"
+        for i in range(n)
+    )
+
+
+def wide_token_map(n: int) -> str:
+    """One pair on ``n`` coordinates and its identity map, spelled for the token path."""
+    coords = " ".join(f"x{i}" for i in range(n))
+    assigns = " ; ".join(f"x{i} <- x{i}" for i in range(n))
+    return f"pair P {{ dim {n}; coords {coords}; divisor {{x0: 1}} }}\nmap F : P -> P {{ {assigns} }}\n"
+
+
+# each shape: its text at a size, the size n, and how many times check-all's
+# answer grows from n to 4·n
+SHAPES = {
+    "declarations": (declarations, 25, 4),
+    "identity-map": (identity_map_model, 250, 4),
+    "full-center-blowup": (full_center_blowup_model, 25, 16),
+    "stray-characters": (stray_characters, 500, 4),
+    "pair-semicolons": (pair_semicolons, 500, 4),
+    "duplicate-names": (duplicate_names, 500, 4),
+    "alternating-spellings": (alternating_spellings, 500, 4),
+    "wide-token-map": (wide_token_map, 500, 4),
+}
+
+
+def check_all(model: Model):
+    return run_command(model, ["check-all"])
+
+
+def steps(text: str) -> list:
+    """(name, function, argument) for each counted or timed operation on ``text``."""
+    model = parse(text)
+    return [("parse", parse, text)] + ([("check-all", check_all, model)] if isinstance(model, Model) else [])
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_counted_cost_grows_linearly(shape):
+    build, n, grows = SHAPES[shape]
+    small, large = steps(build(n)), steps(build(4 * n))
+    assert [s[0] for s in small] == [s[0] for s in large]
+    for (name, fn, small_arg), (_, _, large_arg) in zip(small, large):
+        fn(small_arg)  # modules and patterns loaded on first use stay out of the counts
+        ratio = opcodes(fn, large_arg) / opcodes(fn, small_arg)
+        bound = COUNT_LAW * (grows / 4 if name == "check-all" else 1)
+        assert ratio <= bound, (name, ratio)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_wall_time_grows_linearly(shape):
+    build, n, grows = SHAPES[shape]
+    small, large = steps(build(n)), steps(build(4 * n))
+    for (name, fn, small_arg), (_, _, large_arg) in zip(small, large):
+        fn(small_arg)
+        ratio = best_wall(fn, large_arg) / best_wall(fn, small_arg)
+        bound = WALL_LAW * (grows / 4 if name == "check-all" else 1)
+        assert ratio <= bound, (name, ratio)
