@@ -26,9 +26,7 @@ class BlowupClass(Enum):
 class InvalidBlowupError(ValueError):
     """Center disjoint from the divisor support; no charts can be produced."""
 
-    def __init__(self, message: str, verdict: BlowupClass):
-        super().__init__(message)
-        self.verdict = verdict
+    verdict = BlowupClass.INVALID
 
 
 class BlowupSpec(Value):
@@ -94,9 +92,8 @@ def blowup_charts(spec: BlowupSpec) -> tuple[BlowupChart, ...]:
     in closed form: ``E_j = sum_{b in center} D_b`` and ``E_i = D_i`` for
     ``i != j``, since only ``x_j`` enters more than one substitution.
     """
-    verdict = classify(spec)
-    if verdict is BlowupClass.INVALID:
-        raise InvalidBlowupError("blowup center misses the divisor support", verdict)
+    if classify(spec) is BlowupClass.INVALID:
+        raise InvalidBlowupError("blowup center misses the divisor support")
     chart, mults = spec.pair.chart, spec.pair.divisor.mults
     center = sorted(spec.center)
     exceptional = sum(mults[b] for b in center)

@@ -95,7 +95,7 @@ def _arg_diag(command: list[str], index: int, message: str, code: str) -> Diagno
     # span within the space-joined command line, so it stays inside the input
     column = 1 + sum(len(a) + 1 for a in command[:index])
     length = len(command[index]) if index < len(command) else 0
-    return Diagnostic("error", 1, column, length, message, code)
+    return Diagnostic(1, column, length, message, code)
 
 
 def _lookup(model: Model, kind: type, command: list[str], index: int):
@@ -280,7 +280,7 @@ def run_command(model: Model, command) -> Report:
         diag = _arg_diag(command, exc.index, str(exc), exc.code)
         return Report(exc.status, f"error: {diag.message}", (), (diag,))
     except StructureError as exc:
-        diag = Diagnostic("error", 1, 1, 0, str(exc), "E090")
+        diag = Diagnostic(1, 1, 0, str(exc), "E090")
         return Report(EXIT_DIMENSION, f"error: {exc}", (), (diag,))
 
 

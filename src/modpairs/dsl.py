@@ -21,7 +21,8 @@ Names are unique per namespace and references resolve to earlier
 declarations.  The parser recovers at statement boundaries, so one run
 reports every malformed statement.  ``print_model`` emits the canonical
 form: declaration order preserved, divisor entries in coordinate order
-with zeros omitted; parsing it back gives a structurally equal model.
+with zeros omitted; parsing it back gives a structurally equal model, and
+it refuses a model built through the library that no text reads back.
 This module holds the declarations, ``parse``, the printer and the matcher
 that reads statements in that spelling whole, each distinct chart once per
 parse, shared by the pairs declared on it.  Any other spelling, such as
@@ -29,7 +30,7 @@ parse, shared by the pairs declared on it.  Any other spelling, such as
 ``modpairs.tokens``, which makes every diagnostic; ``parse`` imports it only
 when the matcher stops before the end of the text, so a canonical model
 never loads it.  Both readers only read, resolve and check: this module
-builds every declaration, each derived form by one builder they share.
+builds every declaration, a pair or a map by one builder they share.
 """
 
 from __future__ import annotations
@@ -39,26 +40,30 @@ from collections.abc import Mapping
 from types import MappingProxyType
 
 from .blowup import BlowupSpec
-from .correspondences import CorrLocalRecord, CurveCorr, NonConstantCorr, from_monomial_param
-from .pairs import Chart, MonomialMap, Pair, PairMap, Value, _divisor, _monomial_map, _pair, _setters, format_divisor
+from .correspondences import CorrLocalRecord, NonConstantCorr, from_monomial_param
+from .pairs import (Chart, MonomialMap, Pair, PairMap, StructureError, Value, _divisor, _monomial_map, _pair,
+                    _setters, format_divisor)
 from .qdivisors import QPair
 
 
 class Diagnostic(Value):
-    """One problem in an input text, with a source span the text contains."""
+    """One problem in an input text, with a source span the text contains.
 
-    __slots__ = ("severity", "line", "column", "length", "message", "code")
+    Every diagnostic is an error: ``severity`` is the class constant
+    ``"error"``, which ``format_diagnostic`` prints."""
 
-    def __init__(self, severity: str, line: int, column: int, length: int, message: str, code: str):
-        _diag_severity(self, severity)  # "error" | "warning"
-        _diag_line(self, line)          # 1-based
-        _diag_column(self, column)      # 1-based
+    __slots__ = ("line", "column", "length", "message", "code")
+    severity = "error"
+
+    def __init__(self, line: int, column: int, length: int, message: str, code: str):
+        _diag_line(self, line)      # 1-based
+        _diag_column(self, column)  # 1-based
         _diag_length(self, length)
         _diag_message(self, message)
         _diag_code(self, code)
 
 
-_diag_severity, _diag_line, _diag_column, _diag_length, _diag_message, _diag_code = _setters(Diagnostic)
+_diag_line, _diag_column, _diag_length, _diag_message, _diag_code = _setters(Diagnostic)
 
 
 def format_diagnostic(d: Diagnostic) -> str:
@@ -90,18 +95,32 @@ _mapdecl_name, _mapdecl_src, _mapdecl_dst, _mapdecl_pair_map = _setters(MapDecl)
 
 
 class CorrDecl(Value):
-    __slots__ = ("name", "corr", "src", "dst", "monomial")
+    """A correspondence given by its records, between the pairs ``src`` and
+    ``dst``, or with neither as ``from_monomial_param``'s curve."""
 
-    def __init__(self, name: str, corr: CurveCorr, src: str | None = None, dst: str | None = None,
-                 monomial: tuple[int, int, int, int] | None = None):
+    __slots__ = ("name", "corr", "src", "dst")
+
+    def __init__(self, name: str, corr: NonConstantCorr, src: str | None = None, dst: str | None = None):
+        if type(corr) is not NonConstantCorr:  # no statement declares a constant correspondence
+            raise StructureError(f"a declared correspondence must be a NonConstantCorr, got {corr!r}")
         _corrdecl_name(self, name)
         _corrdecl_corr(self, corr)
         _corrdecl_src(self, src)
         _corrdecl_dst(self, dst)
-        _corrdecl_monomial(self, monomial)
+
+    @property
+    def monomial(self) -> tuple[int, int, int, int] | None:
+        """``(a, b, n_x, n_y)`` when this is ``from_monomial_param(a, b, n_x, n_y)``
+        with neither endpoint, as ``corr NAME monomial(A, B, NX, NY)`` reads; else None."""
+        records = self.corr.records
+        if self.src is None and self.dst is None and len(records) == 1:
+            r = records[0]
+            if r.label == "0":
+                return r.e_x, r.e_y, r.n_x, r.n_y
+        return None
 
 
-_corrdecl_name, _corrdecl_corr, _corrdecl_src, _corrdecl_dst, _corrdecl_monomial = _setters(CorrDecl)
+_corrdecl_name, _corrdecl_corr, _corrdecl_src, _corrdecl_dst = _setters(CorrDecl)
 
 
 class QPairDecl(Value):
@@ -117,16 +136,20 @@ _qpairdecl_name, _qpairdecl_pair_name, _qpairdecl_qpair = _setters(QPairDecl)
 
 
 class BlowupDecl(Value):
-    __slots__ = ("name", "pair_name", "center_coords", "spec")
+    __slots__ = ("name", "pair_name", "spec")
 
-    def __init__(self, name: str, pair_name: str, center_coords: tuple[str, ...], spec: BlowupSpec):
+    def __init__(self, name: str, pair_name: str, spec: BlowupSpec):
         _blowupdecl_name(self, name)
         _blowupdecl_pair_name(self, pair_name)
-        _blowupdecl_center_coords(self, center_coords)  # in chart coordinate order
         _blowupdecl_spec(self, spec)
 
+    @property
+    def center_coords(self) -> tuple[str, ...]:
+        """The center's coordinates, in chart order."""
+        return tuple(map(self.spec.pair.chart.coords.__getitem__, sorted(self.spec.center)))
 
-_blowupdecl_name, _blowupdecl_pair_name, _blowupdecl_center_coords, _blowupdecl_spec = _setters(BlowupDecl)
+
+_blowupdecl_name, _blowupdecl_pair_name, _blowupdecl_spec = _setters(BlowupDecl)
 
 
 Decl = PairDecl | MapDecl | CorrDecl | QPairDecl | BlowupDecl
@@ -155,7 +178,7 @@ class Model(Value):
 
 
 # --- declaration builders, one per form derived from what is read ------------
-# A qpair or a corr derives nothing: each reader calls its constructors.
+# A qpair, a corr or a blowup derives nothing: each reader calls its constructors.
 
 
 def _pair_decl(name: str, chart: Chart, mults: dict[int, int]) -> PairDecl:
@@ -185,12 +208,6 @@ def _map_decl(name: str, src: str, s: Pair, dst: str, d: Pair,
     return MapDecl(name, src, dst, PairMap(_monomial_map(s.chart, d.chart, tuple(rows)), s, d))
 
 
-def _blowup_decl(name: str, pair_name: str, pair: Pair, indices: set[int]) -> BlowupDecl:
-    """A blowup at the center coordinates ``indices``, listed in chart order."""
-    coords = pair.chart.coords
-    return BlowupDecl(name, pair_name, tuple([coords[i] for i in sorted(indices)]), BlowupSpec(pair, indices))
-
-
 # --- statement matcher -------------------------------------------------------
 
 # Longer literals are rejected (E012).  Python refuses int/str conversion past
@@ -211,8 +228,9 @@ class _Matcher:
     """The state of one parse, shared by both readers: the declarations so far
     (``decls``), by kind and name (``names``), and one chart with its coordinate
     index per distinct coordinate list (``charts``).  ``match`` reads canonical
-    statements whole, built as the token parser's are, by the builders above;
-    ``accept`` records what either reader builds."""
+    statements whole, built as the token parser's are, by the builders above
+    or the declaration constructors; ``accept`` records what either reader
+    builds."""
 
     def __init__(self):
         self.decls: list[Decl] = []
@@ -286,8 +304,7 @@ class _Matcher:
     def _whole_corr(self, m) -> Decl | None:
         name, a, b, n_x, n_y, src, dst, points = m.groups()
         if a is not None:
-            a, b, n_x, n_y = int(a), int(b), int(n_x), int(n_y)
-            return CorrDecl(name, from_monomial_param(a, b, n_x, n_y), monomial=(a, b, n_x, n_y))
+            return CorrDecl(name, from_monomial_param(int(a), int(b), int(n_x), int(n_y)))
         pairs = self.names[PairDecl]
         if len(pairs[src].pair.chart.coords) != 1 or len(pairs[dst].pair.chart.coords) != 1:  # E080
             return None
@@ -304,7 +321,7 @@ class _Matcher:
         indices = set(map(self._index(pair).__getitem__, center))
         if len(indices) != len(center):  # E071
             return None
-        return _blowup_decl(name, pair_name, pair, indices)
+        return BlowupDecl(name, pair_name, BlowupSpec(pair, indices))
 
 
 def _is_name(word: str) -> bool:
@@ -404,7 +421,24 @@ def format_decl(decl: Decl) -> str:
 
 
 def print_model(model: Model) -> str:
-    """Canonical text of a model; parsing it back reproduces the model."""
+    """Canonical text of a model; parsing it back reproduces the model.
+
+    Raises ``ValueError`` naming the first declaration that no text reads back
+    as it is, as a model built through the library can hold: a name or label
+    that is no token of its class, a name declared twice, a reference to a pair
+    not declared before or holding another pair, a corr whose endpoints are
+    not two one-dimensional pairs or, with neither, whose records are not
+    ``from_monomial_param``'s, or an integer of more than ``MAX_INT_DIGITS``
+    digits.  The checks are ``modpairs.printable``'s, imported here on the
+    first call.  ``format_decl`` checks nothing, so ``check-all`` can echo
+    any declaration.
+    """
+    from .printable import first_unprintable
+
+    first = first_unprintable(model.decls)
+    if first is not None:
+        kind, decl, fault = first
+        raise ValueError(f"cannot print {KEYWORDS[kind]} {decl.name!r}: {fault}")
     if not model.decls:
         return ""
-    return "\n".join(format_decl(d) for d in model.decls) + "\n"
+    return "\n".join([format_decl(decl) for decl in model.decls]) + "\n"

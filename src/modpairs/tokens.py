@@ -7,25 +7,27 @@ first steps onto it and keeping its offset, and makes every diagnostic.
 After each statement the matcher tries again at the next token.  The parser
 reads, resolves and reports, and ``dsl`` builds: names and charts are looked
 up in the matcher's tables, which hold the parse state, and what the parser
-resolved goes to ``dsl``'s builders, then to the matcher's ``accept``.
+resolved goes to ``dsl``'s builders or the declaration constructors, then to
+the matcher's ``accept``.
 """
 
 from __future__ import annotations
 
 import re
 
+from .blowup import BlowupSpec
 from .correspondences import CorrLocalRecord, NonConstantCorr, from_monomial_param
 from .dsl import (
     _SKIP,
     KEYWORDS,
     MAX_INT_DIGITS,
+    BlowupDecl,
     CorrDecl,
     Decl,
     Diagnostic,
     Model,
     PairDecl,
     QPairDecl,
-    _blowup_decl,
     _is_name,
     _map_decl,
     _Matcher,
@@ -60,7 +62,7 @@ def _place(text: str, found: list) -> list[Diagnostic]:
             line += crossed
             line_start = text.rfind("\n", seen, offset) + 1
         where[offset], seen = (line, offset - line_start + 1), offset
-    return [Diagnostic("error", *where[offset], *rest) for offset, *rest in found]
+    return [Diagnostic(*where[offset], *rest) for offset, *rest in found]
 
 
 # --- parser ----------------------------------------------------------------
@@ -275,7 +277,7 @@ class _Parser:
             self.expect(")")
             if a < 1 or b < 1:
                 self.fail(a_at if a < 1 else b_at, "E052", "parametrization exponents must be positive")
-            return CorrDecl(name, from_monomial_param(a, b, n_x, n_y), monomial=(a, b, n_x, n_y))
+            return CorrDecl(name, from_monomial_param(a, b, n_x, n_y))
         self.expect(":", "':' or 'monomial' after the corr name")
         src_name = self._endpoint("source pair")
         self.expect("->")
@@ -342,7 +344,7 @@ class _Parser:
         self.step()
         if not indices:
             self.fail(center_at, "E070", "blowup center must name at least one coordinate")
-        return _blowup_decl(name, pair_name, pair, indices)
+        return BlowupDecl(name, pair_name, BlowupSpec(pair, indices))
 
 
 def read_from(matcher: _Matcher, text: str, start: int) -> Model | list[Diagnostic]:

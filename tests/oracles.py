@@ -12,7 +12,7 @@ raise.
 
 import sympy
 
-from modpairs.blowup import BlowupChart, BlowupClass, InvalidBlowupError
+from modpairs.blowup import BlowupChart, InvalidBlowupError
 from modpairs.correspondences import CorrLocalRecord, NonConstantCorr
 from modpairs.pairs import Divisor, MonomialMap, StructureError
 
@@ -102,7 +102,7 @@ def reference_compose(g, f):
 def reference_blowup_charts(spec):
     """``blowup_charts`` as first written: each total transform pulled back along its chart map."""
     if not any(spec.pair.divisor.mults[i] for i in spec.center):
-        raise InvalidBlowupError("blowup center misses the divisor support", BlowupClass.INVALID)
+        raise InvalidBlowupError("blowup center misses the divisor support")
     chart = spec.pair.chart
     d = chart.dim
     out = []

@@ -98,13 +98,7 @@ def random_model(rng: random.Random) -> Model:
         else:
             a, b = rng.randint(1, 9), rng.randint(1, 9)
             n_x, n_y = rng.randint(0, 9), rng.randint(0, 9)
-            decls.append(
-                CorrDecl(
-                    f"c{i}",
-                    from_monomial_param(a, b, n_x, n_y),
-                    monomial=(a, b, n_x, n_y),
-                )
-            )
+            decls.append(CorrDecl(f"c{i}", from_monomial_param(a, b, n_x, n_y)))
 
     for i in range(rng.randint(0, 2)):
         target = rng.choice(pair_decls)
@@ -120,12 +114,5 @@ def random_model(rng: random.Random) -> Model:
         d = target.pair.chart.dim
         size = rng.randint(1, d)
         center = sorted(rng.sample(range(d), size))
-        decls.append(
-            BlowupDecl(
-                f"b{i}",
-                target.name,
-                tuple(target.pair.chart.coords[k] for k in center),
-                BlowupSpec(target.pair, frozenset(center)),
-            )
-        )
+        decls.append(BlowupDecl(f"b{i}", target.name, BlowupSpec(target.pair, frozenset(center))))
     return Model(tuple(decls))

@@ -34,8 +34,10 @@ from modpairs.cli import (
     run_command,
 )
 import modpairs
+from modpairs import cli
 from modpairs.dsl import MAX_INT_DIGITS, Diagnostic, Model, parse, print_model
 from randgen import random_model
+from record_shapes import SHAPES, record_mismatches
 
 README = Path(__file__).parent.parent / "README.md"
 EXAMPLE = Path(__file__).parent.parent / "scripts" / "example.lp"
@@ -214,7 +216,7 @@ class TestErrors:
         assert joined[diag.column - 1 : diag.column - 1 + diag.length] == "nope"
 
     def test_empty_command(self):
-        expected = Diagnostic("error", 1, 1, 0, "empty command", "E011")
+        expected = Diagnostic(1, 1, 0, "empty command", "E011")
         assert run_command(model(), []) == Report(EXIT_INPUT, "error: empty command", (), (expected,))
 
 
@@ -844,6 +846,44 @@ def test_machine_output_is_one_json_line_per_record(fuzz_file, seed):
         status, out = _main_out([*command, "--model", str(fuzz_file), "--machine"])
         assert out == _per_record(m, command), command
         assert status == run_command(m, command).status
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32), n=st.integers(min_value=1, max_value=5))
+def test_every_machine_record_has_its_stated_shape(fuzz_file, seed, n):
+    """Every record that check-all and each verb print under --machine, on a
+    printed random model, has the keys and JSON types that
+    tests/data/record_shapes.json states for its verb."""
+    m = random_model(random.Random(seed))
+    fuzz_file.write_text(print_model(m), encoding="utf-8")
+    commands = [["check-all"]]
+    for verb, (kind, names, _) in cli._VERBS.items():
+        decls = [d.name for d in m.decls if type(d) is kind]
+        if names == ("name",):
+            commands += [[verb, name] for name in decls]
+        elif names == ("name", "n"):
+            commands += [[verb, name, str(n)] for name in decls]
+        elif names == ("first", "second"):
+            commands += [[verb, a, b] for a in decls for b in decls]
+    for command in commands:
+        _, out = _main_out([*command, "--model", str(fuzz_file), "--machine"])
+        for line in out.splitlines():
+            record = json.loads(line)
+            assert record_mismatches(record) == [], (command, record)
+
+
+def test_the_stated_shapes_name_every_verb_and_catch_a_departure():
+    assert set(SHAPES) == set(COMMANDS) - {"check-all"}
+    record = {"args": ["f"], "command": "check-admissible", "inputs": {"map": "map f : X -> X { t <- t }"},
+              "verdict": True}
+    assert record_mismatches(record) == []
+    assert record_mismatches({**record, "verdict": 1}) == ["record.verdict: 1 is not boolean"]
+    assert record_mismatches({**record, "inputs": {"map": None}}) == ["record.inputs.map: None is not string"]
+    assert record_mismatches({**record, "witness": "t"}) == [
+        "record: keys ['args', 'command', 'inputs', 'verdict', 'witness'], "
+        "not ['args', 'command', 'inputs', 'verdict']"]
+    assert record_mismatches({**record, "args": ["f", 2]}) == ["record.args[1]: 2 is not string"]
+    assert record_mismatches({**record, "command": "nope"}) == ["no shape is stated for the command 'nope'"]
 
 
 # DEMO, whose blowup B has two charts, with a map whose least twist is infeasible

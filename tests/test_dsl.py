@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from modpairs import dsl, tokens
 from modpairs.blowup import BlowupSpec
-from modpairs.correspondences import CorrLocalRecord
+from modpairs.correspondences import CorrLocalRecord, NonConstantCorr, from_monomial_param
 from modpairs.dsl import (
     MAX_INT_DIGITS,
     BlowupDecl,
@@ -25,6 +25,7 @@ from modpairs.dsl import (
     print_model,
 )
 from modpairs.pairs import Chart, Divisor, MonomialMap, Pair, PairMap
+from modpairs.qdivisors import QPair
 from modpairs.tokens import _Parser, _place
 from oracles import reference_lex
 from randgen import random_model
@@ -279,7 +280,7 @@ def test_lexer_matches_reference_on_a_long_text():
     assert len(long_literals) == 12 and len(want_diags) > 150
     assert diags == sorted(want_diags + long_literals)
     assert tokens[-1][2] == len(lines)
-    assert parse(text)[: len(diags)] == [Diagnostic("error", *d) for d in diags]
+    assert parse(text)[: len(diags)] == [Diagnostic(*d) for d in diags]
 
 
 # Statement words, so that drawn texts also reach the parser's deeper states.
@@ -600,7 +601,7 @@ def test_each_reader_builds_what_the_constructors_build(text, read):
         PairDecl("S", s),
         PairDecl("T", t),
         MapDecl("f", "S", "T", f),
-        BlowupDecl("B", "S", ("x", "z"), BlowupSpec(s, frozenset({0, 2}))),
+        BlowupDecl("B", "S", BlowupSpec(s, frozenset({0, 2}))),
     )
 
 
@@ -795,3 +796,182 @@ def test_a_statement_over_many_lines_is_lexed_once(monkeypatch):
     assert result == token_parse(text)
     assert [(d.code, d.line) for d in result] == [("E031", 9)]
     assert len(calls) < len(token_pattern.findall(statement)) + 40
+
+
+# --- print_model prints what parse reads back, or refuses --------------------
+
+_LINE = Pair(Chart(("t",)), Divisor((1,)))
+_PLANE = Pair(Chart(("x", "y")), Divisor((1, 0)))
+_X, _Z = PairDecl("X", _LINE), PairDecl("Z", _PLANE)
+_ENDO = PairMap(MonomialMap.identity(_LINE.chart), _LINE, _LINE)
+_LONG = 10 ** MAX_INT_DIGITS  # the least integer of MAX_INT_DIGITS + 1 digits
+
+
+def _points(*labels):
+    return NonConstantCorr(tuple(CorrLocalRecord(label, 1, 1, 1, 1) for label in labels))
+
+
+@pytest.mark.parametrize("decls, message", [
+    ((PairDecl("X", Pair(Chart(("a b",)), Divisor((1,)))),), "pair 'X': coordinate 'a b' is not a name token"),
+    ((PairDecl("X", Pair(Chart(("1x",)), Divisor((1,)))),), "pair 'X': coordinate '1x' is not a name token"),
+    ((PairDecl("P#", _LINE),), "pair 'P#': its name is not a name token"),
+    ((PairDecl("", _LINE),), "pair '': its name is not a name token"),
+    ((PairDecl(7, _LINE),), "pair 7: its name is not a name token"),
+    ((_X, CorrDecl("c", _points("}"), "X", "X")),
+     "corr 'c': point label '}' is neither a name token nor an integer literal"),
+    ((_X, CorrDecl("c", _points("1" * (MAX_INT_DIGITS + 1)), "X", "X")),
+     f"corr 'c': point label '{'1' * (MAX_INT_DIGITS + 1)}' is neither a name token nor an integer literal"),
+    ((_X, PairDecl("X", _LINE)), "pair 'X': its name is declared before it"),
+    ((MapDecl("f", "X", "X", _ENDO), _X), "map 'f': pair 'X' is not declared before it"),
+    ((_X, PairDecl("Y", Pair(Chart(("s",)), Divisor((1,)))), MapDecl("f", "Y", "X", _ENDO)),
+     "map 'f': pair 'Y' is not the pair it holds"),
+    ((_X, PairDecl("W", Pair(_LINE.chart, Divisor((2,)))), MapDecl("f", "X", "W", _ENDO)),
+     "map 'f': pair 'W' is not the pair it holds"),
+    ((_X, _Z, QPairDecl("q", "X", QPair(2, _PLANE))), "qpair 'q': pair 'X' is not the pair it holds"),
+    ((_X, _Z, BlowupDecl("b", "X", BlowupSpec(_PLANE, {0}))), "blowup 'b': pair 'X' is not the pair it holds"),
+    ((_Z, CorrDecl("c", _points(), "Z", "Z")), "corr 'c': endpoint 'Z' is not a one-dimensional pair"),
+    ((CorrDecl("c", _points(), "X", "X"),), "corr 'c': pair 'X' is not declared before it"),
+    ((_X, CorrDecl("c", from_monomial_param(2, 3, 1, 1), src="X")), "corr 'c': it has one endpoint"),
+    ((_X, CorrDecl("c", from_monomial_param(2, 3, 1, 1), dst="X")), "corr 'c': it has one endpoint"),
+    ((CorrDecl("c", _points("w")),),
+     "corr 'c': it has no endpoints, and its records are not from_monomial_param's"),
+    ((CorrDecl("c", _points()),), "corr 'c': it has no endpoints, and its records are not from_monomial_param's"),
+    ((PairDecl("X", Pair(_LINE.chart, Divisor((10**400,)))),),
+     f"pair 'X': an integer has more than {MAX_INT_DIGITS} digits"),
+    ((_X, MapDecl("f", "X", "X", PairMap(MonomialMap(_LINE.chart, _LINE.chart, ((_LONG,),)), _LINE, _LINE))),
+     f"map 'f': an integer has more than {MAX_INT_DIGITS} digits"),
+    ((CorrDecl("c", from_monomial_param(2, 3, _LONG, 1)),),
+     f"corr 'c': an integer has more than {MAX_INT_DIGITS} digits"),
+    ((_X, QPairDecl("q", "X", QPair(_LONG, _LINE))), f"qpair 'q': an integer has more than {MAX_INT_DIGITS} digits"),
+], ids=["blank-in-a-coordinate", "numeral-led-coordinate", "hash-in-a-name", "empty-name", "name-not-a-string",
+        "brace-label", "over-long-literal-label", "name-twice", "map-before-its-pair", "map-source-another-chart",
+        "map-target-another-divisor", "qpair-on-another-chart", "blowup-on-another-pair",
+        "two-dimensional-endpoint", "undeclared-endpoint", "source-endpoint-only", "target-endpoint-only",
+        "no-endpoints-other-records", "no-endpoints-no-records", "over-long-multiplicity", "over-long-exponent",
+        "over-long-corr-parameter", "over-long-level"])
+def test_print_model_refuses_what_parse_cannot_read_back(decls, message):
+    # without the checks, each of these prints text that parse refuses or
+    # reads as another model
+    with pytest.raises(ValueError) as info:
+        print_model(Model(decls))
+    assert str(info.value) == "cannot print " + message
+
+
+@pytest.mark.parametrize("decls", [
+    (PairDecl("\u00e9", Pair(Chart(("\u00fc", "_1", "a\u00b2")), Divisor((2, 0, _LONG - 1)))),),
+    (_X, CorrDecl("c", _points("007", "w", "pair", "\u00e9"), "X", "X"), CorrDecl("d", _points(), "X", "X")),
+    (_X, PairDecl("pair", _LINE), MapDecl("map", "pair", "X", _ENDO), QPairDecl("X", "X", QPair(1, _LINE))),
+    (_Z, BlowupDecl("b", "Z", BlowupSpec(_PLANE, {1, 0})), CorrDecl("Z", from_monomial_param(1, _LONG - 1, 0, 3))),
+], ids=["unicode-names", "labels", "keywords-as-names", "one-namespace-per-kind"])
+def test_print_model_prints_what_parse_reads_back(decls):
+    model = Model(decls)
+    assert parse(print_model(model)) == model
+
+
+def test_a_blowup_center_is_printed_in_chart_order():
+    # a set of two indices that iterates in the other order
+    assert list(frozenset({1, 8})) == [8, 1]
+    pair = Pair(Chart(tuple("abcdefghi")), Divisor((1,) * 9))
+    decl = BlowupDecl("b", "P", BlowupSpec(pair, frozenset({1, 8})))
+    assert decl.center_coords == ("b", "i")
+    model = Model((PairDecl("P", pair), decl))
+    assert print_model(model).endswith("blowup b on P center { b, i }\n")
+    assert parse(print_model(model)) == model
+
+
+def test_a_monomial_corr_is_the_one_record_of_its_parametrization():
+    assert CorrDecl("c", from_monomial_param(2, 3, 1, 4)).monomial == (2, 3, 1, 4)
+    # endpoints, another label, or another number of records: a point list
+    assert CorrDecl("c", from_monomial_param(2, 3, 1, 4), "X", "X").monomial is None
+    assert CorrDecl("c", NonConstantCorr((CorrLocalRecord("w", 1, 4, 2, 3),))).monomial is None
+    assert CorrDecl("c", _points()).monomial is None
+    assert CorrDecl("c", _points("0", "1")).monomial is None
+
+
+class _UserPairDecl(PairDecl):
+    __slots__ = ()
+
+
+def test_a_declaration_of_a_subclass_is_checked_and_printed_as_its_class():
+    # as format_decl prints it, so parse reads back the declaration class
+    model = Model((_UserPairDecl("X", _LINE), QPairDecl("q", "X", QPair(2, _LINE))))
+    assert print_model(model) == "pair X { dim 1; coords t; divisor {t: 1} }\nqpair q = (2, X)\n"
+    with pytest.raises(ValueError) as info:
+        print_model(Model((_UserPairDecl("P#", _LINE),)))
+    assert str(info.value) == "cannot print pair 'P#': its name is not a name token"
+    with pytest.raises(TypeError):
+        print_model(Model((_LINE,)))
+
+
+_NAMES = st.from_regex(r"[A-Za-z_\u00e9][\w\u00b2]{0,2}", fullmatch=True)
+
+
+@st.composite
+def library_models(draw):
+    """Models built through the library's constructors: text names, coordinates
+    and labels, references now and then to another name or holding another
+    pair than the one named, corrs with any endpoints.  Half of them take
+    only names and small integers, so that most of those print."""
+    decls, pairs = [], []  # pairs: (name, pair) as declared
+    if draw(st.booleans()):
+        words, ints, positive = _NAMES, st.integers(0, 9), st.integers(1, 9)
+    else:
+        words = st.one_of(_NAMES, st.text(max_size=3))
+        ints = st.one_of(st.integers(0, 9), st.sampled_from([_LONG - 1, _LONG]))
+        positive = st.one_of(st.integers(1, 9), st.sampled_from([_LONG - 1, _LONG]))
+
+    def reference():
+        name, pair = draw(st.sampled_from(pairs))
+        if draw(st.integers(0, 5)) == 0:
+            name = draw(words)
+        if draw(st.integers(0, 5)) == 0:
+            pair = draw(st.sampled_from(pairs))[1]
+        return name, pair
+
+    for _ in range(draw(st.integers(0, 6))):
+        kind, name = draw(st.sampled_from(["pair", "pair", "map", "corr", "qpair", "blowup"])), draw(words)
+        if kind == "pair" or not pairs:
+            coords = draw(st.lists(words.filter(bool), max_size=3, unique=True))
+            pair = Pair(Chart(coords), Divisor(draw(st.lists(ints, min_size=len(coords), max_size=len(coords)))))
+            pairs.append((name, pair))
+            decls.append(PairDecl(name, pair))
+        elif kind == "map":
+            (src, s), (dst, d) = reference(), reference()
+            rows = draw(st.lists(st.lists(ints, min_size=s.chart.dim, max_size=s.chart.dim),
+                                 min_size=d.chart.dim, max_size=d.chart.dim))
+            decls.append(MapDecl(name, src, dst, PairMap(MonomialMap(s.chart, d.chart, rows), s, d)))
+        elif kind == "corr":
+            if draw(st.booleans()):
+                corr = from_monomial_param(draw(positive), draw(positive), draw(ints), draw(ints))
+            else:
+                labels = draw(st.lists(st.one_of(words, st.integers(0, 99).map(str)), max_size=3, unique=True))
+                corr = NonConstantCorr(tuple(
+                    CorrLocalRecord(label, draw(ints), draw(ints), draw(positive), draw(positive))
+                    for label in labels
+                ))
+            ends = draw(st.sampled_from(["both", "both", "both", "none", "source", "target"]))
+            src = reference()[0] if ends in ("both", "source") else None
+            dst = reference()[0] if ends in ("both", "target") else None
+            decls.append(CorrDecl(name, corr, src, dst))
+        elif kind == "qpair":
+            ref, pair = reference()
+            decls.append(QPairDecl(name, ref, QPair(draw(positive), pair)))
+        else:
+            ref, pair = reference()
+            if pair.chart.dim:
+                center = draw(st.sets(st.integers(0, pair.chart.dim - 1), min_size=1))
+                decls.append(BlowupDecl(name, ref, BlowupSpec(pair, center)))
+    return Model(tuple(decls))
+
+
+@settings(max_examples=300, deadline=None)
+@given(library_models())
+def test_print_model_round_trips_or_refuses_any_library_model(model):
+    try:
+        text = print_model(model)
+    except ValueError as exc:
+        assert str(exc).startswith("cannot print ")
+        return
+    again = parse(text)
+    assert isinstance(again, Model), [format_diagnostic(d) for d in again]
+    assert again == model

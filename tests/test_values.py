@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 import modpairs
 from modpairs.blowup import BlowupChart, BlowupSpec
 from modpairs.cli import Report
-from modpairs.correspondences import ConstantCorr, CorrLocalRecord, NonConstantCorr
+from modpairs.correspondences import ConstantCorr, CorrLocalRecord, NonConstantCorr, from_monomial_param
 from modpairs.dsl import BlowupDecl, CorrDecl, Diagnostic, MapDecl, Model, PairDecl, QPairDecl, parse, print_model
 from modpairs.pairs import Chart, Divisor, MonomialMap, Pair, PairMap, StructureError, compose, pullback, twist
 from modpairs.qdivisors import QPair, cube, q_eq, q_rationals, q_transition
@@ -59,16 +59,16 @@ FIELDS = {
     ConstantCorr: ("image_in_interior",),
     NonConstantCorr: ("records",),
     QPair: ("level", "pair"),
-    Diagnostic: ("severity", "line", "column", "length", "message", "code"),
+    Diagnostic: ("line", "column", "length", "message", "code"),
     PairDecl: ("name", "pair"),
     MapDecl: ("name", "src", "dst", "pair_map"),
-    CorrDecl: ("name", "corr", "src", "dst", "monomial"),
+    CorrDecl: ("name", "corr", "src", "dst"),
     QPairDecl: ("name", "pair_name", "qpair"),
-    BlowupDecl: ("name", "pair_name", "center_coords", "spec"),
+    BlowupDecl: ("name", "pair_name", "spec"),
     Model: ("decls",),
     Report: ("status", "text", "records", "diagnostics"),
     UserPair: ("chart", "divisor"),
-    SlottedUserDiagnostic: ("severity", "line", "column", "length", "message", "code"),
+    SlottedUserDiagnostic: ("line", "column", "length", "message", "code"),
 }
 
 TEXT = """\
@@ -99,9 +99,9 @@ def build(k: int = 1) -> dict:
         MapDecl("f", "Z", "X", pmap),
         CorrDecl("c", corr, src="X", dst="X"),
         QPairDecl("q", "Z", qpair),
-        BlowupDecl("b", "Z", ("x", "y"), spec),
+        BlowupDecl("b", "Z", spec),
     )
-    diag = Diagnostic("error", k, 2, 3, "unknown pair 'nope'", "E021")
+    diag = Diagnostic(k, 2, 3, "unknown pair 'nope'", "E021")
     return {
         Chart: x,
         Divisor: Divisor([k, 0]),
@@ -117,13 +117,13 @@ def build(k: int = 1) -> dict:
         Diagnostic: diag,
         PairDecl: decls[0],
         MapDecl: decls[2],
-        CorrDecl: CorrDecl("m", corr, monomial=(k, 1, 1, 1)),
+        CorrDecl: CorrDecl("m", from_monomial_param(k, 1, 1, 1)),
         QPairDecl: decls[4],
         BlowupDecl: decls[5],
         Model: Model(decls[: 4 + k]),
         Report: Report(k, "error: unknown pair 'nope'", ({"verdict": k == 1},), (diag,)),
         UserPair: UserPair(x, Divisor([k])),
-        SlottedUserDiagnostic: SlottedUserDiagnostic("error", k, 2, 3, "unknown pair 'nope'", "E021"),
+        SlottedUserDiagnostic: SlottedUserDiagnostic(k, 2, 3, "unknown pair 'nope'", "E021"),
     }
 
 
@@ -244,7 +244,7 @@ def test_defaults():
     corr = NonConstantCorr(())
     decl = CorrDecl(name="c", corr=corr)
     assert (decl.src, decl.dst, decl.monomial) == (None, None, None)
-    assert CorrDecl("c", corr, None, None, None) == decl
+    assert CorrDecl("c", corr, None, None) == decl
     report = Report(status=0, text="", records=())
     assert report.diagnostics == ()
     # hashed over its other fields, since its records are dicts
@@ -294,6 +294,17 @@ def test_validation_is_unchanged(make, message):
     with pytest.raises(StructureError) as info:
         make()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("corr", [ConstantCorr(True), ConstantCorr(False), CorrLocalRecord("w", 1, 1, 1, 1), None],
+                         ids=["constant-in-the-interior", "constant-on-the-divisor", "a-bare-record", "none"])
+def test_a_declared_corr_has_records(corr):
+    # no statement declares a constant correspondence, and the printer and the
+    # CLI's corr-check read the records of every declared one
+    with pytest.raises(StructureError) as info:
+        CorrDecl("c", corr, src="X", dst="X")
+    assert type(info.value) is StructureError
+    assert str(info.value) == f"a declared correspondence must be a NonConstantCorr, got {corr!r}"
 
 
 @pytest.mark.parametrize("bad", [True, False, 1.0, 1.5, "1", None], ids=repr)
@@ -449,6 +460,14 @@ def test_token_module_loads_only_off_the_canonical_path(tmp_path):
     # the example spells divisors spaced, which only the token parser reads
     loaded = _imported(["-m", "modpairs", "check-all", "--model", str(EXAMPLE), "--machine"])
     assert "modpairs.tokens" in loaded
+
+
+def test_printer_checks_load_only_when_a_model_is_printed():
+    # no verb prints a model, so a CLI call never loads print_model's checks
+    assert "modpairs.printable" not in _modules("import modpairs; ")
+    loaded = _imported(["-m", "modpairs", "check-all", "--model", str(EXAMPLE), "--machine"])
+    assert "modpairs.cli" in loaded and "modpairs.printable" not in loaded
+    assert "modpairs.printable" in _modules("import modpairs; modpairs.print_model(modpairs.Model(())); ")
 
 
 def test_q_rationals_gives_fractions():
