@@ -21,11 +21,14 @@ Names are unique per namespace and references resolve to earlier
 declarations.  The parser recovers at statement boundaries, so one run
 reports every malformed statement.  ``print_model`` emits the canonical
 form: declaration order preserved, divisor entries in coordinate order
-with zeros omitted; parsing it back gives a structurally equal model, and
-it refuses a model built through the library that no text reads back.
-This module holds the declarations, ``parse``, the printer and the matcher
-that reads statements in that spelling whole, each distinct chart once per
-parse, shared by the pairs declared on it.  Any other spelling, such as
+with zeros omitted; parsing it back gives a structurally equal model.  That
+holds because a model is what its text reads back as: ``Model`` reads each
+declaration's line back through the readers and refuses one that gives a
+diagnostic or another declaration, so the grammar's rules live in the
+readers alone; ``parse`` builds past that check.  This module holds the
+declarations, ``parse``, the printer and the matcher that reads statements
+in that spelling whole, each distinct chart once per parse, shared by the
+pairs declared on it.  Any other spelling, such as
 ``divisor { a: 1 }``, is accepted too and read by the token parser of
 ``modpairs.tokens``, which makes every diagnostic; ``parse`` imports it only
 when the matcher stops before the end of the text, so a canonical model
@@ -41,7 +44,7 @@ from types import MappingProxyType
 
 from .blowup import BlowupSpec
 from .correspondences import CorrLocalRecord, NonConstantCorr, from_monomial_param
-from .pairs import (Chart, MonomialMap, Pair, PairMap, StructureError, Value, _divisor, _monomial_map, _pair,
+from .pairs import (Chart, MonomialMap, Pair, PairMap, StructureError, Value, _divisor, _monomial_map, _new, _pair,
                     _setters, format_divisor)
 from .qdivisors import QPair
 
@@ -160,6 +163,15 @@ KEYWORDS = {PairDecl: "pair", MapDecl: "map", CorrDecl: "corr", QPairDecl: "qpai
 class Model(Value):
     """Ordered declarations; equality is structural on the declaration list.
 
+    A model is what its text reads back as: the constructor formats each
+    declaration and reads its line back, after the lines of those before it,
+    by the readers ``parse`` uses, and raises ``StructureError`` for the first
+    whose line gives a diagnostic or reads back as anything but that one
+    declaration.  The message quotes the line, then the first diagnostic or
+    that it reads back as another declaration; a value that is no
+    declaration raises ``TypeError``, as ``format_decl`` does.  ``parse``
+    builds its models past this check, by ``_model``.
+
     No name index is kept: ``namespace`` scans ``decls`` on each call.  The
     CLI looks up at most two names per command and ``check-all`` and the
     benchmark iterate ``decls``."""
@@ -167,6 +179,19 @@ class Model(Value):
     __slots__ = ("decls",)
 
     def __init__(self, decls: tuple[Decl, ...] = ()):
+        matcher = _Matcher()
+        for decl in decls:
+            line, count = format_decl(decl), len(matcher.decls)
+            start = matcher.match(line)
+            if start < len(line):
+                from .tokens import read_from
+
+                read = read_from(matcher, line, start)
+                if type(read) is list:
+                    raise StructureError(f"{line!r}: {format_diagnostic(read[0])}")
+            # exactly one declaration, as a name may spell a second statement, and this one
+            if len(matcher.decls) != count + 1 or matcher.decls[-1] != decl:
+                raise StructureError(f"{line!r}: reads back as another declaration")
         _model_decls(self, decls)
 
     def namespace(self, kind: type) -> Mapping[str, Decl]:
@@ -175,6 +200,13 @@ class Model(Value):
 
 
 (_model_decls,) = _setters(Model)
+
+
+def _model(decls: tuple[Decl, ...]) -> Model:
+    """A model of what a reader read, past the read-back of ``Model.__init__``."""
+    model = _new(Model)
+    _model_decls(model, decls)
+    return model
 
 
 # --- declaration builders, one per form derived from what is read ------------
@@ -369,7 +401,7 @@ def parse(text: str) -> Model | list[Diagnostic]:
     matcher = _Matcher()
     start = matcher.match(text)
     if start == len(text):
-        return Model(tuple(matcher.decls))
+        return _model(tuple(matcher.decls))
     from .tokens import read_from
 
     return read_from(matcher, text, start)
@@ -421,24 +453,6 @@ def format_decl(decl: Decl) -> str:
 
 
 def print_model(model: Model) -> str:
-    """Canonical text of a model; parsing it back reproduces the model.
-
-    Raises ``ValueError`` naming the first declaration that no text reads back
-    as it is, as a model built through the library can hold: a name or label
-    that is no token of its class, a name declared twice, a reference to a pair
-    not declared before or holding another pair, a corr whose endpoints are
-    not two one-dimensional pairs or, with neither, whose records are not
-    ``from_monomial_param``'s, or an integer of more than ``MAX_INT_DIGITS``
-    digits.  The checks are ``modpairs.printable``'s, imported here on the
-    first call.  ``format_decl`` checks nothing, so ``check-all`` can echo
-    any declaration.
-    """
-    from .printable import first_unprintable
-
-    first = first_unprintable(model.decls)
-    if first is not None:
-        kind, decl, fault = first
-        raise ValueError(f"cannot print {KEYWORDS[kind]} {decl.name!r}: {fault}")
-    if not model.decls:
-        return ""
-    return "\n".join([format_decl(decl) for decl in model.decls]) + "\n"
+    """Canonical text of a model, one ``format_decl`` line per declaration;
+    parsing it back reproduces the model, which ``Model`` checks when it is built."""
+    return "".join([format_decl(decl) + "\n" for decl in model.decls])

@@ -31,6 +31,7 @@ from .dsl import (
     _is_name,
     _map_decl,
     _Matcher,
+    _model,
     _pair_decl,
 )
 from .pairs import Pair
@@ -367,4 +368,4 @@ def read_from(matcher: _Matcher, text: str, start: int) -> Model | list[Diagnost
             break
         if start > at:
             parser.restart(start)
-    return _place(text, parser.lexer + parser.problems) or Model(tuple(matcher.decls))
+    return _place(text, parser.lexer + parser.problems) or _model(tuple(matcher.decls))

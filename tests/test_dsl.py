@@ -24,7 +24,7 @@ from modpairs.dsl import (
     parse,
     print_model,
 )
-from modpairs.pairs import Chart, Divisor, MonomialMap, Pair, PairMap
+from modpairs.pairs import Chart, Divisor, MonomialMap, Pair, PairMap, StructureError
 from modpairs.qdivisors import QPair
 from modpairs.tokens import _Parser, _place
 from oracles import reference_lex
@@ -354,7 +354,7 @@ def token_parse(text):
     parser.restart(0)
     while parser.toks[parser.i]:
         parser.statement()
-    return _place(text, parser.lexer + parser.problems) or Model(tuple(parser.matcher.decls))
+    return _place(text, parser.lexer + parser.problems) or dsl._model(tuple(parser.matcher.decls))
 
 
 # Pieces a mutation inserts or puts in place of a cut: numerals and letters
@@ -798,63 +798,95 @@ def test_a_statement_over_many_lines_is_lexed_once(monkeypatch):
     assert len(calls) < len(token_pattern.findall(statement)) + 40
 
 
-# --- print_model prints what parse reads back, or refuses --------------------
+# --- a model is what its text reads back as ----------------------------------
 
 _LINE = Pair(Chart(("t",)), Divisor((1,)))
 _PLANE = Pair(Chart(("x", "y")), Divisor((1, 0)))
 _X, _Z = PairDecl("X", _LINE), PairDecl("Z", _PLANE)
 _ENDO = PairMap(MonomialMap.identity(_LINE.chart), _LINE, _LINE)
 _LONG = 10 ** MAX_INT_DIGITS  # the least integer of MAX_INT_DIGITS + 1 digits
+_E012 = f"error: integer literal longer than {MAX_INT_DIGITS} digits [E012]"
+_OTHER = "reads back as another declaration"
 
 
 def _points(*labels):
     return NonConstantCorr(tuple(CorrLocalRecord(label, 1, 1, 1, 1) for label in labels))
 
 
-@pytest.mark.parametrize("decls, message", [
-    ((PairDecl("X", Pair(Chart(("a b",)), Divisor((1,)))),), "pair 'X': coordinate 'a b' is not a name token"),
-    ((PairDecl("X", Pair(Chart(("1x",)), Divisor((1,)))),), "pair 'X': coordinate '1x' is not a name token"),
-    ((PairDecl("P#", _LINE),), "pair 'P#': its name is not a name token"),
-    ((PairDecl("", _LINE),), "pair '': its name is not a name token"),
-    ((PairDecl(7, _LINE),), "pair 7: its name is not a name token"),
-    ((_X, CorrDecl("c", _points("}"), "X", "X")),
-     "corr 'c': point label '}' is neither a name token nor an integer literal"),
+class _EqualToAny(str):
+    """A name equal to every string, so that only the count of what its line
+    reads back as can tell the line from the declaration."""
+
+    __slots__ = ()
+    __hash__ = str.__hash__
+
+    def __eq__(self, other):
+        return True
+
+
+_TWO = "X { dim 1; coords t; divisor {t: 1} }\npair Y"  # a name that spells a whole statement and the next's head
+
+
+@pytest.mark.parametrize("decls, line, why", [
+    ((PairDecl("X", Pair(Chart(("a b",)), Divisor((1,)))),), "pair X { dim 1; coords a b; divisor {a b: 1} }",
+     "1:14: error: dim 1 does not match the 2 declared coordinate(s) [E030]"),
+    ((PairDecl("X", Pair(Chart(("1x",)), Divisor((1,)))),), "pair X { dim 1; coords 1x; divisor {1x: 1} }",
+     "1:24: error: expected ';' after the coordinate list, found integer '1' [E011]"),
+    ((PairDecl("P#", _LINE),), "pair P# { dim 1; coords t; divisor {t: 1} }",
+     "1:44: error: expected '{', found end of input [E011]"),
+    ((PairDecl("", _LINE),), "pair  { dim 1; coords t; divisor {t: 1} }",
+     "1:7: error: expected a pair name, found '{' [E011]"),
+    ((PairDecl(7, _LINE),), "pair 7 { dim 1; coords t; divisor {t: 1} }",
+     "1:6: error: expected a pair name, found integer '7' [E011]"),
+    ((_X, CorrDecl("c", _points("}"), "X", "X")), "corr c : X -> X { point } { nx 1; ny 1; ex 1; ey 1 } }",
+     "1:25: error: expected a point label, found '}' [E011]"),
     ((_X, CorrDecl("c", _points("1" * (MAX_INT_DIGITS + 1)), "X", "X")),
-     f"corr 'c': point label '{'1' * (MAX_INT_DIGITS + 1)}' is neither a name token nor an integer literal"),
-    ((_X, PairDecl("X", _LINE)), "pair 'X': its name is declared before it"),
-    ((MapDecl("f", "X", "X", _ENDO), _X), "map 'f': pair 'X' is not declared before it"),
+     f"corr c : X -> X {{ point {'1' * (MAX_INT_DIGITS + 1)} {{ nx 1; ny 1; ex 1; ey 1 }} }}", "1:25: " + _E012),
+    ((_X, PairDecl("X", _LINE)), "pair X { dim 1; coords t; divisor {t: 1} }",
+     "1:6: error: duplicate pair name 'X' [E020]"),
+    ((MapDecl("f", "X", "X", _ENDO), _X), "map f : X -> X { t <- t }", "1:9: error: unknown pair 'X' [E021]"),
     ((_X, PairDecl("Y", Pair(Chart(("s",)), Divisor((1,)))), MapDecl("f", "Y", "X", _ENDO)),
-     "map 'f': pair 'Y' is not the pair it holds"),
+     "map f : Y -> X { t <- t }", "1:23: error: unknown coordinate 't' [E032]"),
     ((_X, PairDecl("W", Pair(_LINE.chart, Divisor((2,)))), MapDecl("f", "X", "W", _ENDO)),
-     "map 'f': pair 'W' is not the pair it holds"),
-    ((_X, _Z, QPairDecl("q", "X", QPair(2, _PLANE))), "qpair 'q': pair 'X' is not the pair it holds"),
-    ((_X, _Z, BlowupDecl("b", "X", BlowupSpec(_PLANE, {0}))), "blowup 'b': pair 'X' is not the pair it holds"),
-    ((_Z, CorrDecl("c", _points(), "Z", "Z")), "corr 'c': endpoint 'Z' is not a one-dimensional pair"),
-    ((CorrDecl("c", _points(), "X", "X"),), "corr 'c': pair 'X' is not declared before it"),
-    ((_X, CorrDecl("c", from_monomial_param(2, 3, 1, 1), src="X")), "corr 'c': it has one endpoint"),
-    ((_X, CorrDecl("c", from_monomial_param(2, 3, 1, 1), dst="X")), "corr 'c': it has one endpoint"),
-    ((CorrDecl("c", _points("w")),),
-     "corr 'c': it has no endpoints, and its records are not from_monomial_param's"),
-    ((CorrDecl("c", _points()),), "corr 'c': it has no endpoints, and its records are not from_monomial_param's"),
+     "map f : X -> W { t <- t }", _OTHER),
+    ((_X, _Z, QPairDecl("q", "X", QPair(2, _PLANE))), "qpair q = (2, X)", _OTHER),
+    ((_X, _Z, BlowupDecl("b", "X", BlowupSpec(_PLANE, {0}))), "blowup b on X center { x }",
+     "1:24: error: unknown coordinate 'x' [E032]"),
+    ((_Z, CorrDecl("c", _points(), "Z", "Z")), "corr c : Z -> Z { }",
+     "1:10: error: correspondence endpoint 'Z' must be a one-dimensional pair [E080]"),
+    ((CorrDecl("c", _points(), "X", "X"),), "corr c : X -> X { }", "1:10: error: unknown pair 'X' [E021]"),
+    ((_X, CorrDecl("c", from_monomial_param(2, 3, 1, 1), src="X")),
+     "corr c : X -> None { point 0 { nx 1; ny 1; ex 2; ey 3 } }", "1:15: error: unknown pair 'None' [E021]"),
+    ((_X, CorrDecl("c", from_monomial_param(2, 3, 1, 1), dst="X")),
+     "corr c : None -> X { point 0 { nx 1; ny 1; ex 2; ey 3 } }", "1:10: error: unknown pair 'None' [E021]"),
+    ((CorrDecl("c", _points("w")),), "corr c : None -> None { point w { nx 1; ny 1; ex 1; ey 1 } }",
+     "1:10: error: unknown pair 'None' [E021]"),
+    ((CorrDecl("c", _points()),), "corr c : None -> None { }", "1:10: error: unknown pair 'None' [E021]"),
     ((PairDecl("X", Pair(_LINE.chart, Divisor((10**400,)))),),
-     f"pair 'X': an integer has more than {MAX_INT_DIGITS} digits"),
+     f"pair X {{ dim 1; coords t; divisor {{t: {10**400}}} }}", "1:39: " + _E012),
     ((_X, MapDecl("f", "X", "X", PairMap(MonomialMap(_LINE.chart, _LINE.chart, ((_LONG,),)), _LINE, _LINE))),
-     f"map 'f': an integer has more than {MAX_INT_DIGITS} digits"),
-    ((CorrDecl("c", from_monomial_param(2, 3, _LONG, 1)),),
-     f"corr 'c': an integer has more than {MAX_INT_DIGITS} digits"),
-    ((_X, QPairDecl("q", "X", QPair(_LONG, _LINE))), f"qpair 'q': an integer has more than {MAX_INT_DIGITS} digits"),
+     f"map f : X -> X {{ t <- t^{_LONG} }}", "1:25: " + _E012),
+    ((CorrDecl("c", from_monomial_param(2, 3, _LONG, 1)),), f"corr c monomial(2, 3, {_LONG}, 1)", "1:23: " + _E012),
+    ((_X, QPairDecl("q", "X", QPair(_LONG, _LINE))), f"qpair q = ({_LONG}, X)", "1:12: " + _E012),
+    ((PairDecl("X\nY", _LINE),), "pair X\nY { dim 1; coords t; divisor {t: 1} }",
+     "2:1: error: expected '{', found name 'Y' [E011]"),
+    ((PairDecl("X\n", _LINE),), "pair X\n { dim 1; coords t; divisor {t: 1} }", _OTHER),
+    ((PairDecl(_TWO, _LINE),), f"pair {_TWO} {{ dim 1; coords t; divisor {{t: 1}} }}", _OTHER),
+    ((PairDecl(_EqualToAny(_TWO), _LINE),), f"pair {_TWO} {{ dim 1; coords t; divisor {{t: 1}} }}", _OTHER),
 ], ids=["blank-in-a-coordinate", "numeral-led-coordinate", "hash-in-a-name", "empty-name", "name-not-a-string",
         "brace-label", "over-long-literal-label", "name-twice", "map-before-its-pair", "map-source-another-chart",
         "map-target-another-divisor", "qpair-on-another-chart", "blowup-on-another-pair",
         "two-dimensional-endpoint", "undeclared-endpoint", "source-endpoint-only", "target-endpoint-only",
         "no-endpoints-other-records", "no-endpoints-no-records", "over-long-multiplicity", "over-long-exponent",
-        "over-long-corr-parameter", "over-long-level"])
-def test_print_model_refuses_what_parse_cannot_read_back(decls, message):
-    # without the checks, each of these prints text that parse refuses or
-    # reads as another model
-    with pytest.raises(ValueError) as info:
-        print_model(Model(decls))
-    assert str(info.value) == "cannot print " + message
+        "over-long-corr-parameter", "over-long-level", "newline-in-a-name", "newline-ending-a-name",
+        "name-spelling-a-second-statement", "name-spelling-a-second-statement-equal-to-any-name"])
+def test_print_model_refuses_what_parse_cannot_read_back(decls, line, why):
+    # Model refuses each of these, whose text parse refuses or reads as
+    # another model, the over-long label too, which the token parser keeps
+    # beside its E012; the message quotes the declaration's line
+    with pytest.raises(StructureError) as info:
+        Model(decls)
+    assert str(info.value) == f"{line!r}: {why}"
 
 
 @pytest.mark.parametrize("decls", [
@@ -892,15 +924,23 @@ class _UserPairDecl(PairDecl):
     __slots__ = ()
 
 
-def test_a_declaration_of_a_subclass_is_checked_and_printed_as_its_class():
-    # as format_decl prints it, so parse reads back the declaration class
-    model = Model((_UserPairDecl("X", _LINE), QPairDecl("q", "X", QPair(2, _LINE))))
-    assert print_model(model) == "pair X { dim 1; coords t; divisor {t: 1} }\nqpair q = (2, X)\n"
-    with pytest.raises(ValueError) as info:
-        print_model(Model((_UserPairDecl("P#", _LINE),)))
-    assert str(info.value) == "cannot print pair 'P#': its name is not a name token"
+class _UserPair(Pair):
+    __slots__ = ()
+
+
+@pytest.mark.parametrize("decl", [_UserPairDecl("X", _LINE), PairDecl("X", _UserPair(_LINE.chart, _LINE.divisor))],
+                         ids=["subclass-declaration", "subclass-pair"])
+def test_a_value_of_a_subclass_is_refused(decl):
+    # its line reads back as the base classes, another declaration, so no
+    # model, and no run_command on one, meets a subclass
+    with pytest.raises(StructureError) as info:
+        Model((decl, QPairDecl("q", "X", QPair(2, _LINE))))
+    assert str(info.value) == "'pair X { dim 1; coords t; divisor {t: 1} }': reads back as another declaration"
+
+
+def test_a_model_refuses_what_is_not_a_declaration():
     with pytest.raises(TypeError):
-        print_model(Model((_LINE,)))
+        Model((_LINE,))
 
 
 _NAMES = st.from_regex(r"[A-Za-z_\u00e9][\w\u00b2]{0,2}", fullmatch=True)
@@ -908,10 +948,10 @@ _NAMES = st.from_regex(r"[A-Za-z_\u00e9][\w\u00b2]{0,2}", fullmatch=True)
 
 @st.composite
 def library_models(draw):
-    """Models built through the library's constructors: text names, coordinates
+    """Declarations built through the library's constructors: text names, coordinates
     and labels, references now and then to another name or holding another
     pair than the one named, corrs with any endpoints.  Half of them take
-    only names and small integers, so that most of those print."""
+    only names and small integers, so that most of those make a model."""
     decls, pairs = [], []  # pairs: (name, pair) as declared
     if draw(st.booleans()):
         words, ints, positive = _NAMES, st.integers(0, 9), st.integers(1, 9)
@@ -961,17 +1001,21 @@ def library_models(draw):
             if pair.chart.dim:
                 center = draw(st.sets(st.integers(0, pair.chart.dim - 1), min_size=1))
                 decls.append(BlowupDecl(name, ref, BlowupSpec(pair, center)))
-    return Model(tuple(decls))
+    return tuple(decls)
 
 
 @settings(max_examples=300, deadline=None)
 @given(library_models())
-def test_print_model_round_trips_or_refuses_any_library_model(model):
+def test_print_model_round_trips_or_refuses_any_library_model(decls):
+    lines = [format_decl(decl) for decl in decls]
     try:
-        text = print_model(model)
-    except ValueError as exc:
-        assert str(exc).startswith("cannot print ")
+        model = Model(decls)
+    except StructureError as exc:
+        # it names one of the lines, and parse does not read their text back as the declarations
+        assert any(str(exc).startswith(f"{line!r}: ") for line in lines)
+        again = parse("".join(line + "\n" for line in lines))
+        assert not isinstance(again, Model) or again.decls != decls
         return
-    again = parse(text)
+    again = parse(print_model(model))
     assert isinstance(again, Model), [format_diagnostic(d) for d in again]
     assert again == model

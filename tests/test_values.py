@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 import modpairs
 from modpairs.blowup import BlowupChart, BlowupSpec
-from modpairs.cli import Report
+from modpairs.cli import Report, run_command
 from modpairs.correspondences import ConstantCorr, CorrLocalRecord, NonConstantCorr, from_monomial_param
 from modpairs.dsl import BlowupDecl, CorrDecl, Diagnostic, MapDecl, Model, PairDecl, QPairDecl, parse, print_model
 from modpairs.pairs import Chart, Divisor, MonomialMap, Pair, PairMap, StructureError, compose, pullback, twist
@@ -462,12 +462,23 @@ def test_token_module_loads_only_off_the_canonical_path(tmp_path):
     assert "modpairs.tokens" in loaded
 
 
-def test_printer_checks_load_only_when_a_model_is_printed():
-    # no verb prints a model, so a CLI call never loads print_model's checks
-    assert "modpairs.printable" not in _modules("import modpairs; ")
-    loaded = _imported(["-m", "modpairs", "check-all", "--model", str(EXAMPLE), "--machine"])
-    assert "modpairs.cli" in loaded and "modpairs.printable" not in loaded
-    assert "modpairs.printable" in _modules("import modpairs; modpairs.print_model(modpairs.Model(())); ")
+def test_readers_and_the_cli_never_run_the_read_back(monkeypatch):
+    # parse builds past Model's check on the matcher's path and the token
+    # parser's alike, and no verb builds a model
+    canonical = print_model(random_model(random.Random(11)))
+    expected = run_command(parse(TEXT), ["check-all"])
+
+    def read_back(self, decls=()):
+        raise AssertionError("Model.__init__ ran")
+
+    monkeypatch.setattr(Model, "__init__", read_back)
+    model = parse(canonical)
+    assert type(model) is Model and print_model(model) == canonical
+    assert [d.code for d in parse(TEXT.replace("x * y^2", "x * w"))] == ["E032"]
+    unicode = parse("pair \u00e9 { dim 1; coords \u00fc; divisor {\u00fc: 1} }\nqpair q = (2, \u00e9)\n")
+    assert [d.name for d in unicode.decls] == ["\u00e9", "q"]
+    assert run_command(model, ["check-all"]).status in (0, 1)
+    assert run_command(parse(TEXT), ["check-all"]) == expected
 
 
 def test_q_rationals_gives_fractions():
