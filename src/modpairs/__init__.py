@@ -4,6 +4,13 @@ Divisor arithmetic, admissibility and twisting of monomial morphisms,
 blowup charts at coordinate centers, pointwise membership tests for curve
 correspondences, rational divisor levels, and a small declaration DSL with
 a command driver.
+
+``import modpairs`` loads the mathematics alone: ``pairs``, ``blowup``,
+``correspondences`` and ``qdivisors``.  The two front ends load on first
+use of one of their names: the DSL (``modpairs.dsl``, and with it ``re``)
+through its declarations, ``Model``, ``parse`` and the printers, and the
+command driver (``modpairs.cli``) through ``main``, ``run_command`` and
+``Report``.
 """
 
 from .blowup import (
@@ -25,19 +32,6 @@ from .correspondences import (
     in_colim_mcor,
     in_lcor,
     in_mcor,
-)
-from .dsl import (
-    BlowupDecl,
-    CorrDecl,
-    Diagnostic,
-    MapDecl,
-    Model,
-    PairDecl,
-    QPairDecl,
-    format_decl,
-    format_diagnostic,
-    parse,
-    print_model,
 )
 from .pairs import (
     Chart,
@@ -124,11 +118,22 @@ __all__ = [
 ]
 
 
-def __getattr__(name: str):
-    # main, run_command and Report load modpairs.cli on first use, so a
-    # library import leaves out the CLI and what it imports
-    if name in ("Report", "main", "run_command"):
-        from . import cli
+# the front ends' names, by the module that loads on first use of one
+_DEFERRED = {
+    **dict.fromkeys(("Report", "main", "run_command"), "cli"),
+    **dict.fromkeys(("BlowupDecl", "CorrDecl", "Diagnostic", "MapDecl", "Model", "PairDecl", "QPairDecl",
+                     "format_decl", "format_diagnostic", "parse", "print_model"), "dsl"),
+}
 
-        return getattr(cli, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+def __getattr__(name: str):
+    # not cached, so ``modpairs.parse`` is always ``modpairs.dsl.parse``
+    module = _DEFERRED.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # ``from .<module> import <name>``, which loads no importlib
+    return getattr(__import__(module, globals(), None, (name,), 1), name)
+
+
+def __dir__() -> list[str]:
+    return [*globals(), *_DEFERRED]

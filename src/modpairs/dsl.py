@@ -168,7 +168,10 @@ class Model(Value):
     by the readers ``parse`` uses, and raises ``StructureError`` for the first
     whose line gives a diagnostic or reads back as anything but that one
     declaration.  The message quotes the line, then the first diagnostic or
-    that it reads back as another declaration; a value that is no
+    that it reads back as another declaration.  A declaration whose line
+    cannot be written, as an integer past the interpreter's int/str digit
+    limit cannot, gets a message of its class and name instead, such as
+    ``PairDecl 'X': an integer has more than 300 digits``; a value that is no
     declaration raises ``TypeError``, as ``format_decl`` does.  ``parse``
     builds its models past this check, by ``_model``.
 
@@ -181,7 +184,13 @@ class Model(Value):
     def __init__(self, decls: tuple[Decl, ...] = ()):
         matcher = _Matcher()
         for decl in decls:
-            line, count = format_decl(decl), len(matcher.decls)
+            try:
+                line = format_decl(decl)
+            except ValueError:  # an integer past the interpreter's int/str digit limit, which no repr passes
+                raise StructureError(
+                    f"{type(decl).__name__} {decl.name!r}: an integer has more than {MAX_INT_DIGITS} digits"
+                ) from None
+            count = len(matcher.decls)
             start = matcher.match(line)
             if start < len(line):
                 from .tokens import read_from

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -941,6 +942,41 @@ def test_a_value_of_a_subclass_is_refused(decl):
 def test_a_model_refuses_what_is_not_a_declaration():
     with pytest.raises(TypeError):
         Model((_LINE,))
+
+
+def _holding(n):
+    """Models with ``n`` in one integer field each, by the field's id, with the
+    declaration that holds it as ``Model``'s message names it."""
+    record = NonConstantCorr((CorrLocalRecord("w", n, 1, 1, 1),))
+    return {
+        "multiplicity": ((PairDecl("X", Pair(_LINE.chart, Divisor((n,)))),), "PairDecl 'X'"),
+        "map-exponent": ((_X, MapDecl("f", "X", "X", PairMap(MonomialMap(_LINE.chart, _LINE.chart, ((n,),)),
+                                                                 _LINE, _LINE))), "MapDecl 'f'"),
+        "corr-record-field": ((_X, CorrDecl("c", record, "X", "X")), "CorrDecl 'c'"),
+        "qpair-level": ((_X, QPairDecl("q", "X", QPair(n, _LINE))), "QPairDecl 'q'"),
+    }
+
+
+def _refused_past_the_digit_limit(field, digits):
+    decls, named = _holding(10 ** (digits - 1))[field]
+    with pytest.raises(StructureError) as info:
+        Model(decls)
+    if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < digits:
+        # no line can be written, and no repr of the declaration either
+        assert str(info.value) == f"{named}: an integer has more than {MAX_INT_DIGITS} digits"
+    else:  # no digit limit (before Python 3.10.7, or set to 0): the line is written and its literal refused
+        assert str(info.value).endswith(_E012)
+
+
+@pytest.mark.parametrize("field", list(_holding(1)))
+def test_an_integer_past_the_digit_limit_is_a_structure_error(field):
+    _refused_past_the_digit_limit(field, 4301)  # one digit past the interpreter's default limit
+
+
+@pytest.mark.usefixtures("lowest_digit_limit")
+@pytest.mark.parametrize("field", list(_holding(1)))
+def test_an_integer_past_the_lowest_digit_limit_is_a_structure_error(field):
+    _refused_past_the_digit_limit(field, 641)
 
 
 _NAMES = st.from_regex(r"[A-Za-z_\u00e9][\w\u00b2]{0,2}", fullmatch=True)

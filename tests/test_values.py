@@ -404,34 +404,76 @@ def test_model_built_directly():
 
 
 def _modules(code: str) -> set[str]:
+    """The modules a fresh ``python -S`` holds after running ``code``: without
+    ``site``, so that no module a ``.pth`` file preloads (``re``, say) hides one."""
     src = str(Path(modpairs.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c", f"import sys; {code}loaded = sorted(sys.modules); import json; print(json.dumps(loaded))"],
-        capture_output=True, text=True, env=env, check=True,
-    ).stdout
+    code = f"import sys; {code}loaded = sorted(sys.modules); import json; print(json.dumps(loaded))"
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True).stdout
     return set(json.loads(out))
+
+
+_FRONT_ENDS = {"modpairs.dsl", "modpairs.cli", "modpairs.tokens", "re"}
 
 
 def test_import_loads_no_heavy_module():
     loaded = _modules("import modpairs; ") - _modules("")
-    assert "modpairs.dsl" in loaded
+    assert {"modpairs.pairs", "modpairs.blowup", "modpairs.correspondences", "modpairs.qdivisors"} <= loaded
     heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "fractions", "decimal", "argparse", "json"}
     assert not heavy & loaded
-    assert "modpairs.cli" not in loaded  # the library import leaves the CLI out
+    assert not _FRONT_ENDS & loaded  # the library import leaves out the DSL, its regexes and the CLI
+
+
+def test_a_dsl_name_loads_the_dsl_alone():
+    loaded = _modules("from modpairs import parse; ")
+    assert {"modpairs.dsl", "re"} <= loaded and not {"modpairs.cli", "modpairs.tokens"} & loaded
+
+
+def test_the_kernel_script_loads_no_dsl():
+    loaded = _imported([str(EXAMPLE.parent / "counterexample_scan.py"), "--max", "2"])
+    assert "modpairs.correspondences" in loaded and "modpairs.dsl" not in loaded
+
+
+def test_a_model_unpickles_where_only_modpairs_was_imported():
+    model = parse(TEXT)
+    src = str(Path(modpairs.__file__).resolve().parents[1])
+    # unpickled before any DSL name is used, so the pickle itself must load modpairs.dsl
+    code = "import pickle, sys, modpairs; m = pickle.loads(sys.stdin.buffer.read()); sys.stdout.write(modpairs.print_model(m))"
+    out = subprocess.run([sys.executable, "-S", "-c", code], input=pickle.dumps(model), capture_output=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True).stdout
+    assert out.decode() == print_model(model)
+
+
+def test_a_deferred_name_is_read_from_its_module_on_each_use(monkeypatch):
+    from modpairs import dsl
+
+    def other(text):
+        return []
+
+    monkeypatch.setattr(dsl, "parse", other)
+    assert modpairs.parse is dsl.parse is other
 
 
 def test_the_cli_names_stay_public():
-    from modpairs import cli
+    from modpairs import cli, dsl
 
-    assert modpairs.main is cli.main and modpairs.run_command is cli.run_command and modpairs.Report is cli.Report
-    assert {"main", "run_command", "Report"} <= set(modpairs.__all__)
+    deferred = {cli: ("Report", "main", "run_command"),
+                dsl: ("BlowupDecl", "CorrDecl", "Diagnostic", "MapDecl", "Model", "PairDecl", "QPairDecl",
+                      "format_decl", "format_diagnostic", "parse", "print_model")}
+    for module, names in deferred.items():
+        assert set(names) <= set(modpairs.__all__)
+        assert all(getattr(modpairs, name) is getattr(module, name) for name in names)
     namespace = {}
     exec("from modpairs import *", namespace)
     assert set(modpairs.__all__) <= set(namespace)
     assert all(namespace[name] is getattr(modpairs, name) for name in modpairs.__all__)
     with pytest.raises(AttributeError, match=r"^module 'modpairs' has no attribute 'nosuch'$"):
         modpairs.nosuch
+
+
+def test_dir_lists_every_public_name_before_first_use():
+    code = "import modpairs; assert set(modpairs.__all__) <= set(dir(modpairs)); "
+    assert not _FRONT_ENDS & _modules(code)  # listing the names loads neither front end
 
 
 def _imported(argv: list[str]) -> set[str]:
@@ -452,7 +494,7 @@ def test_a_verb_call_loads_json_only_for_machine_output_and_never_argparse():
 
 def test_token_module_loads_only_off_the_canonical_path(tmp_path):
     # dsl.parse imports the token path only where the matcher stops early
-    assert "modpairs.tokens" not in _modules("import modpairs; ")
+    assert "modpairs.tokens" not in _modules("import modpairs, modpairs.dsl; ")
     canonical = tmp_path / "canonical.lp"
     canonical.write_text(print_model(random_model(random.Random(11))))
     loaded = _imported(["-m", "modpairs", "check-all", "--model", str(canonical), "--machine"])
