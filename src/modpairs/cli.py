@@ -5,9 +5,9 @@ queried check passed or the command produced its value, 1 means a queried
 membership or verdict came back false, 2 means malformed input or usage, a
 model that cannot be read (a closed stdin too), 3 an unknown name, 4 a
 dimension/structure mismatch, 5 an invalid blowup, 70 an internal error (a
-fault in modpairs itself, never an answer), 74 stdout or stderr, argparse's
-help and usage texts included, that could not be written in full, such as a
-pipe whose reader has gone.  Stdin is decoded as a model file is, in strict
+fault in modpairs itself, never an answer), 74 stdout or stderr, the help
+text included, that could not be written in full, such as a pipe whose
+reader has gone.  Stdin is decoded as a model file is, in strict
 UTF-8 with universal newlines, whatever the locale.
 Human text is written with ``backslashreplace``, as Python writes stderr, so
 a name the output encoding cannot hold is escaped, not a fault.
@@ -260,20 +260,27 @@ def _check_all(model: Model) -> Report:
     return Report(max(statuses, default=EXIT_OK), "\n\n".join(texts), records)
 
 
+def _refused(command: list[str]) -> Report | None:
+    """The E011 report on an empty command, an unknown verb or a wrong argument count; else None."""
+    if not command:
+        message = "empty command"
+    elif command[0] not in COMMANDS:
+        message = f"unknown command '{command[0]}'"
+    elif len(command) - 1 != len(COMMANDS[command[0]]):
+        message = f"command '{command[0]}' takes {len(COMMANDS[command[0]])} argument(s), got {len(command) - 1}"
+    else:
+        return None
+    return Report(EXIT_INPUT, f"error: {message}", (), (_arg_diag(command, 0, message, "E011"),))
+
+
 def run_command(model: Model, command) -> Report:
     """Run one command against a model; never raises for model-level problems."""
     command = list(command)
+    refused = _refused(command)
+    if refused is not None:
+        return refused
     try:
-        if not command:
-            raise _CommandError(EXIT_INPUT, 0, "empty command", "E011")
-        verb = command[0]
-        expected = COMMANDS.get(verb)
-        if expected is None:
-            raise _CommandError(EXIT_INPUT, 0, f"unknown command '{verb}'", "E011")
-        if len(command) - 1 != len(expected):
-            message = f"command '{verb}' takes {len(expected)} argument(s), got {len(command) - 1}"
-            raise _CommandError(EXIT_INPUT, 0, message, "E011")
-        if verb == "check-all":
+        if command[0] == "check-all":
             return _check_all(model)
         return _run_single(model, command)
     except _CommandError as exc:
@@ -330,71 +337,63 @@ def entry():
     sys.exit(status)
 
 
-def _read_argv(argv: list[str]) -> tuple[list[str], str, bool] | None:
-    """(command, model, machine) for a verb, exactly its positionals and at most
-    one each of --model F (or --model=F) and --machine, where no positional and
-    no F but "-" starts with "-"; None for any other argv."""
-    if not argv or argv[0] not in COMMANDS:
-        return None
-    command, model, machine = argv[:1], None, False
-    words = iter(argv[1:])
+def _read_argv(argv: list[str]) -> tuple[list[str], str | None, bool, list[str] | None]:
+    """(command, model, machine, asked) from argv.  Five spellings are options,
+    wherever they stand: --machine, --model F, --model=F, -h and --help; the
+    last --model wins, and F is None for a --model that ends argv.  Every other
+    word is a positional of the command.  asked is None without -h or --help,
+    else the positionals' first word before the last of them, if any."""
+    command, model, machine, asked = [], "-", False, None
+    words = iter(argv)
     for word in words:
-        if word == "--machine" and not machine:
+        if not word.startswith("-"):  # most words: kept cheap for a shell call
+            command.append(word)
+        elif word == "--machine":
             machine = True
-        elif word.partition("=")[0] == "--model" and model is None:
-            model = word[8:] if "=" in word else next(words, "--")  # no value: refused below
-        elif word.startswith("-"):
-            return None
+        elif word == "--model":
+            model = next(words, None)
+        elif word.startswith("--model="):
+            model = word[8:]
+        elif word in ("-h", "--help"):
+            asked = command[:1]
         else:
             command.append(word)
-    model = "-" if model is None else model
-    if len(command) != len(COMMANDS[argv[0]]) + 1 or model != "-" and model.startswith("-"):
-        return None
-    return command, model, machine
+    return command, model, machine, asked
 
 
-def _parser():
-    """argparse, for every argv that ``_read_argv`` leaves: help, errors, other spellings."""
-    import argparse
-    parser = argparse.ArgumentParser(
-        prog="modpairs",
-        description="Checks on declared pairs, maps, correspondences, levelled pairs and blowups.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for verb in COMMANDS:
-        p = sub.add_parser(verb)
-        for positional in COMMANDS[verb]:
-            p.add_argument(positional)
-        p.add_argument("--model", default="-", help="model file, or - for stdin")
-        p.add_argument("--machine", action="store_true", help="emit one JSON record per check")
-    return parser
+def _help(asked: list[str]) -> str:
+    """The usage of the verb that help was asked after, else of every verb: from the verb table."""
+    usages = {verb: " ".join([verb, *("n" if name == "n" else KEYWORDS[_VERBS[verb][0]] for name in names)])
+              for verb, names in COMMANDS.items()}
+    if asked and asked[0] in COMMANDS:
+        text = f"usage: modpairs {usages[asked[0]]} [--model FILE] [--machine]\n"
+    else:
+        text = ("usage: modpairs COMMAND [ARGUMENT...] [--model FILE] [--machine]\n\n"
+                "Checks on declared pairs, maps, correspondences, levelled pairs and blowups.\n\n"
+                "commands and their arguments:\n" + "".join(f"  {usage}\n" for usage in usages.values()))
+    return text + """
+options:
+  --model FILE  the model file, or - for stdin (the default)
+  --machine     one JSON record per line for each check
+  -h, --help    this help; after a command, that command's usage
+"""
 
 
 def _main(argv) -> tuple[int, str, str]:
     argv = sys.argv[1:] if argv is None else list(argv)
-    read = _read_argv(argv)
-    if read is None:
-        import contextlib
-        import io
-        out, err = io.StringIO(), io.StringIO()  # argparse's help and usage texts, for main to write
+    command, model, machine, asked = _read_argv(argv)
+    if asked is not None:
+        return EXIT_OK, _help(asked), ""
+    if model is None:
+        return EXIT_INPUT, "", "error: --model needs a file name\n"
+    report = _refused(command)  # before the model is read, so a usage error never waits on stdin
+    if report is None:
         try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                ns = _parser().parse_args(argv)
-        except SystemExit as exc:  # help printed, or a usage error
-            return exc.code, out.getvalue(), err.getvalue()
-        read = [ns.command] + [getattr(ns, p) for p in COMMANDS[ns.command]], ns.model, ns.machine
-    command, model, machine = read
-
-    try:
-        text = _read_model_text(model)
-    except (OSError, UnicodeDecodeError) as exc:
-        return EXIT_INPUT, "", f"error: cannot read model: {exc}\n"
-
-    parsed = parse(text)
-    if isinstance(parsed, list):
-        report = Report(EXIT_INPUT, "", (), tuple(parsed))
-    else:
-        report = run_command(parsed, command)
+            text = _read_model_text(model)
+        except (OSError, UnicodeDecodeError) as exc:
+            return EXIT_INPUT, "", f"error: cannot read model: {exc}\n"
+        parsed = parse(text)
+        report = Report(EXIT_INPUT, "", (), tuple(parsed)) if isinstance(parsed, list) else run_command(parsed, command)
     err = "".join(format_diagnostic(diag) + "\n" for diag in report.diagnostics)
     out = ""
     if machine:

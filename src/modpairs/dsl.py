@@ -171,8 +171,9 @@ class Model(Value):
     that it reads back as another declaration.  A declaration whose line
     cannot be written, as an integer past the interpreter's int/str digit
     limit cannot, gets a message of its class and name instead, such as
-    ``PairDecl 'X': an integer has more than 300 digits``; a value that is no
-    declaration raises ``TypeError``, as ``format_decl`` does.  ``parse``
+    ``PairDecl 'X': an integer has more than 300 digits``, or of its name's
+    class for a name that is no string; a value that is no declaration raises
+    ``TypeError``, as ``format_decl`` does.  ``parse``
     builds its models past this check, by ``_model``.
 
     No name index is kept: ``namespace`` scans ``decls`` on each call.  The
@@ -187,8 +188,10 @@ class Model(Value):
             try:
                 line = format_decl(decl)
             except ValueError:  # an integer past the interpreter's int/str digit limit, which no repr passes
+                name = decl.name  # itself an int, maybe: named by its class, never converted
+                name = repr(name) if isinstance(name, str) else f"with a name of class {type(name).__name__}"
                 raise StructureError(
-                    f"{type(decl).__name__} {decl.name!r}: an integer has more than {MAX_INT_DIGITS} digits"
+                    f"{type(decl).__name__} {name}: an integer has more than {MAX_INT_DIGITS} digits"
                 ) from None
             count = len(matcher.decls)
             start = matcher.match(line)

@@ -27,7 +27,7 @@ from modpairs.cli import (
     EXIT_OK,
     EXIT_UNKNOWN_NAME,
     Report,
-    _parser,
+    _help,
     _read_argv,
     entry,
     main,
@@ -43,7 +43,7 @@ README = Path(__file__).parent.parent / "README.md"
 EXAMPLE = Path(__file__).parent.parent / "scripts" / "example.lp"
 MALFORMED = Path(__file__).parent / "data" / "malformed" / "m01_bad_keyword.lp"
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
-# main's help, usage and argparse errors, frozen under one Python version
+# main's help texts, usage errors and the argv forms whose reading is a decision, frozen
 ARGV_SURFACE = json.loads((Path(__file__).parent / "data" / "argv_surface.json").read_text(encoding="utf-8"))
 
 DEMO = """\
@@ -382,14 +382,8 @@ class TestMain:
 
     @pytest.mark.parametrize("case", ARGV_SURFACE["cases"], ids=lambda case: " ".join(case["argv"]) or "no-args")
     def test_argv_surface_is_frozen(self, case, capsys, monkeypatch):
-        # argparse words help and errors differently in other Python versions
-        if "%d.%d" % sys.version_info[:2] != ARGV_SURFACE["python"]:
-            pytest.skip(f"captured under Python {ARGV_SURFACE['python']}")
-        monkeypatch.setenv("COLUMNS", "80")
-        try:
-            status = main(list(case["argv"]))
-        except SystemExit as exc:
-            status = exc.code
+        monkeypatch.setattr("sys.stdin", io.StringIO(EXAMPLE.read_text(encoding="utf-8")))
+        status = main(list(case["argv"]))
         out = capsys.readouterr()
         assert (out.out, out.err, status) == (case["stdout"], case["stderr"], case["status"])
 
@@ -479,7 +473,7 @@ class TestOutput:
         (1, ["twist", "Q", "2", "--model", str(EXAMPLE)], EXIT_UNKNOWN_NAME, b"1:7: error: unknown pair 'Q' [E021]\n"),
         (2, ["twist", "Q", "2", "--model", str(EXAMPLE)], EXIT_IOERR, b""),
         (2, ["check-all", "--model", str(MALFORMED)], EXIT_IOERR, b""),
-        # argparse's texts go the same way
+        # the help and usage texts go the same way
         (1, ["--help"], EXIT_IOERR, b"error: cannot write output: [Errno 9] Bad file descriptor\n"),
         (2, ["twist", "X"], EXIT_IOERR, b""),
     ], ids=["stdin", "stdout", "stdout-nothing-to-write", "stderr-unknown-name", "stderr-malformed",
@@ -661,10 +655,7 @@ def test_main_on_any_argv(demo_file, command, machine):
     argv = [*command, "--model", demo_file] + (["--machine"] if machine else [])
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        try:
-            status = main(argv)
-        except SystemExit as exc:  # argparse reports a usage error, or prints help
-            status = exc.code
+        status = main(argv)
     assert status != EXIT_INTERNAL, err.getvalue()
     assert status in (EXIT_OK, EXIT_FALSE, EXIT_INPUT, EXIT_UNKNOWN_NAME, EXIT_DIMENSION, EXIT_INVALID_BLOWUP)
     if status not in (EXIT_OK, EXIT_FALSE):
@@ -698,7 +689,26 @@ def _argv(draw):
     return [verb, *argv]
 
 
-_FULL_PARSER = _parser()  # the fallback's parser, with every verb
+def _by_the_rule(argv: list[str]) -> tuple[list[str], str | None, bool, list[str] | None]:
+    """argv read word by word by the rule the README states: --machine, --model
+    F (F is the next word, whatever it is), --model=F, -h and --help are options,
+    the last --model wins, and every other word is a positional of the command."""
+    command, model, machine, asked, at = [], "-", False, None, 0
+    while at < len(argv):
+        word = argv[at]
+        if word == "--model":
+            at += 1
+            model = argv[at] if at < len(argv) else None
+        elif word.startswith("--model="):
+            model = word.partition("=")[2]
+        elif word == "--machine":
+            machine = True
+        elif word in ("-h", "--help"):
+            asked = command[:1]
+        else:
+            command.append(word)
+        at += 1
+    return command, model, machine, asked
 
 
 @settings(max_examples=400, deadline=None)
@@ -706,27 +716,50 @@ _FULL_PARSER = _parser()  # the fallback's parser, with every verb
 @example(argv=["twist", "X", "2", "--mach"])
 @example(argv=["check-all", "--model", "a", "--model=b"])
 @example(argv=["classify", "--model", "-x", "B"])
-def test_the_hand_reader_agrees_with_argparse(argv):
-    """Whatever argv the hand reader accepts, argparse over every verb reads
-    the same way, and the reader takes only the spellings it documents, each
-    at most once: abbreviations, repeats and values that look like options
-    are argparse's to read or refuse."""
+@example(argv=["twist", "X", "-h"])
+@example(argv=["-h", "twist", "X"])
+@example(argv=["twist", "X", "2", "--model"])
+def test_the_reader_takes_five_spellings_and_help_exits_0(argv):
+    """Every argv is read: the five spellings are options and every other word
+    is a positional, so an abbreviation, a repeat or a ``--`` is no option.
+    ``-h`` or ``--help`` prints help on stdout and exits 0, without reading stdin."""
     read = _read_argv(argv)
-    if read is None:
+    assert read == _by_the_rule(argv)
+    asked = read[3]
+    if asked is None:
         return
-    words = argv[1:]
-    if "--model" in words:
-        index = words.index("--model")
-        words[index:index + 2] = ["--model"]  # without its value
-    options = ["--model" if word.startswith("--model=") else word for word in words if word.startswith("-")]
-    assert set(options) <= {"--model", "--machine"} and len(options) == len(set(options)), argv
-    err = io.StringIO()
-    with redirect_stderr(err):
-        try:
-            ns = _FULL_PARSER.parse_args(argv)
-        except SystemExit:
-            pytest.fail(f"argparse refuses {argv!r}, which the hand reader accepts: {err.getvalue()}")
-    assert read == ([ns.command, *(getattr(ns, name) for name in COMMANDS[ns.command])], ns.model, ns.machine)
+    out, err, stdin = io.StringIO(), io.StringIO(), sys.stdin
+    sys.stdin = _Unread()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            status = main(argv)
+    finally:
+        sys.stdin = stdin
+    verb = asked[0] if asked and asked[0] in COMMANDS else "COMMAND"
+    assert (status, err.getvalue()) == (EXIT_OK, "")
+    assert out.getvalue() == _help(asked) and out.getvalue().startswith(f"usage: modpairs {verb}")
+
+
+class _Unread(io.StringIO):
+    """A stdin that no run may read: reading it is a fault, so main exits 70."""
+
+    def read(self, size=-1):
+        raise AssertionError("stdin was read")
+
+
+@pytest.mark.parametrize("argv, err", [
+    ([], "1:1: error: empty command [E011]\n"),
+    (["nosuch", "--machine"], "1:1: error: unknown command 'nosuch' [E011]\n"),
+    (["twist", "X"], "1:1: error: command 'twist' takes 2 argument(s), got 1 [E011]\n"),
+    (["twist", "X", "2", "--mach"], "1:1: error: command 'twist' takes 2 argument(s), got 3 [E011]\n"),
+    (["twist", "X", "2", "--model"], "error: --model needs a file name\n"),
+], ids=["empty", "unknown-verb", "missing-argument", "abbreviated-option", "model-without-a-file"])
+def test_a_usage_error_never_reads_stdin(monkeypatch, capsys, argv, err):
+    monkeypatch.setattr("sys.stdin", _Unread())
+    assert (main(argv), *capsys.readouterr()) == (EXIT_INPUT, "", err)
+    # the same stdin under a well-formed call is read, and fails it
+    assert main(["check-all"]) == EXIT_INTERNAL
+    assert "AssertionError('stdin was read')" in capsys.readouterr().err
 
 
 # statements beside DEMO's, with maps to and from the point chart and literals at the length bound
@@ -941,10 +974,7 @@ def test_main_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch, enabled
     was, frozen = gc.isenabled(), gc.get_freeze_count()
     (gc.enable if enabled else gc.disable)()
     try:
-        try:
-            got, _ = _main_out([*argv, "--model", str(path)])
-        except SystemExit as exc:  # argparse prints help
-            got = exc.code
+        got, _ = _main_out([*argv, "--model", str(path)])
         # only the process entry freezes, never main
         assert (got, gc.isenabled(), gc.get_freeze_count()) == (status, enabled, frozen)
     finally:

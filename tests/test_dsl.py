@@ -979,6 +979,15 @@ def test_an_integer_past_the_lowest_digit_limit_is_a_structure_error(field):
     _refused_past_the_digit_limit(field, 641)
 
 
+@pytest.mark.usefixtures("lowest_digit_limit")
+def test_a_name_past_the_digit_limit_is_named_by_its_class():
+    # the name is the integer that cannot be written, so the message cannot quote it either
+    with pytest.raises(StructureError) as info:
+        Model((PairDecl(10 ** 5000, _LINE),))
+    if getattr(sys, "get_int_max_str_digits", lambda: 0)():
+        assert str(info.value) == f"PairDecl with a name of class int: an integer has more than {MAX_INT_DIGITS} digits"
+
+
 _NAMES = st.from_regex(r"[A-Za-z_\u00e9][\w\u00b2]{0,2}", fullmatch=True)
 
 

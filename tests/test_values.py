@@ -476,12 +476,14 @@ def test_dir_lists_every_public_name_before_first_use():
     assert not _FRONT_ENDS & _modules(code)  # listing the names loads neither front end
 
 
-def _imported(argv: list[str]) -> set[str]:
-    """The modules ``python -X importtime argv`` imports, from its stderr."""
+def _imported(argv: list[str], status: int | None = None) -> set[str]:
+    """The modules ``python -X importtime argv`` imports, from its stderr: a run
+    that answers, with status 0 or 1 and some output, or exits with ``status``."""
     src = str(Path(modpairs.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    run = subprocess.run([sys.executable, "-X", "importtime", *argv], capture_output=True, text=True, env=env)
-    assert run.returncode in (0, 1) and run.stdout
+    run = subprocess.run([sys.executable, "-X", "importtime", *argv], capture_output=True, text=True, env=env,
+                         stdin=subprocess.DEVNULL)
+    assert run.returncode == status if status is not None else run.returncode in (0, 1) and run.stdout
     return set(re.findall(r"^import time:.*\| +([\w.]+)$", run.stderr, re.M))
 
 
@@ -490,6 +492,10 @@ def test_a_verb_call_loads_json_only_for_machine_output_and_never_argparse():
     assert "modpairs.cli" in loaded and not {"argparse", "json"} & loaded
     loaded = _imported(["-m", "modpairs", "twist", "X", "2", "--model", str(EXAMPLE), "--machine"])
     assert "json" in loaded and "argparse" not in loaded
+    # the help text and a usage error are modpairs' own words
+    for argv, status in ((["--help"], 0), (["twist", "--help"], 0), (["twist", "X"], 2), (["nosuch"], 2)):
+        loaded = _imported(["-m", "modpairs", *argv], status)
+        assert "modpairs.cli" in loaded and not {"argparse", "json"} & loaded, argv
 
 
 def test_token_module_loads_only_off_the_canonical_path(tmp_path):
