@@ -1,5 +1,9 @@
 """Command driver: load a model, run one check, report as text or JSON records.
 
+A ``Report`` is its status, its records and its diagnostics; its ``text`` is
+rendered from them on each read, so ``--machine``, which writes the records,
+never builds the human text.
+
 Exit statuses distinguish answers from failures to answer: 0 means every
 queried check passed or the command produced its value, 1 means a queried
 membership or verdict came back false, 2 means malformed input or usage, a
@@ -66,21 +70,31 @@ EXIT_INTERNAL = 70  # EX_SOFTWARE in sysexits.h
 EXIT_IOERR = 74  # EX_IOERR
 
 class Report(Value):
-    """Outcome of one command: process status, human text, machine records."""
+    """Outcome of one command: process status, machine records and diagnostics.
 
-    __slots__ = ("status", "text", "records", "diagnostics")
+    ``text``, the human rendering, is built from the records on each read, so a
+    caller that reads only the records never pays for it.
+    """
 
-    def __init__(self, status: int, text: str, records: tuple[dict, ...], diagnostics: tuple[Diagnostic, ...] = ()):
+    __slots__ = ("status", "records", "diagnostics")
+
+    def __init__(self, status: int, records: tuple[dict, ...], diagnostics: tuple[Diagnostic, ...] = ()):
         _report_status(self, status)
-        _report_text(self, text)
         _report_records(self, records)
         _report_diagnostics(self, diagnostics)
 
     def __hash__(self):  # over every field but the records, which are dicts
-        return hash((self.status, self.text, self.diagnostics))
+        return hash((self.status, self.diagnostics))
+
+    @property
+    def text(self) -> str:
+        """One ``error:`` line per diagnostic, else each record's text, a blank line between two."""
+        if self.diagnostics:
+            return "\n".join(f"error: {diag.message}" for diag in self.diagnostics)
+        return "\n\n".join(map(_record_text, self.records))
 
 
-_report_status, _report_text, _report_records, _report_diagnostics = _setters(Report)
+_report_status, _report_records, _report_diagnostics = _setters(Report)
 
 
 class _CommandError(Exception):
@@ -119,34 +133,39 @@ def _bool_text(b: bool) -> str:
     return "true" if b else "false"
 
 
-def _twist_text(n: int | None) -> str:
-    return "infeasible" if n is None else str(n)
+# Each answer below is (whether the answer is yes, the record's result fields);
+# each text beside it reads the human result lines from such a record.
 
 
-# Each answer below is (whether the answer is yes, the record's result fields,
-# the human result lines).
+def _verdict(ok: bool):
+    return ok, {"verdict": ok}
 
 
-def _verdict(label: str, ok: bool):
-    return ok, {"verdict": ok}, [f"{label}: {_bool_text(ok)}"]
+def _verdict_text(label: str):
+    return lambda r: [f"{label}: {_bool_text(r['verdict'])}"]
 
 
 def _least_twist(n: int | None):
-    return n is not None, {"minimal_twist": n}, [f"minimal-twist: {_twist_text(n)}"]
+    return n is not None, {"minimal_twist": n}
+
+
+def _least_twist_text(r: dict) -> list[str]:
+    n = r["minimal_twist"]
+    return [f"minimal-twist: {'infeasible' if n is None else n}"]
 
 
 def _classify(decl: BlowupDecl):
     verdict = classify(decl.spec)
-    return verdict is not BlowupClass.INVALID, {"verdict": verdict.value}, [f"classification: {verdict.value}"]
+    return verdict is not BlowupClass.INVALID, {"verdict": verdict.value}
 
 
 def _blowup(decl: BlowupDecl):
-    ok, fields, lines = _classify(decl)
+    ok, fields = _classify(decl)
     if not ok:  # declined: check-all skips it
         message = f"blowup '{decl.name}' has a center missing the divisor support"
         raise _CommandError(EXIT_INVALID_BLOWUP, 1, message, "E072")
     chart = decl.spec.pair.chart
-    fields["charts"] = charts = [
+    fields["charts"] = [
         {
             "index": bc.index,
             "coord": chart.coords[bc.index],
@@ -155,109 +174,124 @@ def _blowup(decl: BlowupDecl):
         }
         for bc in blowup_charts(decl.spec)
     ]
-    lines += [f"chart {c['coord']}: map {{ {c['map']} }}; total-transform {c['total_transform']}" for c in charts]
-    return ok, fields, lines
+    return ok, fields
+
+
+def _blowup_text(r: dict) -> list[str]:
+    charts = [f"chart {c['coord']}: map {{ {c['map']} }}; total-transform {c['total_transform']}" for c in r["charts"]]
+    return [f"classification: {r['verdict']}", *charts]
 
 
 def _corr_check(decl: CorrDecl):
     c = decl.corr
     memberships = {"mcor": in_mcor(c), "colim": in_colim_mcor(c), "lcor": in_lcor(c)}
-    n = corr_minimal_twist(c)
-    lines = [f"{test}: {_bool_text(ok)}" for test, ok in memberships.items()]
-    lines.append(f"minimal-twist: {_twist_text(n)}")
-    return all(memberships.values()), {"memberships": memberships, "minimal_twist": n}, lines
+    return all(memberships.values()), {"memberships": memberships, "minimal_twist": corr_minimal_twist(c)}
+
+
+def _corr_check_text(r: dict) -> list[str]:
+    memberships = r["memberships"]  # read in a fixed order, which a JSON round trip does not keep
+    return [f"{test}: {_bool_text(memberships[test])}" for test in ("mcor", "colim", "lcor")] + _least_twist_text(r)
 
 
 def _qdiv_normalize(decl: QPairDecl):
     result = q_normalize(decl.qpair)
-    divisor = format_divisor(result.pair.chart, result.pair.divisor)
-    return True, {"level": result.level, "divisor": divisor}, [f"normalized: ({result.level}, {divisor})"]
+    return True, {"level": result.level, "divisor": format_divisor(result.pair.chart, result.pair.divisor)}
 
 
-def _pair_result(pair: Pair, *notes: str):
-    divisor = format_divisor(pair.chart, pair.divisor)
-    text = f"result: coords {' '.join(pair.chart.coords)}; divisor {divisor}"
-    return True, {"result": {"coords": list(pair.chart.coords), "divisor": divisor}}, [text, *notes]
+def _pair_result(pair: Pair):
+    return True, {"result": {"coords": list(pair.chart.coords), "divisor": format_divisor(pair.chart, pair.divisor)}}
+
+
+def _pair_result_text(r: dict) -> list[str]:
+    result = r["result"]
+    return [f"result: coords {' '.join(result['coords'])}; divisor {result['divisor']}"]
 
 
 # One entry per verb, in check-all's order: the declaration kind its names
-# refer to, its positional names ("n" is the integer argument), and its answer
-# from the declaration(s) (and n), or a _CommandError when it declines.  The
-# answers call kernels by this module's names, never through a captured
-# function object, so rebinding a name here reaches every call.
+# refer to, its positional names ("n" is the integer argument), its answer
+# from the declaration(s) (and n), or a _CommandError when it declines, and
+# its text.  The answers call kernels by this module's names, never through a
+# captured function object, so rebinding a name here reaches every call.
 _VERBS = {
-    "check-admissible": (MapDecl, ("name",), lambda d: _verdict("admissible", is_admissible(d.pair_map))),
-    "minimal-twist": (MapDecl, ("name",), lambda d: _least_twist(minimal_twist(d.pair_map))),
-    "hom-log": (MapDecl, ("name",), lambda d: _verdict("hom-log", hom_log_exists(d.pair_map))),
-    "check-minimal": (MapDecl, ("name",), lambda d: _verdict("minimal", is_minimal(d.pair_map))),
-    "classify": (BlowupDecl, ("name",), _classify),
-    "blowup": (BlowupDecl, ("name",), _blowup),
-    "corr-check": (CorrDecl, ("name",), _corr_check),
-    "qdiv-normalize": (QPairDecl, ("name",), _qdiv_normalize),
-    "qdiv-eq": (QPairDecl, ("first", "second"), lambda a, b: _verdict("equal", q_eq(a.qpair, b.qpair))),
+    "check-admissible": (MapDecl, ("name",), lambda d: _verdict(is_admissible(d.pair_map)),
+                         _verdict_text("admissible")),
+    "minimal-twist": (MapDecl, ("name",), lambda d: _least_twist(minimal_twist(d.pair_map)), _least_twist_text),
+    "hom-log": (MapDecl, ("name",), lambda d: _verdict(hom_log_exists(d.pair_map)), _verdict_text("hom-log")),
+    "check-minimal": (MapDecl, ("name",), lambda d: _verdict(is_minimal(d.pair_map)), _verdict_text("minimal")),
+    "classify": (BlowupDecl, ("name",), _classify, lambda r: [f"classification: {r['verdict']}"]),
+    "blowup": (BlowupDecl, ("name",), _blowup, _blowup_text),
+    "corr-check": (CorrDecl, ("name",), _corr_check, _corr_check_text),
+    "qdiv-normalize": (QPairDecl, ("name",), _qdiv_normalize,
+                       lambda r: [f"normalized: ({r['level']}, {r['divisor']})"]),
+    "qdiv-eq": (QPairDecl, ("first", "second"), lambda a, b: _verdict(q_eq(a.qpair, b.qpair)), _verdict_text("equal")),
     # the complementary interval chart carries no divisor component
-    "cube": (PairDecl, ("name", "n"),
-             lambda d, n: _pair_result(cube(d.pair, n), "note: only the chart at infinity is materialized")),
-    "twist": (PairDecl, ("name", "n"), lambda d, n: _pair_result(twist(d.pair, n))),
+    "cube": (PairDecl, ("name", "n"), lambda d, n: _pair_result(cube(d.pair, n)),
+             lambda r: _pair_result_text(r) + ["note: only the chart at infinity is materialized"]),
+    "twist": (PairDecl, ("name", "n"), lambda d, n: _pair_result(twist(d.pair, n)), _pair_result_text),
 }
-COMMANDS = {verb: names for verb, (_, names, _) in _VERBS.items()} | {"check-all": ()}
+COMMANDS = {verb: names for verb, (_, names, _, _) in _VERBS.items()} | {"check-all": ()}
 # per declaration kind: its keyword and the verbs check-all runs on it
 _CHECKS = {
-    kind: (noun, [(verb, answer) for verb, (k, names, answer) in _VERBS.items() if k is kind and names == ("name",)])
+    kind: (noun, [(verb, answer) for verb, (k, names, answer, _) in _VERBS.items() if k is kind and names == ("name",)])
     for kind, noun in KEYWORDS.items()
 }
 
 
-def _render(verb: str, args: list[str], words: str, inputs: dict, echoes: str, answer) -> tuple[int, str, dict]:
-    """One answer's status, text (command line, input echoes, result lines) and record."""
-    ok, fields, lines = answer
-    text = f"command: {verb} {words}\n{echoes}\n" + "\n".join(lines)
-    return EXIT_OK if ok else EXIT_FALSE, text, {"command": verb, "args": args, "inputs": inputs, **fields}
+def _record_text(record: dict) -> str:
+    """A record's human text, read from the record alone: its command line, with
+    ``n`` as the integer read, its input echoes, then its verb's result lines."""
+    verb = record.get("command")
+    if verb not in _VERBS:
+        raise StructureError(f"no command renders a record of {verb!r}")
+    _, names, _, result_text = _VERBS[verb]
+    try:
+        inputs = record["inputs"]
+        words = [str(inputs["n"]) if name == "n" else word for name, word in zip(names, record["args"])]
+        echoes = [f"{key}: {echo}" for key, echo in inputs.items() if key != "n"]
+        return "\n".join([f"command: {verb} {' '.join(words)}", *echoes, *result_text(record)])
+    except KeyError as exc:
+        raise StructureError(f"a {verb} record lacks {exc}") from None
 
 
 def _run_single(model: Model, command: list[str]) -> Report:
     verb, args = command[0], command[1:]
-    kind, names, answer = _VERBS[verb]
-    values, words, inputs, echoes = [], list(args), {}, []
+    kind, names, answer, _ = _VERBS[verb]
+    values, inputs = [], {}
     for index, name in enumerate(names, 1):
         if name == "n":
             value = inputs["n"] = _int_arg(command, index)
-            words[index - 1] = str(value)
         else:
             value = _lookup(model, kind, command, index)
-            key = KEYWORDS[kind] if name == "name" else name
-            inputs[key] = echo = format_decl(value)
-            echoes.append(f"{key}: {echo}")
+            inputs[KEYWORDS[kind] if name == "name" else name] = format_decl(value)
         values.append(value)
     try:
-        result = answer(*values)
+        ok, fields = answer(*values)
     except StructureError:
         raise  # a fresh-coordinate collision: reported like every structure error
     except ValueError as exc:
         if "n" not in names:
             raise
         raise _CommandError(EXIT_INPUT, names.index("n") + 1, str(exc), "E011") from None
-    status, text, record = _render(verb, args, " ".join(words), inputs, "\n".join(echoes), result)
-    return Report(status, text, (record,))
+    return Report(EXIT_OK if ok else EXIT_FALSE, ({"command": verb, "args": args, "inputs": inputs, **fields},))
 
 
 def _check_all(model: Model) -> Report:
     """Every one-name verb on each declaration of its kind, in table order."""
-    rendered = []
+    status, records = EXIT_OK, []
     for decl in model.decls:
         noun, checks = _CHECKS[type(decl)]
         if not checks:
             continue  # a pair alone has nothing to check
         name, echo = decl.name, format_decl(decl)
-        line = f"{noun}: {echo}"
         for verb, answer in checks:
             try:
-                result = answer(decl)
+                ok, fields = answer(decl)
             except _CommandError:
                 continue  # the verb declines, as blowup does on an invalid center
-            rendered.append(_render(verb, [name], name, {noun: echo}, line, result))
-    statuses, texts, records = zip(*rendered) if rendered else ((), (), ())
-    return Report(max(statuses, default=EXIT_OK), "\n\n".join(texts), records)
+            if not ok:
+                status = EXIT_FALSE
+            records.append({"command": verb, "args": [name], "inputs": {noun: echo}, **fields})
+    return Report(status, tuple(records))
 
 
 def _refused(command: list[str]) -> Report | None:
@@ -270,7 +304,7 @@ def _refused(command: list[str]) -> Report | None:
         message = f"command '{command[0]}' takes {len(COMMANDS[command[0]])} argument(s), got {len(command) - 1}"
     else:
         return None
-    return Report(EXIT_INPUT, f"error: {message}", (), (_arg_diag(command, 0, message, "E011"),))
+    return Report(EXIT_INPUT, (), (_arg_diag(command, 0, message, "E011"),))
 
 
 def run_command(model: Model, command) -> Report:
@@ -285,10 +319,10 @@ def run_command(model: Model, command) -> Report:
         return _run_single(model, command)
     except _CommandError as exc:
         diag = _arg_diag(command, exc.index, str(exc), exc.code)
-        return Report(exc.status, f"error: {diag.message}", (), (diag,))
+        return Report(exc.status, (), (diag,))
     except StructureError as exc:
         diag = Diagnostic(1, 1, 0, str(exc), "E090")
-        return Report(EXIT_DIMENSION, f"error: {exc}", (), (diag,))
+        return Report(EXIT_DIMENSION, (), (diag,))
 
 
 def _read_model_text(path: str) -> str:
@@ -390,12 +424,12 @@ def _main(argv) -> tuple[int, str, str]:
     if report is None:
         try:
             text = _read_model_text(model)
-        except (OSError, UnicodeDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # a UnicodeDecodeError, or a NUL in the file name
             return EXIT_INPUT, "", f"error: cannot read model: {exc}\n"
         parsed = parse(text)
-        report = Report(EXIT_INPUT, "", (), tuple(parsed)) if isinstance(parsed, list) else run_command(parsed, command)
-    err = "".join(format_diagnostic(diag) + "\n" for diag in report.diagnostics)
-    out = ""
+        report = Report(EXIT_INPUT, (), tuple(parsed)) if isinstance(parsed, list) else run_command(parsed, command)
+    if report.diagnostics:  # a failed command reports on stderr only
+        return report.status, "", "".join(format_diagnostic(diag) + "\n" for diag in report.diagnostics)
     if machine:
         import json
         # One encoding of the whole list, cut between records.  An encoded
@@ -403,10 +437,9 @@ def _main(argv) -> tuple[int, str, str]:
         # and no nested object has that key, so '}, {"args": ' occurs only
         # between two records.
         out = json.dumps(report.records, sort_keys=True)[1:-1].replace('}, {"args": ', '}\n{"args": ')
-        out += "\n" if out else ""
-    elif report.text and not report.diagnostics:  # a failed command reports on stderr only
-        out = report.text + "\n"
-    return report.status, out, err
+    else:
+        out = report.text  # its one read, so that --machine never renders it
+    return report.status, out + "\n" if out else "", ""
 
 
 def _write(stream, text: str):

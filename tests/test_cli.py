@@ -36,6 +36,7 @@ from modpairs.cli import (
 import modpairs
 from modpairs import cli
 from modpairs.dsl import MAX_INT_DIGITS, Diagnostic, Model, parse, print_model
+from modpairs.pairs import StructureError
 from randgen import random_model
 from record_shapes import SHAPES, record_mismatches
 
@@ -84,6 +85,12 @@ class TestChecks:
         assert report.status == EXIT_OK
         assert report.records[0]["minimal_twist"] == 6
         assert "minimal-twist: 6" in report.text
+
+    def test_minimal_twist_infeasible(self):
+        m = parse(DEMO + "pair O { dim 1; coords o; divisor {} }\nmap h : O -> X { t <- o }\n")
+        report = run_command(m, ["minimal-twist", "h"])
+        assert (report.status, report.records[0]["minimal_twist"]) == (EXIT_FALSE, None)
+        assert report.text.splitlines()[-1] == "minimal-twist: infeasible"
 
     def test_hom_log(self):
         report = run_command(model(), ["hom-log", "f"])
@@ -217,7 +224,23 @@ class TestErrors:
 
     def test_empty_command(self):
         expected = Diagnostic(1, 1, 0, "empty command", "E011")
-        assert run_command(model(), []) == Report(EXIT_INPUT, "error: empty command", (), (expected,))
+        report = run_command(model(), [])
+        assert report == Report(EXIT_INPUT, (), (expected,))
+        assert report.text == "error: empty command"
+
+    @pytest.mark.parametrize("record, missing", [
+        ({}, "no command renders a record of None"),
+        ({"command": "check-all", "args": [], "inputs": {}}, "no command renders a record of 'check-all'"),
+        ({"command": "hom-log", "args": ["f"], "verdict": True}, "a hom-log record lacks 'inputs'"),
+        ({"command": "check-admissible", "args": ["f"], "inputs": {"map": "map f"}}, "lacks 'verdict'"),
+        ({"command": "twist", "args": ["X", "2"], "inputs": {"pair": "pair X"}, "result": {}}, "lacks 'n'"),
+        ({"command": "blowup", "args": ["B"], "inputs": {"blowup": "blowup B"}, "verdict": "modification",
+          "charts": [{"coord": "x", "map": "x <- x"}]}, "a blowup record lacks 'total_transform'"),
+    ], ids=["empty", "check-all", "no-inputs", "no-verdict", "no-n", "no-total-transform"])
+    def test_a_record_without_what_its_text_needs_is_a_structure_error(self, record, missing):
+        report = Report(EXIT_OK, (record,))
+        with pytest.raises(StructureError, match=re.escape(missing)):
+            report.text
 
 
 _WORD = st.one_of(
@@ -346,6 +369,45 @@ class TestMain:
         status = main(["check-all", "--model", str(path), *flags])
         assert status == EXIT_FALSE
         assert capsys.readouterr().out == (GOLDEN_DIR / golden).read_text(encoding="utf-8")
+
+    def test_every_verb_golden(self, capsys):
+        """Each verb's human output on the example: the golden holds, after each
+        ``$ modpairs ARGV`` line, that call's stdout."""
+        golden = (GOLDEN_DIR / "every_verb_example.txt").read_text(encoding="utf-8")
+        cases = [chunk.partition("\n")[::2] for chunk in golden.split("$ modpairs ")[1:]]
+        assert {line.split()[0] for line, _ in cases} == set(COMMANDS) - {"check-all"}
+        for line, expected in cases:
+            assert main([*line.split(), "--model", str(EXAMPLE)]) in (EXIT_OK, EXIT_FALSE)
+            assert capsys.readouterr().out == expected, line
+
+    def test_machine_output_renders_no_text(self, capsys, monkeypatch):
+        """Neither --machine nor run_command renders the human text: with the
+        renderer raising, check-all still prints its golden records, and the
+        report built meanwhile reads as the golden text afterwards."""
+        def refuse(record):
+            raise AssertionError("a record's text was rendered")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_record_text", refuse)
+            status = main(["check-all", "--model", str(EXAMPLE), "--machine"])
+            report = run_command(parse(EXAMPLE.read_text(encoding="utf-8")), ["check-all"])
+        out = capsys.readouterr()
+        assert (status, out.err) == (EXIT_FALSE, "")
+        assert out.out == (GOLDEN_DIR / "check_all_example.jsonl").read_text(encoding="utf-8")
+        assert report.text == (GOLDEN_DIR / "check_all_example.txt").read_text(encoding="utf-8")[:-1]
+
+    def test_the_printed_records_read_back_as_the_text(self):
+        """The text is rendered from the records alone: the --machine golden,
+        read back from JSON, whose objects come back in sorted key order, reads
+        as the human golden."""
+        lines = (GOLDEN_DIR / "check_all_example.jsonl").read_text(encoding="utf-8").splitlines()
+        report = Report(EXIT_FALSE, tuple(map(json.loads, lines)))
+        assert report.text + "\n" == (GOLDEN_DIR / "check_all_example.txt").read_text(encoding="utf-8")
+
+    def test_a_file_name_open_refuses_is_unreadable_input(self, capsys):
+        status = main(["minimal-twist", "Y", "--model=\x00"])
+        out = capsys.readouterr()
+        assert (status, out.out, out.err) == (EXIT_INPUT, "", "error: cannot read model: embedded null byte\n")
 
     def test_cube_collision_prints_nothing_on_stdout(self, tmp_path, capsys):
         path = tmp_path / "i.lp"
@@ -890,7 +952,7 @@ def test_every_machine_record_has_its_stated_shape(fuzz_file, seed, n):
     m = random_model(random.Random(seed))
     fuzz_file.write_text(print_model(m), encoding="utf-8")
     commands = [["check-all"]]
-    for verb, (kind, names, _) in cli._VERBS.items():
+    for verb, (kind, names, _, _) in cli._VERBS.items():
         decls = [d.name for d in m.decls if type(d) is kind]
         if names == ("name",):
             commands += [[verb, name] for name in decls]

@@ -13,8 +13,11 @@ and is held to 4 times those bounds.
 """
 
 import gc
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -25,7 +28,7 @@ from test_memory import full_center_blowup_model, identity_map_model
 COUNT_LAW, WALL_LAW = 4.4, 8.0
 
 
-def opcodes(fn, *args) -> int:
+def _traced(fn, *args) -> int:
     """Byte-code instructions executed by ``fn(*args)``, counted by ``sys.settrace``."""
     count = 0
 
@@ -41,6 +44,17 @@ def opcodes(fn, *args) -> int:
         fn(*args)
     finally:
         sys.settrace(None)
+    return count
+
+
+_traced(lambda: None)  # CPython 3.12 delivers no opcode event in a process's first traced call
+
+
+def opcodes(fn, *args) -> int:
+    """``_traced(fn, *args)``, never 0, so that no law or budget can pass on a count of nothing."""
+    count = _traced(fn, *args)
+    if not count:
+        raise RuntimeError(f"no byte-code instruction was counted in {fn!r}")
     return count
 
 
@@ -147,3 +161,16 @@ def test_wall_time_grows_linearly(shape):
         ratio = best_wall(fn, large_arg) / best_wall(fn, small_arg)
         bound = WALL_LAW * (grows / 4 if name == "check-all" else 1)
         assert ratio <= bound, (name, ratio)
+
+
+def test_a_count_is_whole_from_a_process_first_call_and_never_nothing():
+    # in a fresh process, whose first count no other test has warmed
+    script = ("from test_growth import declarations, opcodes; from modpairs.dsl import parse; "
+              "print(opcodes(parse, declarations(1)), opcodes(parse, declarations(1)))")
+    tests = Path(__file__).parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    first, second = map(int, run.stdout.split())
+    assert first == second > 0
+    with pytest.raises(RuntimeError, match="no byte-code instruction"):
+        opcodes(len, ())  # a builtin runs no byte-code

@@ -66,7 +66,7 @@ FIELDS = {
     QPairDecl: ("name", "pair_name", "qpair"),
     BlowupDecl: ("name", "pair_name", "spec"),
     Model: ("decls",),
-    Report: ("status", "text", "records", "diagnostics"),
+    Report: ("status", "records", "diagnostics"),
     UserPair: ("chart", "divisor"),
     SlottedUserDiagnostic: ("line", "column", "length", "message", "code"),
 }
@@ -121,7 +121,7 @@ def build(k: int = 1) -> dict:
         QPairDecl: decls[4],
         BlowupDecl: decls[5],
         Model: Model(decls[: 4 + k]),
-        Report: Report(k, "error: unknown pair 'nope'", ({"verdict": k == 1},), (diag,)),
+        Report: Report(k, ({"verdict": k == 1},), (diag,)),
         UserPair: UserPair(x, Divisor([k])),
         SlottedUserDiagnostic: SlottedUserDiagnostic(k, 2, 3, "unknown pair 'nope'", "E021"),
     }
@@ -245,10 +245,10 @@ def test_defaults():
     decl = CorrDecl(name="c", corr=corr)
     assert (decl.src, decl.dst, decl.monomial) == (None, None, None)
     assert CorrDecl("c", corr, None, None) == decl
-    report = Report(status=0, text="", records=())
-    assert report.diagnostics == ()
+    report = Report(status=0, records=())
+    assert report.diagnostics == () and report.text == ""
     # hashed over its other fields, since its records are dicts
-    assert hash(Report(1, "", ({"verdict": False},))) == hash(Report(1, "", ({"verdict": False},)))
+    assert hash(Report(1, ({"verdict": False},))) == hash(Report(1, ({"verdict": False},)))
     assert ConstantCorr(image_in_interior=True).image_in_interior is True
     assert Model().decls == () and Model() == Model(())
 
