@@ -96,7 +96,7 @@ def blowup_charts(spec: BlowupSpec) -> tuple[BlowupChart, ...]:
         raise InvalidBlowupError("blowup center misses the divisor support")
     chart, mults = spec.pair.chart, spec.pair.divisor.mults
     center = sorted(spec.center)
-    exceptional = sum(mults[b] for b in center)
+    exceptional = sum([mults[b] for b in center])
     identity = [((r, 1),) for r in range(len(mults))]  # sparse rows, shared by every chart
     out = []
     for j in center:

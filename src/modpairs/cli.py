@@ -435,8 +435,10 @@ def _main(argv) -> tuple[int, str, str]:
         # One encoding of the whole list, cut between records.  An encoded
         # string holds no bare '"', each record's first sorted key is "args"
         # and no nested object has that key, so '}, {"args": ' occurs only
-        # between two records.
-        out = json.dumps(report.records, sort_keys=True)[1:-1].replace('}, {"args": ', '}\n{"args": ')
+        # between two records.  The records are fresh dicts and lists that
+        # run_command built in this call, so no cycle check is needed.
+        encoded = json.dumps(report.records, sort_keys=True, check_circular=False)
+        out = encoded[1:-1].replace('}, {"args": ', '}\n{"args": ')
     else:
         out = report.text  # its one read, so that --machine never renders it
     return report.status, out + "\n" if out else "", ""

@@ -77,7 +77,10 @@ def in_mcor(c: CurveCorr) -> bool:
     """Admissible at level one: every record satisfies n_x * e_x >= n_y * e_y."""
     if isinstance(c, ConstantCorr):
         return c.image_in_interior
-    return all(r.n_x * r.e_x >= r.n_y * r.e_y for r in c.records)
+    for r in c.records:
+        if r.n_x * r.e_x < r.n_y * r.e_y:
+            return False
+    return True
 
 
 def in_colim_mcor(c: CurveCorr) -> bool:
@@ -85,11 +88,6 @@ def in_colim_mcor(c: CurveCorr) -> bool:
     which is when ``corr_minimal_twist`` finds a level.
     """
     return corr_minimal_twist(c) is not None
-
-
-def _divides(d: int, m: int) -> bool:
-    # zero divides only zero; everything divides zero
-    return m == 0 if d == 0 else m % d == 0
 
 
 def in_lcor(c: CurveCorr) -> bool:
@@ -100,7 +98,11 @@ def in_lcor(c: CurveCorr) -> bool:
     """
     if isinstance(c, ConstantCorr):
         return c.image_in_interior
-    return all(_divides(r.n_x * r.e_x, r.n_y * r.e_y) for r in c.records)
+    for r in c.records:
+        d, m = r.n_x * r.e_x, r.n_y * r.e_y
+        if (m % d if d else m):  # 0 divides only 0
+            return False
+    return True
 
 
 def corr_minimal_twist(c: CurveCorr) -> int | None:
@@ -131,6 +133,11 @@ def from_monomial_param(a: int, b: int, n_x: int, n_y: int) -> NonConstantCorr:
     over the origin, where the two projections ramify with degrees ``a`` and
     ``b``.  The exponents need not be coprime.
     """
+    if type(a) is not int or type(b) is not int or type(n_x) is not int or type(n_y) is not int:
+        # the readers pass ints, so the loop runs only to name the first argument that is not one
+        for name, value in (("a", a), ("b", b), ("n_x", n_x), ("n_y", n_y)):
+            if type(value) is not int:
+                raise StructureError(f"{name} must be an int, got {type(value).__name__}")
     if a < 1 or b < 1:
         raise ValueError("parametrization exponents must be positive")
     return NonConstantCorr((CorrLocalRecord("0", n_x, n_y, a, b),))

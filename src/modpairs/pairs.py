@@ -24,6 +24,13 @@ Every field of every value class is written through its slot's own setter,
 bound once below the class (``_pair_chart, _pair_divisor = _setters(Pair)``),
 which looks no name up on the type per write; ``Value.__setattr__`` refuses
 every other write.
+
+No function or method here, nor in ``blowup``, ``correspondences`` and
+``qdivisors``, holds a generator expression.  A test over the entries
+(``in_mcor``, ``in_lcor``, ``q_eq``) is a ``for`` loop that returns at the
+first entry that fails, and a result is built from a list (``twist``,
+``q_normalize``): on the few coordinates of a chart, the frame a generator
+builds and resumes once per entry costs more than the arithmetic it feeds.
 """
 
 from __future__ import annotations
@@ -68,7 +75,7 @@ class Value:
         return hash(self._key(self))
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):
@@ -78,7 +85,7 @@ class Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self._fields)
+        return type(self), tuple([getattr(self, name) for name in self._fields])
 
 
 class StructureError(ValueError):
@@ -130,7 +137,7 @@ class Divisor(Value):
         return frozenset(compress(range(len(self.mults)), self.mults))
 
     def scaled(self, n: int) -> Divisor:
-        return Divisor(tuple(n * m for m in self.mults))
+        return Divisor(tuple([n * m for m in self.mults]))
 
 
 (_divisor_mults,) = _setters(Divisor)
@@ -168,7 +175,7 @@ class MonomialMap(Value):
     __slots__ = ("source", "target", "rows")
 
     def __init__(self, source: Chart, target: Chart, expo: tuple[tuple[int, ...], ...]):
-        dense, dim = tuple(tuple(row) for row in expo), len(source.coords)
+        dense, dim = tuple(map(tuple, expo)), len(source.coords)
         if len(dense) != len(target.coords):
             raise StructureError(
                 f"exponent matrix has {len(dense)} rows for a target of dimension {target.dim}"
@@ -209,7 +216,7 @@ class MonomialMap(Value):
 
     @classmethod
     def identity(cls, chart: Chart) -> MonomialMap:
-        return _monomial_map(chart, chart, tuple(((i, 1),) for i in range(len(chart.coords))), cls)
+        return _monomial_map(chart, chart, tuple([((i, 1),) for i in range(len(chart.coords))]), cls)
 
 
 _map_source, _map_target, _map_rows = _setters(MonomialMap)
@@ -300,7 +307,7 @@ def twist(p: Pair, n: int) -> Pair:
     """Multiply the divisor by ``n >= 1``, keeping the chart and the support."""
     if type(n) is not int or n < 1:
         raise ValueError(f"twist level must be a positive integer, got {n!r}")
-    return _pair(p.chart, _divisor(tuple(n * m for m in p.divisor.mults)))
+    return _pair(p.chart, _divisor(tuple([n * m for m in p.divisor.mults])))
 
 
 def minimal_twist(f: PairMap) -> int | None:

@@ -25,6 +25,8 @@ class QPair(Value):
     def __init__(self, level: int, pair: Pair):
         if type(level) is not int or level < 1:
             raise StructureError(f"level must be a positive integer, got {level!r}")
+        if not isinstance(pair, Pair):
+            raise StructureError(f"pair must be a Pair, got {type(pair).__name__}")
         _qpair_level(self, level)
         _qpair_pair(self, pair)
 
@@ -36,7 +38,7 @@ def q_rationals(q: QPair) -> tuple:
     """Read-only projection to the exact rational multiplicities, as ``Fraction``s."""
     from fractions import Fraction  # imported here: ``import modpairs`` stays free of it
 
-    return tuple(Fraction(m, q.level) for m in q.pair.divisor.mults)
+    return tuple([Fraction(m, q.level) for m in q.pair.divisor.mults])
 
 
 def q_normalize(q: QPair) -> QPair:
@@ -50,17 +52,18 @@ def q_normalize(q: QPair) -> QPair:
     g = gcd(q.level, *mults)
     if g == 1:
         return q
-    return QPair(q.level // g, _pair(q.pair.chart, _divisor(tuple(m // g for m in mults))))
+    return QPair(q.level // g, _pair(q.pair.chart, _divisor(tuple([m // g for m in mults]))))
 
 
 def q_eq(a: QPair, b: QPair) -> bool:
     """Equality of the underlying rational divisors, by exact cross-multiplication."""
     if a.pair.chart is not b.pair.chart and a.pair.chart != b.pair.chart:
         raise StructureError("cannot compare levelled divisors on different charts")
-    return all(
-        b.level * x == a.level * y
-        for x, y in zip(a.pair.divisor.mults, b.pair.divisor.mults)
-    )
+    la, lb = a.level, b.level
+    for x, y in zip(a.pair.divisor.mults, b.pair.divisor.mults):
+        if lb * x != la * y:
+            return False
+    return True
 
 
 def q_transition(q: QPair, m: int) -> QPair:
@@ -89,7 +92,7 @@ def cube(p: Pair, n: int, coord: str = "inf") -> Pair:
 def cube_projection(p: Pair, n: int, coord: str = "inf") -> PairMap:
     """The coordinate-forgetting projection from ``cube(p, n)`` down to ``p``."""
     top = cube(p, n, coord)
-    rows = tuple(((i, 1),) for i in range(len(p.chart.coords)))
+    rows = tuple([((i, 1),) for i in range(len(p.chart.coords))])
     return PairMap(_monomial_map(top.chart, p.chart, rows), top, p)
 
 

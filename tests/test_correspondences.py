@@ -120,10 +120,11 @@ class TestConstructors:
         assert from_monomial_param(2, 4, 1, 1).records == (CorrLocalRecord("0", 1, 1, 2, 4),)
 
     def test_monomial_rejects_zero(self):
-        with pytest.raises(ValueError):
-            from_monomial_param(0, 3, 1, 1)
-        with pytest.raises(ValueError):
-            from_monomial_param(2, 0, 1, 1)
+        # a plain ValueError, not the StructureError of a wrong class, is what the readers report as E052
+        for a, b in [(0, 3), (2, 0), (-1, 2)]:
+            with pytest.raises(ValueError) as info:
+                from_monomial_param(a, b, 1, 1)
+            assert type(info.value) is ValueError and str(info.value) == "parametrization exponents must be positive"
 
     def test_graph_cube(self):
         c = graph_corr(curve_map(3, 3, 1))

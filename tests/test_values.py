@@ -30,7 +30,7 @@ from modpairs.cli import Report, run_command
 from modpairs.correspondences import ConstantCorr, CorrLocalRecord, NonConstantCorr, from_monomial_param
 from modpairs.dsl import BlowupDecl, CorrDecl, Diagnostic, MapDecl, Model, PairDecl, QPairDecl, parse, print_model
 from modpairs.pairs import Chart, Divisor, MonomialMap, Pair, PairMap, StructureError, compose, pullback, twist
-from modpairs.qdivisors import QPair, cube, q_eq, q_rationals, q_transition
+from modpairs.qdivisors import QPair, cube, q_eq, q_normalize, q_rationals, q_transition
 from randgen import random_model
 
 EXAMPLE = Path(__file__).parent.parent / "scripts" / "example.lp"
@@ -284,6 +284,16 @@ LINE, PLANE, OTHER = Chart(("x",)), Chart(("x", "y")), Chart(("y",))
         (lambda: CorrLocalRecord("a", 1, 1, 0, 1), "ramification degrees must be positive"),
         (lambda: NonConstantCorr([CorrLocalRecord("a", 1, 1, 1, 1)] * 2), "record labels must be distinct"),
         (lambda: QPair(0, Pair(Chart(()), Divisor(()))), "level must be a positive integer, got 0"),
+        (lambda: QPair(1, "x"), "pair must be a Pair, got str"),
+        (lambda: QPair(1, None), "pair must be a Pair, got NoneType"),
+        (lambda: QPair(1, Divisor((1,))), "pair must be a Pair, got Divisor"),
+        # each argument of from_monomial_param is an exact int, checked before the exponents' signs
+        (lambda: from_monomial_param(1.5, 1, 1, 1), "a must be an int, got float"),
+        (lambda: from_monomial_param(True, 1, 1, 1), "a must be an int, got bool"),
+        (lambda: from_monomial_param("a", 1, 1, 1), "a must be an int, got str"),
+        (lambda: from_monomial_param(0, 1.5, 1, 1), "b must be an int, got float"),
+        (lambda: from_monomial_param(1, 1, None, 1), "n_x must be an int, got NoneType"),
+        (lambda: from_monomial_param(1, 1, 1, False), "n_y must be an int, got bool"),
         (lambda: PairMap(MonomialMap.identity(LINE), Pair(OTHER, Divisor((1,))), Pair(LINE, Divisor((1,)))),
          "source pair does not live on the map's source chart"),
         (lambda: PairMap(MonomialMap.identity(LINE), Pair(LINE, Divisor((1,))), Pair(OTHER, Divisor((1,)))),
@@ -294,6 +304,11 @@ def test_validation_is_unchanged(make, message):
     with pytest.raises(StructureError) as info:
         make()
     assert str(info.value) == message
+
+
+def test_a_qpair_takes_a_subclass_of_pair():
+    q = QPair(2, UserPair(LINE, Divisor((4,))))
+    assert q.pair.divisor == Divisor((4,)) and q_normalize(q) == QPair(1, Pair(LINE, Divisor((2,))))
 
 
 @pytest.mark.parametrize("corr", [ConstantCorr(True), ConstantCorr(False), CorrLocalRecord("w", 1, 1, 1, 1), None],
