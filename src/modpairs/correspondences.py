@@ -24,6 +24,8 @@ class CorrLocalRecord(Value):
     __slots__ = ("label", "n_x", "n_y", "e_x", "e_y")
 
     def __init__(self, label: str, n_x: int, n_y: int, e_x: int, e_y: int):
+        if not isinstance(label, str):
+            raise StructureError(f"label must be a str, got {type(label).__name__}")
         if type(n_x) is not int or type(n_y) is not int or n_x < 0 or n_y < 0:
             raise StructureError("divisor coefficients must be non-negative")
         if type(e_x) is not int or type(e_y) is not int or e_x < 1 or e_y < 1:

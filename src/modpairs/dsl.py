@@ -323,9 +323,11 @@ class _Matcher:
 
     def _whole_pair(self, m) -> Decl | None:
         name, dim, coords, entries = m.groups()
-        (chart, index), entries = self._chart(coords[1:]), _ENTRY.findall(entries)  # coords has a leading " "
+        chart, index = self._chart(coords[1:])  # coords has a leading " "
+        entries = entries.split(", ") if entries else []
         mults = {}
-        for coord, mult in entries:
+        for entry in entries:
+            coord, _, mult = entry.partition(": ")
             mults[index[coord]] = int(mult)
         if int(dim) != len(index) or len(mults) != len(entries):  # E030, E033
             return None
@@ -335,14 +337,16 @@ class _Matcher:
         name, src, dst, assigns = m.groups()
         s, d = self.names[PairDecl][src].pair, self.names[PairDecl][dst].pair
         src_index, dst_index, monomials = self._index(s), self._index(d), {}
-        for target, coord, exp in _FACTOR.findall(assigns or ""):
-            if target:
-                j = dst_index[target]
-                if j in monomials:  # E041
-                    return None
-                factors = monomials[j] = []
-            if coord:  # "" in the empty monomial 1
-                factors.append((src_index[coord], int(exp or 1)))
+        for assign in assigns.split("; ") if assigns else ():
+            target, _, monomial = assign.partition(" <- ")
+            j = dst_index[target]
+            if j in monomials:  # E041
+                return None
+            factors = monomials[j] = []
+            if monomial != "1":  # the empty monomial
+                for factor in monomial.split(" * "):
+                    coord, _, exp = factor.partition("^")
+                    factors.append((src_index[coord], int(exp or 1)))
         return _map_decl(name, src, s, dst, d, monomials)
 
     def _whole_corr(self, m) -> Decl | None:
@@ -352,7 +356,10 @@ class _Matcher:
         pairs = self.names[PairDecl]
         if len(pairs[src].pair.chart.coords) != 1 or len(pairs[dst].pair.chart.coords) != 1:  # E080
             return None
-        records = (CorrLocalRecord(label, *map(int, values)) for label, *values in _RECORD.findall(points))
+        # twelve words a point, ``point L { nx N ny N ex E ey E }`` once the ";" are gone
+        words = points.replace(";", "").split()
+        records = map(CorrLocalRecord, words[1::12], map(int, words[4::12]), map(int, words[6::12]),
+                      map(int, words[8::12]), map(int, words[10::12]))
         return CorrDecl(name, NonConstantCorr(tuple(records)), src=src, dst=dst)
 
     def _whole_qpair(self, m) -> Decl:
@@ -378,17 +385,14 @@ def _is_name(word: str) -> bool:
 # one pattern per form, which also takes the blanks and comments after it.
 # ``_N`` and ``_I`` are the matcher's ASCII fast-path subset of the names and
 # literals above: any other name, or a literal longer than MAX_INT_DIGITS,
-# fails the pattern, and the token parser reads the statement.
+# fails the pattern, and the token parser reads the statement.  Neither holds
+# a space or a separator, so a reader reads a matched statement's parts by
+# splitting it on the separators its pattern fixed, with no regex of its own.
 
 _N = r"[A-Za-z_]\w*"
 _I = rf"[0-9]{{1,{MAX_INT_DIGITS}}}"
 _ASSIGN = rf"{_N} <- (?:1|{_N}(?:\^{_I})?(?: \* {_N}(?:\^{_I})?)*)"
-_POINT = rf"point ({_N}|{_I}) \{{ nx ({_I}); ny ({_I}); ex ({_I}); ey ({_I}) \}}"
-_POINT_SHAPE = _POINT.replace("(", "(?:")  # _N and _I hold no "("
-_ENTRY = re.compile(rf"({_N}): ({_I})")
-# one factor, after its assignment's target if it is the first
-_FACTOR = re.compile(rf"(?:({_N}) <- )?(?:({_N})(?:\^({_I}))?|1)")
-_RECORD = re.compile(_POINT)
+_POINT = rf"point (?:{_N}|{_I}) \{{ nx {_I}; ny {_I}; ex {_I}; ey {_I} \}}"
 # each form's pattern and reader, by the first letter of its keyword
 _FORMS = {
     keyword[0]: (re.compile(f"{keyword} {form}{_SKIP}"), getattr(_Matcher, "_whole_" + keyword))
@@ -396,7 +400,7 @@ _FORMS = {
         ("pair", rf"({_N}) \{{ dim ({_I}); coords((?: {_N})*); divisor \{{((?:{_N}: {_I}(?:, {_N}: {_I})*)?)\}} \}}"),
         ("map", rf"({_N}) : ({_N}) -> ({_N}) \{{ (?:({_ASSIGN}(?:; {_ASSIGN})*) )?\}}"),
         ("corr", rf"({_N}) (?:monomial\(({_I}), ({_I}), ({_I}), ({_I})\)"
-                 rf"|: ({_N}) -> ({_N}) \{{ ((?:{_POINT_SHAPE} )*)\}})"),
+                 rf"|: ({_N}) -> ({_N}) \{{ ((?:{_POINT} )*)\}})"),
         ("qpair", rf"({_N}) = \(({_I}), ({_N})\)"),
         ("blowup", rf"({_N}) on ({_N}) center \{{ ({_N}(?:, {_N})*) \}}"),
     )
@@ -429,9 +433,9 @@ def format_monomial(chart: Chart, row: tuple[tuple[int, int], ...]) -> str:
 
 def format_assignments(m: MonomialMap) -> str:
     """``y <- x^2; z <- 1``: each target coordinate's monomial over the source."""
-    return "; ".join(
+    return "; ".join([
         f"{name} <- {format_monomial(m.source, row)}" for name, row in zip(m.target.coords, m.rows)
-    )
+    ])
 
 
 def _fmt_block(inner: str) -> str:
@@ -449,13 +453,14 @@ def format_decl(decl: Decl) -> str:
         assigns = format_assignments(decl.pair_map.map)
         return f"map {decl.name} : {decl.src} -> {decl.dst} {_fmt_block(assigns)}"
     if isinstance(decl, CorrDecl):
-        if decl.monomial is not None:
-            a, b, n_x, n_y = decl.monomial
+        monomial = decl.monomial  # a property, computed on each read
+        if monomial is not None:
+            a, b, n_x, n_y = monomial
             return f"corr {decl.name} monomial({a}, {b}, {n_x}, {n_y})"
-        points = " ".join(
+        points = " ".join([
             f"point {r.label} {{ nx {r.n_x}; ny {r.n_y}; ex {r.e_x}; ey {r.e_y} }}"
             for r in decl.corr.records
-        )
+        ])
         return f"corr {decl.name} : {decl.src} -> {decl.dst} {_fmt_block(points)}"
     if isinstance(decl, QPairDecl):
         return f"qpair {decl.name} = ({decl.qpair.level}, {decl.pair_name})"

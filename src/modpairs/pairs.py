@@ -99,6 +99,8 @@ class Chart(Value):
 
     def __init__(self, coords: tuple[str, ...]):
         if not isinstance(coords, tuple):
+            if isinstance(coords, str):  # iterated, it would give one coordinate per character
+                raise StructureError(f"coords must be a sequence of names, got {type(coords).__name__}")
             coords = tuple(coords)
         for name in coords:
             if not isinstance(name, str) or not name:

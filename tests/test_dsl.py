@@ -437,7 +437,40 @@ def test_fault_placed_after_the_hand_off(text, want):
     assert result == token_parse(text)
 
 
+# Statements the matcher reads whole, each a trap for reading a matched
+# statement by splitting it on the separators its pattern fixed.
+SPLIT_EDGE_CASES = {
+    "point-labelled-nx-and-ey": DEMO_LINES[0] + "\ncorr D : X -> X { point nx { nx 1; ny 2; ex 3; ey 4 } "
+                                "point ey { nx 5; ny 0; ex 1; ey 6 } }\n",
+    "coords-point-and-coords": "pair P { dim 2; coords point coords; divisor {point: 1, coords: 2} }\n"
+                               "map g : P -> P { point <- coords^2 * point; coords <- 1 }\n"
+                               "blowup A on P center { point, coords }\n",
+    "exponents-one-and-zero-in-a-product": DEMO_LINES[5] + "\nmap g : Z -> Z { x <- x^1 * y^0; y <- y^0 * x^2 * y^1 }\n",
+    "one-row-between-factor-rows": "pair W { dim 3; coords a b c; divisor {b: 2} }\n"
+                                   "map g : W -> W { a <- b * c^3; b <- 1; c <- a^2 * b }\n",
+    "unicode-tail-names": "pair W { dim 2; coords t\u00e9 s\u00b2; divisor {t\u00e9: 1, s\u00b2: 2} }\n"
+                          "map g : W -> W { t\u00e9 <- s\u00b2^2 * t\u00e9; s\u00b2 <- t\u00e9^3 }\n",
+    "corr-without-points": DEMO_LINES[0] + "\ncorr D : X -> X { }\n",
+    "corr-of-twenty-points": DEMO_LINES[0] + "\ncorr D : X -> X { " + " ".join(
+        [f"point p{i} {{ nx {i}; ny {i % 3}; ex {i + 1}; ey {20 - i} }}" for i in range(20)]) + " }\n",
+}
+
+
+@pytest.mark.parametrize("text", SPLIT_EDGE_CASES.values(), ids=SPLIT_EDGE_CASES.keys())
+def test_the_matcher_reads_the_split_edge_cases_whole(text):
+    assert dsl._Matcher().match(text) == len(text)
+
+
+def test_the_dsl_compiles_one_pattern_per_form_and_the_gap():
+    # a reader reads a matched statement by its separators, with no regex of its own
+    found = ([v.pattern for v in vars(dsl).values() if isinstance(v, re.Pattern)]
+             + [p.pattern for p, _ in dsl._FORMS.values()])
+    assert sorted(found) == sorted([dsl._GAP.pattern] + [form[0].pattern for form in dsl._FORMS.values()])
+    assert len(found) == 1 + len(dsl.KEYWORDS) == 6
+
+
 @pytest.mark.parametrize("text", [
+    *SPLIT_EDGE_CASES.values(),
     CANONICAL.replace("\n", "\r\n"),
     CANONICAL.replace("coords x y;", "coords x # note\ny;"),
     DEMO_LINES[0] + "\n" + DEMO_LINES[0].replace("X", "W") + "\ncorr D : X -> W { point a { nx 1; ny 2; ex 3; ey 4; } }\n",
@@ -460,7 +493,7 @@ def test_fault_placed_after_the_hand_off(text, want):
     DEMO_LINES[0] + "\ncorr D : X -> X { point ; nx 1; ny 1; ex 1; ey 1 } }\n" + DEMO_LINES[1],
     DEMO_LINES[0] + "\ncorr D : X -> X { point",
     "pair X { dim 1; coords t; divisor { t: 1 } } \u00b25\u00b2x",
-], ids=["crlf", "comment-inside", "point-trailing-semicolon", "zero-entry",
+], ids=[*SPLIT_EDGE_CASES, "crlf", "comment-inside", "point-trailing-semicolon", "zero-entry",
         "leading-zeros", "monomial-01", "exponent-007", "keywords-as-names", "long-literal",
         "longest-literal", "non-ascii-name", "superscript-in-name", "numeral-led-name", "roman-numeral-led-name",
         "no-break-space", "form-feed", "example", "point-label-brace", "point-label-semicolon",

@@ -271,6 +271,8 @@ LINE, PLANE, OTHER = Chart(("x",)), Chart(("x", "y")), Chart(("y",))
     [
         (lambda: Chart(("x", "x")), "coordinate names must be distinct: ('x', 'x')"),
         (lambda: Chart(("",)), "coordinate names must be nonempty strings, got ''"),
+        # a string would be iterated into one coordinate per character
+        (lambda: Chart("ab"), "coords must be a sequence of names, got str"),
         (lambda: Divisor((-1,)), "multiplicities must be non-negative integers, got -1"),
         (lambda: Pair(Chart(("x",)), Divisor(())), "divisor has 0 entries for a chart of dimension 1"),
         (lambda: MonomialMap(Chart(("x",)), Chart(()), [[1]]),
@@ -282,6 +284,8 @@ LINE, PLANE, OTHER = Chart(("x",)), Chart(("x", "y")), Chart(("y",))
         (lambda: BlowupSpec(Pair(PLANE, Divisor((1, 1))), {-1}),
          "center index -1 out of range for a chart of dimension 2"),
         (lambda: CorrLocalRecord("a", 1, 1, 0, 1), "ramification degrees must be positive"),
+        (lambda: CorrLocalRecord(5, 1, 1, 1, 1), "label must be a str, got int"),
+        (lambda: CorrLocalRecord(None, 1, 1, 1, 1), "label must be a str, got NoneType"),
         (lambda: NonConstantCorr([CorrLocalRecord("a", 1, 1, 1, 1)] * 2), "record labels must be distinct"),
         (lambda: QPair(0, Pair(Chart(()), Divisor(()))), "level must be a positive integer, got 0"),
         (lambda: QPair(1, "x"), "pair must be a Pair, got str"),
@@ -304,6 +308,15 @@ def test_validation_is_unchanged(make, message):
     with pytest.raises(StructureError) as info:
         make()
     assert str(info.value) == message
+
+
+def test_a_chart_and_a_record_take_subclasses_of_str():
+    class Name(str):
+        pass
+
+    assert Chart([Name("x")]).coords == ("x",) and CorrLocalRecord(Name("w"), 1, 1, 1, 1).label == "w"
+    with pytest.raises(StructureError, match="coords must be a sequence of names, got Name"):
+        Chart(Name("xy"))  # a string still, so iterated it would give one coordinate per character
 
 
 def test_a_qpair_takes_a_subclass_of_pair():
