@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .pairs import Divisor, MonomialMap, Pair, StructureError, Value, _divisor, _monomial_map, _setters
+from .pairs import Divisor, MonomialMap, Pair, StructureError, Value, _divisor, _monomial_map, _refuse_class, _setters
 
 
 class BlowupClass(Enum):
@@ -42,13 +42,17 @@ class BlowupSpec(Value):
         center = frozenset(center)
         if not center:
             raise StructureError("blowup center must name at least one coordinate")
-        for i in center:
-            if type(i) is not int:
-                raise StructureError(f"center indices must be integers, got {i!r}")
-            if not 0 <= i < pair.chart.dim:
-                raise StructureError(
-                    f"center index {i!r} out of range for a chart of dimension {pair.chart.dim}"
-                )
+        try:
+            for i in center:
+                if type(i) is not int:
+                    raise StructureError(f"center indices must be integers, got {i!r}")
+                if not 0 <= i < pair.chart.dim:
+                    raise StructureError(
+                        f"center index {i!r} out of range for a chart of dimension {pair.chart.dim}"
+                    )
+        except AttributeError:
+            _refuse_class(("pair", pair, Pair))
+            raise
         _spec_pair(self, pair)
         _spec_center(self, center)
 

@@ -294,8 +294,14 @@ def _check_all(model: Model) -> Report:
     return Report(status, tuple(records))
 
 
-def _refused(command: list[str]) -> Report | None:
-    """The E011 report on an empty command, an unknown verb or a wrong argument count; else None."""
+def _refused(command: list) -> Report | None:
+    """The E011 report on a word that is no str, an empty command, an unknown verb or a
+    wrong argument count; else None."""
+    for index, word in enumerate(command):
+        if not isinstance(word, str):
+            message = f"command word {index} must be a str, got {type(word).__name__}"
+            # the first word that is no str spans nothing; every word before it is a str
+            return Report(EXIT_INPUT, (), (_arg_diag(command[:index] + [""], index, message, "E011"),))
     if not command:
         message = "empty command"
     elif command[0] not in COMMANDS:
@@ -308,7 +314,7 @@ def _refused(command: list[str]) -> Report | None:
 
 
 def run_command(model: Model, command) -> Report:
-    """Run one command against a model; never raises for model-level problems."""
+    """Run one command against a model; never raises, whatever the command's words."""
     command = list(command)
     refused = _refused(command)
     if refused is not None:

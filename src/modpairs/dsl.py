@@ -30,10 +30,11 @@ declarations, ``parse``, the printer and the matcher that reads statements
 in that spelling whole, each distinct chart once per parse, shared by the
 pairs declared on it.  Any other spelling, such as
 ``divisor { a: 1 }``, is accepted too and read by the token parser of
-``modpairs.tokens``, which makes every diagnostic; ``parse`` imports it only
-when the matcher stops before the end of the text, so a canonical model
-never loads it.  Both readers only read, resolve and check: this module
-builds every declaration, a pair or a map by one builder they share.
+``modpairs.tokens``, which makes every diagnostic; ``_Matcher.read``, the
+one reading driver, through which ``parse`` and ``Model`` read, imports it
+only when the matcher stops before the end of the text, so a canonical
+model never loads it.  Both readers only read, resolve and check: this
+module builds every declaration, a pair or a map by one builder they share.
 """
 
 from __future__ import annotations
@@ -165,12 +166,13 @@ class Model(Value):
 
     A model is what its text reads back as: the constructor formats each
     declaration and reads its line back, after the lines of those before it,
-    by the readers ``parse`` uses, and raises ``StructureError`` for the first
-    whose line gives a diagnostic or reads back as anything but that one
-    declaration.  The message quotes the line, then the first diagnostic or
-    that it reads back as another declaration.  A declaration whose line
+    by ``_Matcher.read`` as ``parse`` reads, and raises ``StructureError`` for
+    the first whose line gives a diagnostic or reads back as anything but that
+    one declaration.  The message quotes the line, then the first diagnostic
+    or that it reads back as another declaration.  A declaration whose line
     cannot be written, as an integer past the interpreter's int/str digit
-    limit cannot, gets a message of its class and name instead, such as
+    limit cannot, or a field of another class, such as a pair that is a
+    string, gets a message of its class and name instead, such as
     ``PairDecl 'X': an integer has more than 300 digits``, or of its name's
     class for a name that is no string; a value that is no declaration raises
     ``TypeError``, as ``format_decl`` does.  ``parse``
@@ -187,20 +189,16 @@ class Model(Value):
         for decl in decls:
             try:
                 line = format_decl(decl)
-            except ValueError:  # an integer past the interpreter's int/str digit limit, which no repr passes
+            except (ValueError, AttributeError) as exc:  # an integer past the digit limit, or a field's class
                 name = decl.name  # itself an int, maybe: named by its class, never converted
                 name = repr(name) if isinstance(name, str) else f"with a name of class {type(name).__name__}"
-                raise StructureError(
-                    f"{type(decl).__name__} {name}: an integer has more than {MAX_INT_DIGITS} digits"
-                ) from None
+                why = (f"an integer has more than {MAX_INT_DIGITS} digits" if isinstance(exc, ValueError)
+                       else "a field holds a value of another class")
+                raise StructureError(f"{type(decl).__name__} {name}: {why}") from None
             count = len(matcher.decls)
-            start = matcher.match(line)
-            if start < len(line):
-                from .tokens import read_from
-
-                read = read_from(matcher, line, start)
-                if type(read) is list:
-                    raise StructureError(f"{line!r}: {format_diagnostic(read[0])}")
+            diagnostics = matcher.read(line)
+            if diagnostics:
+                raise StructureError(f"{line!r}: {format_diagnostic(diagnostics[0])}")
             # exactly one declaration, as a name may spell a second statement, and this one
             if len(matcher.decls) != count + 1 or matcher.decls[-1] != decl:
                 raise StructureError(f"{line!r}: reads back as another declaration")
@@ -271,10 +269,10 @@ _GAP = re.compile(_SKIP)
 class _Matcher:
     """The state of one parse, shared by both readers: the declarations so far
     (``decls``), by kind and name (``names``), and one chart with its coordinate
-    index per distinct coordinate list (``charts``).  ``match`` reads canonical
-    statements whole, built as the token parser's are, by the builders above
-    or the declaration constructors; ``accept`` records what either reader
-    builds."""
+    index per distinct coordinate list (``charts``).  ``read`` drives both
+    readers over a text; ``match`` reads canonical statements whole, built as
+    the token parser's are, by the builders above or the declaration
+    constructors; ``accept`` records what either reader builds."""
 
     def __init__(self):
         self.decls: list[Decl] = []
@@ -304,6 +302,15 @@ class _Matcher:
             accept(decl)
             pos = m.end()
         return pos
+
+    def read(self, text: str) -> list[Diagnostic]:
+        """Read ``text`` into this parse, by the token parser from where ``match`` stops; its diagnostics."""
+        start = self.match(text)
+        if start == len(text):
+            return []
+        from .tokens import read_from
+
+        return read_from(self, text, start)
 
     def _chart(self, key: str) -> tuple[Chart, dict[str, int]]:
         """The chart on the coordinates ``key`` names and its coordinate index, built at the first ask."""
@@ -415,12 +422,7 @@ def parse(text: str) -> Model | list[Diagnostic]:
     matcher stops before the end.
     """
     matcher = _Matcher()
-    start = matcher.match(text)
-    if start == len(text):
-        return _model(tuple(matcher.decls))
-    from .tokens import read_from
-
-    return read_from(matcher, text, start)
+    return matcher.read(text) or _model(tuple(matcher.decls))
 
 
 # --- canonical printer -------------------------------------------------------

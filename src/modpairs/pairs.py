@@ -65,8 +65,6 @@ class Value:
         cls._key = attrgetter(*cls._fields)
 
     def __eq__(self, other):
-        if other is self:  # every field is an immutable value equal to itself
-            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._key(self) == self._key(other)
@@ -90,6 +88,15 @@ class Value:
 
 class StructureError(ValueError):
     """Mismatched shapes: wrong divisor length, incompatible charts, bad entries."""
+
+
+def _refuse_class(*fields: tuple[str, object, type]):
+    """Raise ``StructureError`` naming the first ``(name, value, class)`` whose
+    value is not an instance of its class.  A constructor calls it only once
+    an attribute access on its fields has failed, so a right call never runs it."""
+    for name, value, cls in fields:
+        if not isinstance(value, cls):
+            raise StructureError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
 
 
 class Chart(Value):
@@ -151,10 +158,14 @@ class Pair(Value):
     __slots__ = ("chart", "divisor")
 
     def __init__(self, chart: Chart, divisor: Divisor):
-        if len(divisor.mults) != len(chart.coords):
-            raise StructureError(
-                f"divisor has {len(divisor)} entries for a chart of dimension {chart.dim}"
-            )
+        try:
+            if len(divisor.mults) != len(chart.coords):
+                raise StructureError(
+                    f"divisor has {len(divisor)} entries for a chart of dimension {chart.dim}"
+                )
+        except AttributeError:
+            _refuse_class(("chart", chart, Chart), ("divisor", divisor, Divisor))
+            raise
         _pair_chart(self, chart)
         _pair_divisor(self, divisor)
 
@@ -231,10 +242,14 @@ class PairMap(Value):
 
     def __init__(self, map: MonomialMap, src: Pair, dst: Pair):
         # charts are most often shared, so identity settles the test before ``Value.__eq__``
-        if src.chart is not map.source and src.chart != map.source:
-            raise StructureError("source pair does not live on the map's source chart")
-        if dst.chart is not map.target and dst.chart != map.target:
-            raise StructureError("destination pair does not live on the map's target chart")
+        try:
+            if src.chart is not map.source and src.chart != map.source:
+                raise StructureError("source pair does not live on the map's source chart")
+            if dst.chart is not map.target and dst.chart != map.target:
+                raise StructureError("destination pair does not live on the map's target chart")
+        except AttributeError:
+            _refuse_class(("map", map, MonomialMap), ("src", src, Pair), ("dst", dst, Pair))
+            raise
         _pairmap_map(self, map)
         _pairmap_src(self, src)
         _pairmap_dst(self, dst)

@@ -1,14 +1,14 @@
 """The token path of the DSL: lexer, recovering parser and diagnostic placement.
 
-``dsl.parse`` matches canonically spelled statements whole and imports this
-module only when the matcher stops before the end of the text.  From there
-the token parser reads one statement at a time, lexing each token as it
-first steps onto it and keeping its offset, and makes every diagnostic.
-After each statement the matcher tries again at the next token.  The parser
-reads, resolves and reports, and ``dsl`` builds: names and charts are looked
-up in the matcher's tables, which hold the parse state, and what the parser
-resolved goes to ``dsl``'s builders or the declaration constructors, then to
-the matcher's ``accept``.
+``dsl._Matcher.read``, the one reading driver, matches canonically spelled
+statements whole and imports this module only when the matcher stops before
+the end of the text.  From there ``read_from`` reads one statement at a
+time, lexing each token as it first steps onto it and keeping its offset,
+and returns every diagnostic.  After each statement the matcher tries again
+at the next token.  The parser reads, resolves and reports, and ``dsl``
+builds: names and charts are looked up in the matcher's tables, which hold
+the parse state, and what the parser resolved goes to ``dsl``'s builders or
+the declaration constructors, then to the matcher's ``accept``.
 """
 
 from __future__ import annotations
@@ -25,13 +25,11 @@ from .dsl import (
     CorrDecl,
     Decl,
     Diagnostic,
-    Model,
     PairDecl,
     QPairDecl,
     _is_name,
     _map_decl,
     _Matcher,
-    _model,
     _pair_decl,
 )
 from .pairs import Pair
@@ -348,15 +346,15 @@ class _Parser:
         return BlowupDecl(name, pair_name, BlowupSpec(pair, indices))
 
 
-def read_from(matcher: _Matcher, text: str, start: int) -> Model | list[Diagnostic]:
+def read_from(matcher: _Matcher, text: str, start: int) -> list[Diagnostic]:
     """Parse ``text`` from ``start``, where ``matcher`` stopped, to the end.
 
     The token parser reads one statement, then the matcher tries again at
     the token after it.  Only where the matcher moved, and not to the end,
     does the token parser restart, at the matcher's stop: a restart where it
     did not move would lex the current token again, and report an over-long
-    literal twice.  Diagnostics keep the token parser's order over the whole
-    text: the lexer's, then the parser's.
+    literal twice.  The diagnostics keep the token parser's order over the
+    whole text, the lexer's then the parser's; [] when it found none.
     """
     parser = _Parser(text, matcher)
     parser.restart(start)
@@ -368,4 +366,4 @@ def read_from(matcher: _Matcher, text: str, start: int) -> Model | list[Diagnost
             break
         if start > at:
             parser.restart(start)
-    return _place(text, parser.lexer + parser.problems) or _model(tuple(matcher.decls))
+    return _place(text, parser.lexer + parser.problems)

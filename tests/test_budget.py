@@ -1,129 +1,31 @@
 """A byte-code budget for each operation a shell call or a batch pays for.
 
 ``tests/data/opcode_budget.json`` holds, per Python minor version, the number
-of byte-code instructions (``test_growth.opcodes``) that each operation below
-executes on fixed inputs: ``parse`` of a canonical text of 320 declarations and
-of that text with a fault in every block, ``run_command(["check-all"])``,
-``print_model`` and ``Model(decls)`` on its model, one ``main`` verb call
-with ``--machine`` on the bundled example, argv reader included, and one call
-of each public kernel of the four math modules on small fixed values.  The
-counts repeat to the unit from run to run, so a count over its budget fails.
-They also move between patch releases, so each minor version's counts name
-the release that counted them, and any other release skips, as an
-interpreter with no budget does.  A change that lowers a count lowers its
-budget; one that raises a count says why.  To print this interpreter's
-counts, from the root of a checkout::
+of byte-code instructions (``opcode_counts.opcodes``) that each operation of
+``opcode_counts.operations`` executes on fixed inputs.  The counts repeat to
+the unit from run to run, so a count over its budget fails.  They also move
+between patch releases, so each minor version's counts name the release that
+counted them, and any other release skips, as an interpreter with no budget
+does.  A change that lowers a count lowers its budget; one that raises a
+count says why.  To print this interpreter's counts, with no package outside
+the standard library, from the root of a checkout::
 
-    PYTHONPATH=src:tests python tests/test_budget.py
+    PYTHONPATH=src:tests python -S tests/opcode_counts.py
 """
 
-import gc
 import importlib
-import io
 import json
-import platform
+import os
+import subprocess
 import sys
-from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from types import CodeType
 
 import pytest
 
-from modpairs.blowup import BlowupSpec, blowup_charts, classify
-from modpairs.cli import main, run_command
-from modpairs.correspondences import (
-    CorrLocalRecord,
-    NonConstantCorr,
-    corr_minimal_twist,
-    from_monomial_param,
-    graph_corr,
-    in_colim_mcor,
-    in_lcor,
-    in_mcor,
-)
-from modpairs.dsl import Model, parse, print_model
-from modpairs.pairs import (
-    Chart,
-    Divisor,
-    MonomialMap,
-    Pair,
-    PairMap,
-    compose,
-    divisor_leq,
-    format_divisor,
-    hom_log_exists,
-    is_admissible,
-    is_minimal,
-    minimal_twist,
-    pullback,
-    twist,
-)
-from modpairs.qdivisors import QPair, cube, cube_projection, cube_weight, q_eq, q_normalize, q_rationals, q_transition
-from test_growth import declarations, opcodes
+from opcode_counts import RELEASE, VERSION, count, operations
 
 BUDGET = json.loads((Path(__file__).parent / "data" / "opcode_budget.json").read_text(encoding="utf-8"))
-VERSION, RELEASE = "%d.%d" % sys.version_info[:2], platform.python_version()
-EXAMPLE = Path(__file__).parent.parent / "scripts" / "example.lp"
-
-
-def _quiet_main(argv: list[str]) -> int:
-    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-        return main(argv)
-
-
-def kernels(dim: int) -> None:
-    """One call of each public kernel of ``pairs``, ``blowup``, ``correspondences``
-    and ``qdivisors``, and of the value methods they build with, on a chart of
-    ``dim`` coordinates; every test over the entries runs to its last entry."""
-    chart = Chart([f"x{i}" for i in range(dim)])
-    divisor = Divisor([i + 1 for i in range(dim)])
-    pair = Pair(chart, divisor)
-    cyclic = MonomialMap(chart, chart, [[int(i in (j, (j + 1) % dim)) for i in range(dim)] for j in range(dim)])
-    identity = MonomialMap.identity(chart)
-    f = PairMap(identity, pair, pair)
-    pullback(cyclic, divisor), divisor_leq(divisor, divisor), compose(cyclic, identity), cyclic.expo
-    is_admissible(f), minimal_twist(f), hom_log_exists(f), is_minimal(f), twist(pair, 2), divisor.scaled(2)
-    repr(pair), pair.__reduce__(), format_divisor(chart, divisor)
-    spec = BlowupSpec(pair, range(dim))
-    classify(spec), blowup_charts(spec)
-    corr = NonConstantCorr([CorrLocalRecord(str(i), 2 * i, i, 1, 2) for i in range(dim)])  # record 0 is 0 | 0
-    in_mcor(corr), in_colim_mcor(corr), in_lcor(corr), corr_minimal_twist(corr), from_monomial_param(2, 3, 1, 1)
-    line = Pair(Chart(["t"]), Divisor([1]))
-    graph_corr(PairMap(MonomialMap(line.chart, line.chart, [[2]]), line, line))
-    q = QPair(2, twist(pair, 2))
-    q_normalize(q), q_eq(q, QPair(1, pair)), q_rationals(q), q_transition(q, 3)
-    cube(pair, 2), cube_weight(cube_projection(pair, 2))
-
-
-def operations() -> dict:
-    """name: (function, argument) for each counted operation."""
-    text = declarations(40)
-    model = parse(text)
-    assert len(model.decls) == 320
-    faulted = text.replace("dim 2;", "dim 3;")  # E030 on each plane, and what names it goes unread
-    assert isinstance(parse(faulted), list)
-    return {
-        "parse-canonical": (parse, text),
-        "parse-faulted": (parse, faulted),
-        "run_command-check-all": (lambda m: run_command(m, ["check-all"]), model),
-        "print_model": (print_model, model),
-        "Model": (Model, model.decls),
-        "main-verb-call": (_quiet_main, ["twist", "X", "2", "--model", str(EXAMPLE), "--machine"]),
-        "kernels": (kernels, 4),
-    }
-
-
-def count(name: str) -> int:
-    fn, arg = operations()[name]
-    fn(arg)  # modules and patterns loaded on first use stay out of the count
-    was = gc.isenabled()
-    gc.collect()
-    gc.disable()  # no collection runs the finalizers of other tests' objects inside the count
-    try:
-        return opcodes(fn, arg)
-    finally:
-        if was:
-            gc.enable()
 
 
 @pytest.mark.parametrize("name", list(operations()))
@@ -140,6 +42,21 @@ def test_the_budget_names_every_operation():
     for version, budget in BUDGET["budgets"].items():
         assert budget["release"].startswith(version + ".")
         assert set(budget["counts"]) == set(operations())
+
+
+def test_the_counter_runs_without_pytest():
+    # under -S, with no site-packages and so no pytest, as a release that has none counts its budget
+    tests = Path(__file__).parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+    run = subprocess.run([sys.executable, "-S", str(tests / "opcode_counts.py")], env=env, capture_output=True,
+                         text=True, check=True)
+    (version, counted), = json.loads(run.stdout).items()
+    assert version == VERSION and counted["release"] == RELEASE
+    assert set(counted["counts"]) == set(operations())
+    assert all(type(n) is int and n > 0 for n in counted["counts"].values())
+    budget = BUDGET["budgets"].get(VERSION, {})
+    if budget.get("release") == RELEASE:
+        assert all(counted["counts"][name] <= budget["counts"][name] for name in counted["counts"])
 
 
 def _genexprs(code: CodeType) -> list[str]:
@@ -161,7 +78,3 @@ def test_no_math_module_holds_a_generator_expression(module):
     path = Path(importlib.import_module(f"modpairs.{module}").__file__)
     assert _genexprs(compile(path.read_text(encoding="utf-8"), str(path), "exec")) == []
 
-
-if __name__ == "__main__":
-    counts = {name: count(name) for name in operations()}
-    print(json.dumps({VERSION: {"release": RELEASE, "counts": counts}}, indent=1))

@@ -249,23 +249,41 @@ _WORD = st.one_of(
     st.sampled_from(["0", "007", "\u00b2", "-1", "nope", ""]),
     st.text(max_size=8),
 )
+# words of other classes, as an in-process caller may pass
+_NOT_A_STR = st.one_of(st.integers(-2, 2**70), st.none(), st.binary(max_size=4), st.sampled_from([2.0, True]))
 
 
-@settings(max_examples=200, deadline=None)
-@given(command=st.lists(_WORD, max_size=4))
+@settings(max_examples=300, deadline=None)
+@given(command=st.lists(_WORD | _NOT_A_STR, max_size=4))
 def test_run_command_on_any_words(command):
     """Any list of words gives a report: a failure carries diagnostics and no
-    records, an answer no diagnostics, and every span lies in the command text."""
+    records, an answer no diagnostics, and every span lies in the command text,
+    where a word that is no str, refused with E011, reads as empty."""
     report = run_command(model(), command)
     assert report.status in range(6)
     if report.status >= EXIT_INPUT:
         assert not report.records and report.diagnostics
     else:
         assert not report.diagnostics
-    joined = " ".join(command)
+    if not all(isinstance(word, str) for word in command):
+        assert report.status == EXIT_INPUT and [d.code for d in report.diagnostics] == ["E011"]
+    joined = " ".join([word if isinstance(word, str) else "" for word in command])
     for diag in report.diagnostics:
         assert diag.line == 1 and diag.column >= 1
         assert diag.column - 1 + diag.length <= len(joined)
+
+
+@pytest.mark.parametrize("command, column, message", [
+    (["twist", "X", 2], 9, "command word 2 must be a str, got int"),
+    ([1], 1, "command word 0 must be a str, got int"),
+    ([None, "X"], 1, "command word 0 must be a str, got NoneType"),
+    (["check-all", b"X"], 11, "command word 1 must be a str, got bytes"),
+    (["nosuch", "X", 2.5], 10, "command word 2 must be a str, got float"),  # before the unknown verb
+])
+def test_a_word_that_is_no_str_is_refused_by_its_position_and_class(command, column, message):
+    report = run_command(model(), command)
+    assert report.status == EXIT_INPUT and not report.records
+    assert report.diagnostics == (Diagnostic(1, column, 0, message, "E011"),)
 
 
 class TestDeterminism:

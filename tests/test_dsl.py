@@ -977,6 +977,23 @@ def test_a_model_refuses_what_is_not_a_declaration():
         Model((_LINE,))
 
 
+@pytest.mark.parametrize("decl, named", [
+    (PairDecl("Y", "notapair"), "PairDecl 'Y'"),
+    (PairDecl("Y", None), "PairDecl 'Y'"),
+    (MapDecl("f", "X", "X", None), "MapDecl 'f'"),
+    (MapDecl("f", "X", "X", _LINE), "MapDecl 'f'"),
+    (QPairDecl("q", "X", None), "QPairDecl 'q'"),
+    (BlowupDecl("b", "X", None), "BlowupDecl 'b'"),
+    (BlowupDecl(7, "X", None), "BlowupDecl with a name of class int"),
+], ids=["pair-a-string", "pair-none", "map-none", "map-a-pair", "qpair-none", "blowup-none", "blowup-int-name"])
+def test_a_model_refuses_a_field_of_another_class(decl, named):
+    # no declaration constructor checks its value field, so that parse pays nothing;
+    # the read-back names the declaration whose line cannot be written
+    with pytest.raises(StructureError) as info:
+        Model((_X, decl))
+    assert str(info.value) == f"{named}: a field holds a value of another class"
+
+
 def _holding(n):
     """Models with ``n`` in one integer field each, by the field's id, with the
     declaration that holds it as ``Model``'s message names it."""

@@ -23,39 +23,10 @@ import pytest
 
 from modpairs.cli import run_command
 from modpairs.dsl import Model, parse
+from opcode_counts import declarations, opcodes
 from test_memory import full_center_blowup_model, identity_map_model
 
 COUNT_LAW, WALL_LAW = 4.4, 8.0
-
-
-def _traced(fn, *args) -> int:
-    """Byte-code instructions executed by ``fn(*args)``, counted by ``sys.settrace``."""
-    count = 0
-
-    def trace(frame, event, arg):
-        nonlocal count
-        frame.f_trace_opcodes = True
-        if event == "opcode":
-            count += 1
-        return trace
-
-    sys.settrace(trace)
-    try:
-        fn(*args)
-    finally:
-        sys.settrace(None)
-    return count
-
-
-_traced(lambda: None)  # CPython 3.12 delivers no opcode event in a process's first traced call
-
-
-def opcodes(fn, *args) -> int:
-    """``_traced(fn, *args)``, never 0, so that no law or budget can pass on a count of nothing."""
-    count = _traced(fn, *args)
-    if not count:
-        raise RuntimeError(f"no byte-code instruction was counted in {fn!r}")
-    return count
 
 
 def best_wall(fn, *args, repeat: int = 5) -> float:
@@ -71,21 +42,6 @@ def best_wall(fn, *args, repeat: int = 5) -> float:
         if was:
             gc.enable()
     return best
-
-
-def declarations(n: int) -> str:
-    """``n`` blocks of eight declarations, one of each form the matcher reads."""
-    return "".join(
-        f"pair X{i} {{ dim 1; coords t; divisor {{t: {i % 5 + 1}}} }}\n"
-        f"pair Z{i} {{ dim 2; coords x y; divisor {{x: 1, y: {i % 3}}} }}\n"
-        f"map f{i} : X{i} -> X{i} {{ t <- t^2 }}\n"
-        f"map g{i} : Z{i} -> X{i} {{ t <- x * y^{i % 4} }}\n"
-        f"corr c{i} monomial(2, 3, 1, {i % 7})\n"
-        f"corr d{i} : X{i} -> X{i} {{ point w {{ nx 1; ny 2; ex 1; ey 1 }} }}\n"
-        f"qpair q{i} = ({i % 6 + 1}, X{i})\n"
-        f"blowup b{i} on Z{i} center {{ x, y }}\n"
-        for i in range(n)
-    )
 
 
 def stray_characters(n: int) -> str:
@@ -165,7 +121,7 @@ def test_wall_time_grows_linearly(shape):
 
 def test_a_count_is_whole_from_a_process_first_call_and_never_nothing():
     # in a fresh process, whose first count no other test has warmed
-    script = ("from test_growth import declarations, opcodes; from modpairs.dsl import parse; "
+    script = ("from opcode_counts import declarations, opcodes; from modpairs.dsl import parse; "
               "print(opcodes(parse, declarations(1)), opcodes(parse, declarations(1)))")
     tests = Path(__file__).parent
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}

@@ -40,6 +40,10 @@ class UserPair(Pair):
     """A subclass with no ``__slots__`` of its own, so its instances also get a ``__dict__``."""
 
 
+class UserChart(Chart):
+    __slots__ = ()
+
+
 class SlottedUserDiagnostic(Diagnostic):
     """A subclass with its own empty ``__slots__``, so its instances have no ``__dict__`` either."""
 
@@ -302,6 +306,16 @@ LINE, PLANE, OTHER = Chart(("x",)), Chart(("x", "y")), Chart(("y",))
          "source pair does not live on the map's source chart"),
         (lambda: PairMap(MonomialMap.identity(LINE), Pair(LINE, Divisor((1,))), Pair(OTHER, Divisor((1,)))),
          "destination pair does not live on the map's target chart"),
+        # a field of another class is named once an attribute access on it fails
+        (lambda: Pair(None, Divisor((1,))), "chart must be a Chart, got NoneType"),
+        (lambda: Pair(Chart(("x",)), (1,)), "divisor must be a Divisor, got tuple"),
+        (lambda: Pair(Divisor((1,)), Chart(("x",))), "chart must be a Chart, got Divisor"),
+        (lambda: Pair(UserChart(("x",)), None), "divisor must be a Divisor, got NoneType"),  # a subclass passes
+        (lambda: PairMap(None, Pair(LINE, Divisor((1,))), Pair(LINE, Divisor((1,)))),
+         "map must be a MonomialMap, got NoneType"),
+        (lambda: PairMap(MonomialMap.identity(LINE), None, Pair(LINE, Divisor((1,)))), "src must be a Pair, got NoneType"),
+        (lambda: PairMap(MonomialMap.identity(LINE), Pair(LINE, Divisor((1,))), LINE), "dst must be a Pair, got Chart"),
+        (lambda: BlowupSpec(LINE, {0}), "pair must be a Pair, got Chart"),
     ],
 )
 def test_validation_is_unchanged(make, message):
@@ -322,6 +336,19 @@ def test_a_chart_and_a_record_take_subclasses_of_str():
 def test_a_qpair_takes_a_subclass_of_pair():
     q = QPair(2, UserPair(LINE, Divisor((4,))))
     assert q.pair.divisor == Divisor((4,)) and q_normalize(q) == QPair(1, Pair(LINE, Divisor((2,))))
+
+
+def test_a_blowup_on_none_names_its_pair():
+    # apart from the table above, whose ids are its messages, and QPair's says the same
+    with pytest.raises(StructureError) as info:
+        BlowupSpec(None, {0})
+    assert str(info.value) == "pair must be a Pair, got NoneType"
+
+
+def test_a_pair_map_and_a_blowup_take_subclasses_of_their_fields_classes():
+    line = UserPair(UserChart(("x",)), Divisor((1,)))
+    assert PairMap(MonomialMap.identity(line.chart), line, line).src is line
+    assert BlowupSpec(line, {0}).pair is line
 
 
 @pytest.mark.parametrize("corr", [ConstantCorr(True), ConstantCorr(False), CorrLocalRecord("w", 1, 1, 1, 1), None],
