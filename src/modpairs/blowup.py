@@ -12,7 +12,18 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .pairs import Divisor, MonomialMap, Pair, StructureError, Value, _divisor, _monomial_map, _refuse_class, _setters
+from .pairs import (
+    Divisor,
+    MonomialMap,
+    Pair,
+    StructureError,
+    Value,
+    _divisor,
+    _monomial_map,
+    _refuse_class,
+    _refuse_iterable,
+    _setters,
+)
 
 
 class BlowupClass(Enum):
@@ -33,13 +44,18 @@ class BlowupSpec(Value):
     """A pair plus the coordinate indices (0-based) cutting out the center.
 
     Validity of the center against the divisor support is decided by
-    ``classify``, not at construction.
+    ``classify``, not at construction, and kept in ``_verdict``, a memo that
+    is None until ``classify`` first decides.
     """
 
-    __slots__ = ("pair", "center")
+    __slots__ = ("pair", "center", "_verdict")
 
     def __init__(self, pair: Pair, center: frozenset[int]):
-        center = frozenset(center)
+        try:
+            center = frozenset(center)
+        except TypeError:
+            _refuse_iterable("center", center, "a collection of indices")
+            raise
         if not center:
             raise StructureError("blowup center must name at least one coordinate")
         try:
@@ -55,9 +71,10 @@ class BlowupSpec(Value):
             raise
         _spec_pair(self, pair)
         _spec_center(self, center)
+        _spec_verdict(self, None)
 
 
-_spec_pair, _spec_center = _setters(BlowupSpec)
+_spec_pair, _spec_center, _spec_verdict = _setters(BlowupSpec)
 
 
 class BlowupChart(Value):
@@ -75,13 +92,22 @@ _bchart_index, _bchart_map, _bchart_total = _setters(BlowupChart)
 
 
 def classify(spec: BlowupSpec) -> BlowupClass:
-    """Coordinate test on the center; containment in the support wins over contact."""
+    """Coordinate test on the center; containment in the support wins over contact.
+
+    Decided on the first call, then read from the spec's memo.
+    """
+    verdict = spec._verdict
+    if verdict is not None:
+        return verdict
     support = spec.pair.divisor.support
     if not spec.center & support:
-        return BlowupClass.INVALID
-    if spec.center <= support:
-        return BlowupClass.MODIFICATION
-    return BlowupClass.SMOOTH_BLOWUP
+        verdict = BlowupClass.INVALID
+    elif spec.center <= support:
+        verdict = BlowupClass.MODIFICATION
+    else:
+        verdict = BlowupClass.SMOOTH_BLOWUP
+    _spec_verdict(spec, verdict)
+    return verdict
 
 
 def blowup_charts(spec: BlowupSpec) -> tuple[BlowupChart, ...]:

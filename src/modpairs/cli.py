@@ -386,17 +386,20 @@ def _read_argv(argv: list[str]) -> tuple[list[str], str | None, bool, list[str] 
     command, model, machine, asked = [], "-", False, None
     words = iter(argv)
     for word in words:
-        if not word.startswith("-"):  # most words: kept cheap for a shell call
-            command.append(word)
-        elif word == "--machine":
-            machine = True
-        elif word == "--model":
-            model = next(words, None)
-        elif word.startswith("--model="):
-            model = word[8:]
-        elif word in ("-h", "--help"):
-            asked = command[:1]
-        else:
+        try:
+            if not word.startswith("-"):  # most words: kept cheap for a shell call
+                command.append(word)
+            elif word == "--machine":
+                machine = True
+            elif word == "--model":
+                model = next(words, None)
+            elif word.startswith("--model="):
+                model = word[8:]
+            elif word in ("-h", "--help"):
+                asked = command[:1]
+            else:
+                command.append(word)
+        except (AttributeError, TypeError):  # a word that is no str: a positional, which _refused refuses
             command.append(word)
     return command, model, machine, asked
 
@@ -405,7 +408,7 @@ def _help(asked: list[str]) -> str:
     """The usage of the verb that help was asked after, else of every verb: from the verb table."""
     usages = {verb: " ".join([verb, *("n" if name == "n" else KEYWORDS[_VERBS[verb][0]] for name in names)])
               for verb, names in COMMANDS.items()}
-    if asked and asked[0] in COMMANDS:
+    if asked and isinstance(asked[0], str) and asked[0] in COMMANDS:  # a word that is no str may not hash
         text = f"usage: modpairs {usages[asked[0]]} [--model FILE] [--machine]\n"
     else:
         text = ("usage: modpairs COMMAND [ARGUMENT...] [--model FILE] [--machine]\n\n"

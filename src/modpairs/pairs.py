@@ -25,6 +25,17 @@ bound once below the class (``_pair_chart, _pair_divisor = _setters(Pair)``),
 which looks no name up on the type per write; ``Value.__setattr__`` refuses
 every other write.
 
+A value may also keep a memo, in a slot whose name starts with ``_``: facts
+computed once from its fields by the one kernel that owns the slot, which
+alone writes it.  The constructor sets it to None and the memo is no field,
+so equality, the hash, the repr, copies and pickles ignore it, and a copy
+starts empty.  A ``PairMap``'s ``_facts`` holds ``_map_facts``: the
+pulled-back multiplicities and the least twist, from one ``pullback`` and one
+pass, which ``is_admissible``, ``minimal_twist``, ``hom_log_exists`` and
+``is_minimal`` all read; ``blowup.classify`` keeps a ``BlowupSpec``'s
+verdict the same way.  Two threads that race on an empty memo compute equal
+facts, so either write may win.
+
 No function or method here, nor in ``blowup``, ``correspondences`` and
 ``qdivisors``, holds a generator expression.  A test over the entries
 (``in_mcor``, ``in_lcor``, ``q_eq``) is a ``for`` loop that returns at the
@@ -54,14 +65,19 @@ class Value:
     are set once, through the slot setters bound beside each class: by the
     class's ``__init__``, which checks and normalises them, or by a kernel's
     builder in this module, which skips those checks because the kernel's
-    fields hold by construction.
+    fields hold by construction.  A slot whose name starts with ``_`` is no
+    field but a memo of facts computed from the fields: equality, the hash,
+    the repr and ``__reduce__`` never read it, so a copy or a pickle starts
+    without it.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        # a subclass of a value class keeps its base's fields, then any slots it adds
-        cls._fields = getattr(cls, "_fields", ()) + tuple(vars(cls).get("__slots__", ()))
+        # a subclass of a value class keeps its base's fields, then any slots it adds;
+        # a slot named with a leading ``_`` is a memo, never a field
+        slots = [name for name in vars(cls).get("__slots__", ()) if not name.startswith("_")]
+        cls._fields = getattr(cls, "_fields", ()) + tuple(slots)
         cls._key = attrgetter(*cls._fields)
 
     def __eq__(self, other):
@@ -99,6 +115,16 @@ def _refuse_class(*fields: tuple[str, object, type]):
             raise StructureError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
 
 
+def _refuse_iterable(name: str, value: object, what: str):
+    """Raise ``StructureError("{name} must be {what}, ...")`` when ``value``
+    cannot be iterated.  A constructor calls it only once building from
+    ``value`` has raised ``TypeError``."""
+    try:
+        iter(value)
+    except TypeError:
+        raise StructureError(f"{name} must be {what}, got {type(value).__name__}") from None
+
+
 class Chart(Value):
     """Affine chart with named coordinates; dimension 0 is the point chart."""
 
@@ -131,7 +157,11 @@ class Divisor(Value):
 
     def __init__(self, mults: tuple[int, ...]):
         if not isinstance(mults, tuple):
-            mults = tuple(mults)
+            try:
+                mults = tuple(mults)
+            except TypeError:
+                _refuse_iterable("mults", mults, "a sequence of integers")
+                raise
         for m in mults:
             if type(m) is not int or m < 0:
                 raise StructureError(f"multiplicities must be non-negative integers, got {m!r}")
@@ -188,11 +218,18 @@ class MonomialMap(Value):
     __slots__ = ("source", "target", "rows")
 
     def __init__(self, source: Chart, target: Chart, expo: tuple[tuple[int, ...], ...]):
-        dense, dim = tuple(map(tuple, expo)), len(source.coords)
-        if len(dense) != len(target.coords):
-            raise StructureError(
-                f"exponent matrix has {len(dense)} rows for a target of dimension {target.dim}"
-            )
+        try:
+            dense, dim = tuple(map(tuple, expo)), len(source.coords)
+            if len(dense) != len(target.coords):
+                raise StructureError(
+                    f"exponent matrix has {len(dense)} rows for a target of dimension {target.dim}"
+                )
+        except AttributeError:
+            _refuse_class(("source", source, Chart), ("target", target, Chart))
+            raise
+        except TypeError:
+            _refuse_iterable("expo", expo, "a sequence of rows")
+            raise
         rows = []
         for row in dense:
             if len(row) != dim:
@@ -236,9 +273,13 @@ _map_source, _map_target, _map_rows = _setters(MonomialMap)
 
 
 class PairMap(Value):
-    """Candidate morphism of pairs; admissibility is queried, never assumed."""
+    """Candidate morphism of pairs; admissibility is queried, never assumed.
 
-    __slots__ = ("map", "src", "dst")
+    ``_facts`` is the memo of ``_map_facts``: None until a predicate first
+    asks, then the pulled-back multiplicities and the least twist.
+    """
+
+    __slots__ = ("map", "src", "dst", "_facts")
 
     def __init__(self, map: MonomialMap, src: Pair, dst: Pair):
         # charts are most often shared, so identity settles the test before ``Value.__eq__``
@@ -253,9 +294,10 @@ class PairMap(Value):
         _pairmap_map(self, map)
         _pairmap_src(self, src)
         _pairmap_dst(self, dst)
+        _pairmap_facts(self, None)
 
 
-_pairmap_map, _pairmap_src, _pairmap_dst = _setters(PairMap)
+_pairmap_map, _pairmap_src, _pairmap_dst, _pairmap_facts = _setters(PairMap)
 
 
 # The kernels' builders, one per class.  Each takes fields that already pass
@@ -315,9 +357,37 @@ def divisor_leq(a: Divisor, b: Divisor) -> bool:
     return all(map(ge, a.mults, b.mults))
 
 
+def _map_facts(f: PairMap) -> tuple[tuple[int, ...], int | None]:
+    """``(E, n)``: the pulled-back multiplicities ``E`` of ``f.dst``'s divisor
+    and the least twist ``n`` of ``f.src`` that makes ``f`` admissible, or None.
+
+    None means no twist works: the pulled-back divisor touches a hyperplane
+    the source divisor misses, and scaling the source cannot repair that.
+    Whenever the support condition holds, ``n`` is the maximum of the
+    ceilings ``E_i / x_i`` over the support of the pullback (at least 1).
+    Computed in one pass on the first call, then read from the map's memo.
+    """
+    facts = f._facts
+    if facts is not None:
+        return facts
+    pulled, need = pullback(f.map, f.dst.divisor).mults, 1
+    for e, x in zip(pulled, f.src.divisor.mults):
+        if e:
+            if not x:
+                need = None
+                break
+            n = -(-e // x)
+            if n > need:
+                need = n
+    facts = pulled, need
+    _pairmap_facts(f, facts)
+    return facts
+
+
 def is_admissible(f: PairMap) -> bool:
-    """True when the source divisor dominates the pulled-back target divisor."""
-    return divisor_leq(f.src.divisor, pullback(f.map, f.dst.divisor))
+    """True when the source divisor dominates the pulled-back target divisor:
+    no twist is needed, since ``x_i >= E_i`` wherever ``E_i > 0``."""
+    return _map_facts(f)[1] == 1
 
 
 def twist(p: Pair, n: int) -> Pair:
@@ -328,39 +398,26 @@ def twist(p: Pair, n: int) -> Pair:
 
 
 def minimal_twist(f: PairMap) -> int | None:
-    """Least ``n >= 1`` making ``twist(f.src, n) -> f.dst`` admissible, or None.
-
-    None means no twist works: the pulled-back divisor touches a hyperplane
-    the source divisor misses, and scaling the source cannot repair that.
-    Whenever the support condition holds, the answer is the maximum of the
-    ceilings ``E_i / x_i`` over the support of the pullback (at least 1).
-    """
-    need = 1
-    for e, x in zip(pullback(f.map, f.dst.divisor).mults, f.src.divisor.mults):
-        if e:
-            if not x:
-                return None
-            n = -(-e // x)
-            if n > need:
-                need = n
-    return need
+    """Least ``n >= 1`` making ``twist(f.src, n) -> f.dst`` admissible, or None
+    when the pulled-back support leaves the source support (see ``_map_facts``)."""
+    return _map_facts(f)[1]
 
 
 def hom_log_exists(f: PairMap) -> bool:
     """Whether the map survives after some finite twist of the source.
 
-    That is when ``minimal_twist`` finds a level: the pulled-back support
-    lies in the source support.  Maps that do are exactly the morphisms
-    between the log charts the two pairs determine; two such morphisms agree
-    there iff their monomial data coincide, so the underlying ``MonomialMap``
-    is a faithful presentation.
+    That is when a least twist exists: the pulled-back support lies in the
+    source support.  Maps that do are exactly the morphisms between the log
+    charts the two pairs determine; two such morphisms agree there iff their
+    monomial data coincide, so the underlying ``MonomialMap`` is a faithful
+    presentation.
     """
-    return minimal_twist(f) is not None
+    return _map_facts(f)[1] is not None
 
 
 def is_minimal(f: PairMap) -> bool:
     """True when the source divisor is exactly the pulled-back target divisor."""
-    return f.src.divisor.mults == pullback(f.map, f.dst.divisor).mults
+    return f.src.divisor.mults == _map_facts(f)[0]
 
 
 def compose(g: MonomialMap, f: MonomialMap) -> MonomialMap:

@@ -286,6 +286,46 @@ def test_a_word_that_is_no_str_is_refused_by_its_position_and_class(command, col
     assert report.diagnostics == (Diagnostic(1, column, 0, message, "E011"),)
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["twist", "X", 2, "--model", str(EXAMPLE)], "1:9: error: command word 2 must be a str, got int [E011]\n"),
+    ([1], "1:1: error: command word 0 must be a str, got int [E011]\n"),
+    (["check-all", None], "1:11: error: command word 1 must be a str, got NoneType [E011]\n"),
+    ([b"--machine"], "1:1: error: command word 0 must be a str, got bytes [E011]\n"),
+    (["twist", "X", 2.5, "--machine"], "1:9: error: command word 2 must be a str, got float [E011]\n"),
+])
+def test_main_refuses_an_argv_word_that_is_no_str_as_run_command_does(argv, err, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", _Unread())  # refused before any model is read
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr() == ("", err)
+
+
+def test_help_after_a_word_that_is_no_str_is_the_general_help(capsys):
+    assert main([[1], "-h"]) == EXIT_OK
+    assert capsys.readouterr().out == _help([])
+
+
+def test_check_all_pulls_back_each_map_once_and_decides_each_center_once(monkeypatch):
+    # the four map verbs share one pullback per map, and the classify and blowup
+    # answers and blowup_charts one verdict per blowup
+    from modpairs import pairs
+    from modpairs.dsl import BlowupDecl, MapDecl
+    from modpairs.pairs import Divisor
+
+    calls, seen = [], []
+    pullback, support = pairs.pullback, Divisor.support
+    monkeypatch.setattr(pairs, "pullback", lambda *args: calls.append("pullback") or pullback(*args))
+    monkeypatch.setattr(Divisor, "support", property(lambda d: calls.append("support") or support.fget(d)))
+    for m in [model()] + [random_model(random.Random(seed)) for seed in range(30)]:
+        kinds = [type(decl) for decl in m.decls]
+        calls.clear()
+        run_command(m, ["check-all"])
+        assert calls.count("pullback") == kinds.count(MapDecl)
+        assert calls.count("support") == kinds.count(BlowupDecl)
+        assert len(calls) == kinds.count(MapDecl) + kinds.count(BlowupDecl)
+        seen += calls
+    assert seen.count("pullback") > 20 and seen.count("support") > 20
+
+
 class TestDeterminism:
     def test_machine_records_byte_identical(self):
         first = run_command(model(), ["check-all"])

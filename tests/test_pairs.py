@@ -341,3 +341,25 @@ def test_column_kernels_match_reference(point, data):
     else:
         assert all(n * x >= e for x, e in zip(da.mults, pulled))
         assert n == 1 or not all((n - 1) * x >= e for x, e in zip(da.mults, pulled))
+
+
+PREDICATES = {"is_admissible": is_admissible, "minimal_twist": minimal_twist,
+              "hom_log_exists": hom_log_exists, "is_minimal": is_minimal}
+
+
+@settings(max_examples=150)
+@given(pair_maps(max_dim=3, max_expo=4, max_mult=8), st.permutations(list(PREDICATES)), st.data())
+def test_the_predicates_agree_with_the_oracles_in_any_order(f, order, data):
+    # each predicate reads the map's memo, so which one asks first must not matter:
+    # a fresh map, the four in the drawn order, some asked twice
+    fresh = PairMap(f.map, f.src, f.dst)
+    pulled = pullback_orders(f.map, f.dst.divisor)
+    least = brute_minimal_twist(f, limit=max(pulled, default=0) + 1)
+    expected = {
+        "is_admissible": all(s >= e for s, e in zip(f.src.divisor.mults, pulled)),
+        "minimal_twist": least,
+        "hom_log_exists": least is not None,
+        "is_minimal": f.src.divisor.mults == pulled,
+    }
+    for name in order + data.draw(st.lists(st.sampled_from(order), max_size=4)):
+        assert PREDICATES[name](fresh) == expected[name], name

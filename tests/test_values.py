@@ -25,11 +25,25 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import modpairs
-from modpairs.blowup import BlowupChart, BlowupSpec
+from modpairs.blowup import BlowupChart, BlowupClass, BlowupSpec, classify
 from modpairs.cli import Report, run_command
 from modpairs.correspondences import ConstantCorr, CorrLocalRecord, NonConstantCorr, from_monomial_param
 from modpairs.dsl import BlowupDecl, CorrDecl, Diagnostic, MapDecl, Model, PairDecl, QPairDecl, parse, print_model
-from modpairs.pairs import Chart, Divisor, MonomialMap, Pair, PairMap, StructureError, compose, pullback, twist
+from modpairs.pairs import (
+    Chart,
+    Divisor,
+    MonomialMap,
+    Pair,
+    PairMap,
+    StructureError,
+    compose,
+    hom_log_exists,
+    is_admissible,
+    is_minimal,
+    minimal_twist,
+    pullback,
+    twist,
+)
 from modpairs.qdivisors import QPair, cube, q_eq, q_normalize, q_rationals, q_transition
 from randgen import random_model
 
@@ -244,6 +258,34 @@ def test_copy_and_pickle_keep_the_value(cls):
         assert type(twin) is cls and twin == value
 
 
+@pytest.mark.parametrize("cls", FIELDS, ids=lambda cls: cls.__name__)
+def test_a_value_whose_memos_are_filled_is_still_a_fresh_value(cls):
+    # the map and the blowup that the declarations and the model of ``build`` hold
+    values, fresh = build(), build()[cls]
+    f, spec = values[PairMap], values[BlowupSpec]
+    answers = [is_admissible(f), minimal_twist(f), hom_log_exists(f), is_minimal(f), classify(spec)]
+    assert f._facts == ((1, 2), 1) and spec._verdict is BlowupClass.MODIFICATION
+    value = values[cls]
+    assert value == fresh and fresh == value and hash(value) == hash(fresh)
+    assert repr(value) == repr(fresh) and pickle.dumps(value) == pickle.dumps(fresh)
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert twin == fresh and repr(twin) == repr(fresh)
+    # a copy starts with empty memos, and its answers are the same
+    f2, spec2 = copy.copy(f), pickle.loads(pickle.dumps(spec))
+    assert f2._facts is None and spec2._verdict is None
+    assert [is_admissible(f2), minimal_twist(f2), hom_log_exists(f2), is_minimal(f2), classify(spec2)] == answers
+
+
+def test_a_memo_belongs_to_its_own_value():
+    line = Pair(LINE, Divisor((1,)))
+    square, identity = PairMap(MonomialMap(LINE, LINE, [[2]]), line, line), PairMap(MonomialMap.identity(LINE), line, line)
+    assert (minimal_twist(square), is_minimal(square)) == (2, False)
+    assert (minimal_twist(identity), is_minimal(identity)) == (1, True)
+    assert PairMap._fields == ("map", "src", "dst") and BlowupSpec._fields == ("pair", "center")
+    with pytest.raises(AttributeError):
+        square._facts = None
+
+
 def test_defaults():
     corr = NonConstantCorr(())
     decl = CorrDecl(name="c", corr=corr)
@@ -316,6 +358,15 @@ LINE, PLANE, OTHER = Chart(("x",)), Chart(("x", "y")), Chart(("y",))
         (lambda: PairMap(MonomialMap.identity(LINE), None, Pair(LINE, Divisor((1,)))), "src must be a Pair, got NoneType"),
         (lambda: PairMap(MonomialMap.identity(LINE), Pair(LINE, Divisor((1,))), LINE), "dst must be a Pair, got Chart"),
         (lambda: BlowupSpec(LINE, {0}), "pair must be a Pair, got Chart"),
+        # a field that cannot be iterated, or a chart of another class, is named on the failing path alone
+        (lambda: MonomialMap(None, LINE, ()), "source must be a Chart, got NoneType"),
+        (lambda: MonomialMap(LINE, Divisor((1,)), [[1]]), "target must be a Chart, got Divisor"),
+        (lambda: MonomialMap(LINE, LINE, None), "expo must be a sequence of rows, got NoneType"),
+        (lambda: MonomialMap(LINE, LINE, 5), "expo must be a sequence of rows, got int"),
+        (lambda: Divisor(None), "mults must be a sequence of integers, got NoneType"),
+        (lambda: Divisor(3), "mults must be a sequence of integers, got int"),
+        (lambda: BlowupSpec(Pair(LINE, Divisor((1,))), None), "center must be a collection of indices, got NoneType"),
+        (lambda: BlowupSpec(Pair(LINE, Divisor((1,))), 0), "center must be a collection of indices, got int"),
     ],
 )
 def test_validation_is_unchanged(make, message):
@@ -336,6 +387,16 @@ def test_a_chart_and_a_record_take_subclasses_of_str():
 def test_a_qpair_takes_a_subclass_of_pair():
     q = QPair(2, UserPair(LINE, Divisor((4,))))
     assert q.pair.divisor == Divisor((4,)) and q_normalize(q) == QPair(1, Pair(LINE, Divisor((2,))))
+
+
+def test_an_iterable_whose_entries_fail_keeps_its_own_error():
+    # only a field that cannot be iterated at all is named; a row or an index that fails is not
+    with pytest.raises(TypeError, match="not iterable") as info:
+        MonomialMap(LINE, LINE, [5])
+    assert not isinstance(info.value, StructureError)
+    with pytest.raises(TypeError, match="unhashable") as info:
+        BlowupSpec(Pair(LINE, Divisor((1,))), [[0]])
+    assert not isinstance(info.value, StructureError)
 
 
 def test_a_blowup_on_none_names_its_pair():
