@@ -44,11 +44,10 @@ class BlowupSpec(Value):
     """A pair plus the coordinate indices (0-based) cutting out the center.
 
     Validity of the center against the divisor support is decided by
-    ``classify``, not at construction, and kept in ``_verdict``, a memo that
-    is None until ``classify`` first decides.
+    ``classify``, not at construction.
     """
 
-    __slots__ = ("pair", "center", "_verdict")
+    __slots__ = ("pair", "center")
 
     def __init__(self, pair: Pair, center: frozenset[int]):
         try:
@@ -71,10 +70,9 @@ class BlowupSpec(Value):
             raise
         _spec_pair(self, pair)
         _spec_center(self, center)
-        _spec_verdict(self, None)
 
 
-_spec_pair, _spec_center, _spec_verdict = _setters(BlowupSpec)
+_spec_pair, _spec_center = _setters(BlowupSpec)
 
 
 class BlowupChart(Value):
@@ -92,22 +90,13 @@ _bchart_index, _bchart_map, _bchart_total = _setters(BlowupChart)
 
 
 def classify(spec: BlowupSpec) -> BlowupClass:
-    """Coordinate test on the center; containment in the support wins over contact.
-
-    Decided on the first call, then read from the spec's memo.
-    """
-    verdict = spec._verdict
-    if verdict is not None:
-        return verdict
+    """Coordinate test on the center; containment in the support wins over contact."""
     support = spec.pair.divisor.support
     if not spec.center & support:
-        verdict = BlowupClass.INVALID
-    elif spec.center <= support:
-        verdict = BlowupClass.MODIFICATION
-    else:
-        verdict = BlowupClass.SMOOTH_BLOWUP
-    _spec_verdict(spec, verdict)
-    return verdict
+        return BlowupClass.INVALID
+    if spec.center <= support:
+        return BlowupClass.MODIFICATION
+    return BlowupClass.SMOOTH_BLOWUP
 
 
 def blowup_charts(spec: BlowupSpec) -> tuple[BlowupChart, ...]:

@@ -32,8 +32,9 @@ so equality, the hash, the repr, copies and pickles ignore it, and a copy
 starts empty.  A ``PairMap``'s ``_facts`` holds ``_map_facts``: the
 pulled-back multiplicities and the least twist, from one ``pullback`` and one
 pass, which ``is_admissible``, ``minimal_twist``, ``hom_log_exists`` and
-``is_minimal`` all read; ``blowup.classify`` keeps a ``BlowupSpec``'s
-verdict the same way.  Two threads that race on an empty memo compute equal
+``is_minimal`` all read.  It pays when one map is asked more than one of the
+four, as ``check-all`` asks each map all four: one ``pullback`` per map
+instead of four.  Two threads that race on an empty memo compute equal
 facts, so either write may win.
 
 No function or method here, nor in ``blowup``, ``correspondences`` and

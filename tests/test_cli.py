@@ -304,26 +304,21 @@ def test_help_after_a_word_that_is_no_str_is_the_general_help(capsys):
     assert capsys.readouterr().out == _help([])
 
 
-def test_check_all_pulls_back_each_map_once_and_decides_each_center_once(monkeypatch):
-    # the four map verbs share one pullback per map, and the classify and blowup
-    # answers and blowup_charts one verdict per blowup
+def test_check_all_pulls_back_each_map_once(monkeypatch):
+    # the four map verbs share one pullback per map
     from modpairs import pairs
-    from modpairs.dsl import BlowupDecl, MapDecl
-    from modpairs.pairs import Divisor
+    from modpairs.dsl import MapDecl
 
-    calls, seen = [], []
-    pullback, support = pairs.pullback, Divisor.support
-    monkeypatch.setattr(pairs, "pullback", lambda *args: calls.append("pullback") or pullback(*args))
-    monkeypatch.setattr(Divisor, "support", property(lambda d: calls.append("support") or support.fget(d)))
+    calls, seen = [], 0
+    pullback = pairs.pullback
+    monkeypatch.setattr(pairs, "pullback", lambda *args: calls.append(args) or pullback(*args))
     for m in [model()] + [random_model(random.Random(seed)) for seed in range(30)]:
-        kinds = [type(decl) for decl in m.decls]
         calls.clear()
         run_command(m, ["check-all"])
-        assert calls.count("pullback") == kinds.count(MapDecl)
-        assert calls.count("support") == kinds.count(BlowupDecl)
-        assert len(calls) == kinds.count(MapDecl) + kinds.count(BlowupDecl)
-        seen += calls
-    assert seen.count("pullback") > 20 and seen.count("support") > 20
+        maps = [decl.pair_map for decl in m.decls if type(decl) is MapDecl]
+        assert [(f.map, f.dst.divisor) for f in maps] == calls
+        seen += len(calls)
+    assert seen > 20
 
 
 class TestDeterminism:
