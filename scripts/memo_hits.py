@@ -14,9 +14,10 @@ workloads that start a subprocess per operation (``shell-queries``,
 each operation, as their subprocesses read them.
 
 ``--seconds S`` also times ``perfbench/worker.py``'s ``sweep_round`` on the
-kernel-sweep inputs twice: on values built once and reused, as the
-benchmark does, and on values built afresh before each round (the build is
-not timed).  It prints the median microseconds per kernel call of each.
+kernel-sweep inputs, alternating rounds on values built once and reused,
+as the benchmark does, with rounds on values built afresh (the build is not
+timed).  It prints the median microseconds per kernel call of each, scaled
+to reference speed by ``perfbench/refload.py`` as the benchmark scales.
 A checkout without ``_map_facts`` gets the timing alone.  Run from the
 root of a checkout, or with ``--root`` naming one::
 
@@ -68,6 +69,7 @@ def main(argv=None):
     sys.path[:0] = [str(args.root / "src"), str(args.root / "perfbench")]
     import gen
     import worker
+    from refload import Bracketed
     from modpairs import dsl, pairs
     from modpairs.cli import main as cli_main
     from modpairs.cli import run_command
@@ -97,13 +99,14 @@ def main(argv=None):
                         "read_within_op": within / total if total else 0.0,
                         "read_across_ops": across / total if total else 0.0}
     if args.seconds:
-        for side, build in (("reused", lambda: values), ("fresh", lambda: worker.build_sweep(inputs))):
-            times, stop = [], time.perf_counter() + args.seconds
-            while time.perf_counter() < stop:
-                v = build()
+        # rounds on reused and on fresh values alternate, each timed at reference speed as the benchmark's are
+        clock, stop = Bracketed(), time.perf_counter() + args.seconds
+        while time.perf_counter() < stop:
+            for v in (values, worker.build_sweep(inputs)):
                 t0 = time.perf_counter()
                 worker.sweep_round(worker.kernels(), v)
-                times.append(time.perf_counter() - t0)
+                clock.add(time.perf_counter() - t0)
+        for side, times in (("reused", clock.scaled[0::2]), ("fresh", clock.scaled[1::2])):
             report[f"sweep_us_per_call_{side}"] = statistics.median(times) / len(expected) * 1e6
     print(json.dumps(report, indent=1))
 
