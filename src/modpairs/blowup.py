@@ -25,6 +25,8 @@ from .pairs import (
     _setters,
 )
 
+__all__ = ["BlowupChart", "BlowupClass", "BlowupSpec", "InvalidBlowupError", "blowup_charts", "classify"]
+
 
 class BlowupClass(Enum):
     """How a center sits relative to the divisor support."""

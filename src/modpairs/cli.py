@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import errno
 import gc
+import os
 import sys
 
 from .blowup import BlowupClass, blowup_charts, classify
@@ -427,7 +428,7 @@ def _main(argv) -> tuple[int, str, str]:
     command, model, machine, asked = _read_argv(argv)
     if asked is not None:
         return EXIT_OK, _help(asked), ""
-    if model is None:
+    if not isinstance(model, (str, bytes, os.PathLike)):  # None when --model ends argv; an int would open a descriptor
         return EXIT_INPUT, "", "error: --model needs a file name\n"
     report = _refused(command)  # before the model is read, so a usage error never waits on stdin
     if report is None:

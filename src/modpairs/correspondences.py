@@ -17,6 +17,9 @@ from __future__ import annotations
 
 from .pairs import PairMap, StructureError, Value, _setters
 
+__all__ = ["ConstantCorr", "CorrLocalRecord", "CurveCorr", "NonConstantCorr", "corr_minimal_twist",
+           "from_monomial_param", "graph_corr", "in_colim_mcor", "in_lcor", "in_mcor"]
+
 
 class CorrLocalRecord(Value):
     """Local data at one closed point: divisor coefficients and ramification."""

@@ -50,6 +50,9 @@ from __future__ import annotations
 from itertools import compress
 from operator import attrgetter, ge
 
+__all__ = ["Chart", "Divisor", "MonomialMap", "Pair", "PairMap", "StructureError", "compose", "divisor_leq",
+           "format_divisor", "hom_log_exists", "is_admissible", "is_minimal", "minimal_twist", "pullback", "twist"]
+
 _new = object.__new__  # a value with no field set yet, for the kernels' builders below
 
 

@@ -16,6 +16,8 @@ from math import gcd
 
 from .pairs import Chart, Pair, PairMap, StructureError, Value, _divisor, _monomial_map, _pair, _setters, twist
 
+__all__ = ["QPair", "cube", "cube_projection", "cube_weight", "q_eq", "q_normalize", "q_rationals", "q_transition"]
+
 
 class QPair(Value):
     """The rational divisor ``(1/level) * pair.divisor`` with integer storage."""

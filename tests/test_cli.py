@@ -462,6 +462,23 @@ class TestMain:
         out = capsys.readouterr()
         assert (status, out.out, out.err) == (EXIT_INPUT, "", "error: cannot read model: embedded null byte\n")
 
+    def test_a_model_that_is_no_file_name_is_refused_before_anything_is_opened(self, capsys):
+        read, write = os.pipe()
+        os.write(write, EXAMPLE.read_bytes())
+        os.close(write)  # so that a read of the pipe ends
+        try:
+            for model in (read, 1.5):
+                assert main(["twist", "X", "2", "--model", model]) == EXIT_INPUT
+                assert capsys.readouterr() == ("", "error: --model needs a file name\n")
+            os.fstat(read)  # a descriptor given as the model is neither read nor closed
+        finally:
+            os.close(read)
+
+    def test_a_path_object_is_a_model_file_name(self, capsys):
+        assert main(["twist", "X", "2", "--model", EXAMPLE]) == EXIT_OK
+        assert capsys.readouterr() == ("command: twist X 2\npair: pair X { dim 1; coords t; divisor {t: 1} }\n"
+                                       "result: coords t; divisor {t: 2}\n", "")
+
     def test_cube_collision_prints_nothing_on_stdout(self, tmp_path, capsys):
         path = tmp_path / "i.lp"
         path.write_text("pair I { dim 1; coords inf; divisor { inf: 1 } }\n")
@@ -663,6 +680,23 @@ def _ran(argv: list[str], run=("-m", "modpairs")) -> tuple[int, bytes, bytes]:
     child = _cli(argv, subprocess.PIPE, stdin=subprocess.DEVNULL, run=run)
     out, err = child.communicate()
     return child.returncode, out, err
+
+
+# a caller of main in its own process, which then checks that its three standard descriptors are still open
+_CALLER = """\
+import os
+from modpairs import main
+status = main(["twist", "X", "2", "--model", {model!r}])
+for fd in (0, 1, 2):
+    os.fstat(fd)
+print(status)
+"""
+
+
+@pytest.mark.parametrize("model", [True, 0, 1, 2])
+def test_a_model_that_is_a_standard_descriptor_leaves_it_open(model):
+    # in a child, since opening such a value would close this process's own stdio
+    assert _ran([], run=("-c", _CALLER.format(model=model))) == (0, b"2\n", b"error: --model needs a file name\n")
 
 
 # modpairs run as __main__ under a wrapper that registered an atexit handler first

@@ -37,6 +37,7 @@ from modpairs.pairs import (
     PairMap,
     StructureError,
     compose,
+    format_divisor,
     hom_log_exists,
     is_admissible,
     is_minimal,
@@ -324,6 +325,8 @@ LINE, PLANE, OTHER = Chart(("x",)), Chart(("x", "y")), Chart(("y",))
         (lambda: Pair(Chart(("x",)), Divisor(())), "divisor has 0 entries for a chart of dimension 1"),
         (lambda: MonomialMap(Chart(("x",)), Chart(()), [[1]]),
          "exponent matrix has 1 rows for a target of dimension 0"),
+        (lambda: MonomialMap(LINE, OTHER, [[1, 2]]), "exponent row has 2 entries for a source of dimension 1"),
+        (lambda: format_divisor(LINE, Divisor((1, 2))), "divisor does not match the chart"),
         (lambda: BlowupSpec(Pair(Chart(("x",)), Divisor((1,))), ()),
          "blowup center must name at least one coordinate"),
         # an int center index out of range keeps the range message
@@ -586,6 +589,26 @@ def test_the_cli_names_stay_public():
     assert all(namespace[name] is getattr(modpairs, name) for name in modpairs.__all__)
     with pytest.raises(AttributeError, match=r"^module 'modpairs' has no attribute 'nosuch'$"):
         modpairs.nosuch
+
+
+# modpairs.__all__, sorted: a name listed twice would not match
+_PUBLIC = [
+    "BlowupChart", "BlowupClass", "BlowupDecl", "BlowupSpec", "Chart", "ConstantCorr", "CorrDecl", "CorrLocalRecord",
+    "CurveCorr", "Diagnostic", "Divisor", "InvalidBlowupError", "MapDecl", "Model", "MonomialMap", "NonConstantCorr",
+    "Pair", "PairDecl", "PairMap", "QPair", "QPairDecl", "Report", "StructureError", "blowup_charts", "classify",
+    "compose", "corr_minimal_twist", "cube", "cube_projection", "cube_weight", "divisor_leq", "format_decl",
+    "format_diagnostic", "format_divisor", "from_monomial_param", "graph_corr", "hom_log_exists", "in_colim_mcor",
+    "in_lcor", "in_mcor", "is_admissible", "is_minimal", "main", "minimal_twist", "parse", "print_model", "pullback",
+    "q_eq", "q_normalize", "q_rationals", "q_transition", "run_command", "twist",
+]
+
+
+def test_the_public_names_are_pinned_and_each_is_its_modules_own():
+    from modpairs import blowup, correspondences, pairs, qdivisors
+
+    assert sorted(modpairs.__all__) == _PUBLIC
+    for module in (blowup, correspondences, pairs, qdivisors):
+        assert module.__all__ and all(getattr(modpairs, name) is getattr(module, name) for name in module.__all__)
 
 
 def test_dir_lists_every_public_name_before_first_use():
