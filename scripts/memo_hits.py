@@ -17,9 +17,13 @@ each operation, as their subprocesses read them.
 kernel-sweep inputs, alternating rounds on values built once and reused,
 as the benchmark does, with rounds on values built afresh (the build is not
 timed).  It prints the median microseconds per kernel call of each, scaled
-to reference speed by ``perfbench/refload.py`` as the benchmark scales.
-A checkout without ``_map_facts`` gets the timing alone.  Run from the
-root of a checkout, or with ``--root`` naming one::
+to reference speed by ``perfbench/refload.py`` as the benchmark scales.  It
+also times each group of the sweep apart (maps, chains, blowups, corrs,
+qpairs), a round over that group's values alone on values built afresh, and
+prints the median microseconds per kernel call of each group, so a kernel
+change can name the group it moved.  A checkout without ``_map_facts`` gets
+the timing alone.  Run from the root of a checkout, or with ``--root``
+naming one::
 
     python3 scripts/memo_hits.py [--root DIR] [--seed N] [--seconds S]
 """
@@ -34,6 +38,7 @@ import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
 
 def count(pairs, operations):
@@ -101,13 +106,22 @@ def main(argv=None):
     if args.seconds:
         # rounds on reused and on fresh values alternate, each timed at reference speed as the benchmark's are
         clock, stop = Bracketed(), time.perf_counter() + args.seconds
+        groups = {name: [Bracketed(), 0] for name in vars(values)}  # name: [clock, kernel calls per round]
         while time.perf_counter() < stop:
             for v in (values, worker.build_sweep(inputs)):
                 t0 = time.perf_counter()
                 worker.sweep_round(worker.kernels(), v)
                 clock.add(time.perf_counter() - t0)
+            fresh = vars(worker.build_sweep(inputs))
+            for name, group in groups.items():
+                alone = SimpleNamespace(**{other: fresh[other] if other == name else [] for other in fresh})
+                t0 = time.perf_counter()
+                group[1] = len(worker.sweep_round(worker.kernels(), alone))  # one result per kernel call
+                group[0].add(time.perf_counter() - t0)
         for side, times in (("reused", clock.scaled[0::2]), ("fresh", clock.scaled[1::2])):
             report[f"sweep_us_per_call_{side}"] = statistics.median(times) / len(expected) * 1e6
+        report["fresh_us_per_call_by_group"] = {
+            name: statistics.median(group.scaled) / calls * 1e6 for name, (group, calls) in groups.items() if calls}
     print(json.dumps(report, indent=1))
 
 

@@ -92,13 +92,17 @@ _bchart_index, _bchart_map, _bchart_total = _setters(BlowupChart)
 
 
 def classify(spec: BlowupSpec) -> BlowupClass:
-    """Coordinate test on the center; containment in the support wins over contact."""
-    support = spec.pair.divisor.support
-    if not spec.center & support:
+    """Coordinate test reading the center's multiplicities alone; containment
+    in the support wins over contact."""
+    mults, hit, missed = spec.pair.divisor.mults, False, False
+    for i in spec.center:
+        if mults[i]:
+            hit = True
+        else:
+            missed = True
+    if not hit:
         return BlowupClass.INVALID
-    if spec.center <= support:
-        return BlowupClass.MODIFICATION
-    return BlowupClass.SMOOTH_BLOWUP
+    return BlowupClass.SMOOTH_BLOWUP if missed else BlowupClass.MODIFICATION
 
 
 def blowup_charts(spec: BlowupSpec) -> tuple[BlowupChart, ...]:
@@ -122,9 +126,11 @@ def blowup_charts(spec: BlowupSpec) -> tuple[BlowupChart, ...]:
     out = []
     for j in center:
         rows = identity.copy()  # each chart replaces its own center rows
+        (xj,) = identity[j]
         for b in center:
             if b != j:  # row j keeps its identity row
-                rows[b] = ((b, 1), (j, 1)) if b < j else ((j, 1), (b, 1))
+                (xb,) = identity[b]
+                rows[b] = (xb, xj) if b < j else (xj, xb)
         total = _divisor(mults[:j] + (exceptional,) + mults[j + 1:])
         out.append(BlowupChart(j, _monomial_map(chart, chart, tuple(rows)), total))
     return tuple(out)

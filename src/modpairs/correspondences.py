@@ -49,6 +49,8 @@ class ConstantCorr(Value):
     __slots__ = ("image_in_interior",)
 
     def __init__(self, image_in_interior: bool):
+        if type(image_in_interior) is not bool:  # the tests answer with it
+            raise StructureError(f"image_in_interior must be a bool, got {type(image_in_interior).__name__}")
         _constant_image(self, image_in_interior)
 
 
@@ -92,7 +94,12 @@ def in_colim_mcor(c: CurveCorr) -> bool:
     """Admissible after some finite twist of the source: n_x = 0 forces n_y = 0,
     which is when ``corr_minimal_twist`` finds a level.
     """
-    return corr_minimal_twist(c) is not None
+    if isinstance(c, ConstantCorr):
+        return c.image_in_interior
+    for r in c.records:
+        if r.n_y and not r.n_x:
+            return False
+    return True
 
 
 def in_lcor(c: CurveCorr) -> bool:

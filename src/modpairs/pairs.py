@@ -17,9 +17,10 @@ inputs, so values can be shared freely between threads.  The public
 constructors check every field, since their arguments may come from any
 caller.  The kernels (``pullback``, ``compose`` and ``twist`` here,
 ``blowup_charts``, ``q_normalize`` and ``cube`` beside them) build their
-results past those checks, through ``_divisor``, ``_pair`` and
-``_monomial_map``: the fields they pass hold by construction, computed by
-integer arithmetic from values that were checked when they were built.
+results past those checks, through ``_chart``, ``_divisor``, ``_pair`` and
+``_monomial_map`` here and ``qdivisors._qpair``: the fields they pass hold
+by construction, computed by integer arithmetic from values that were
+checked when they were built, and ``cube`` checks its one fresh name.
 Every field of every value class is written through its slot's own setter,
 bound once below the class (``_pair_chart, _pair_divisor = _setters(Pair)``),
 which looks no name up on the type per write; ``Value.__setattr__`` refuses
@@ -39,10 +40,11 @@ facts, so either write may win.
 
 No function or method here, nor in ``blowup``, ``correspondences`` and
 ``qdivisors``, holds a generator expression.  A test over the entries
-(``in_mcor``, ``in_lcor``, ``q_eq``) is a ``for`` loop that returns at the
-first entry that fails, and a result is built from a list (``twist``,
-``q_normalize``): on the few coordinates of a chart, the frame a generator
-builds and resumes once per entry costs more than the arithmetic it feeds.
+(``in_mcor``, ``in_colim_mcor``, ``in_lcor``, ``q_eq``) is a ``for`` loop
+that returns at the first entry that fails, and a result is built from a
+list (``twist``, ``q_normalize``): on the few coordinates of a chart, the
+frame a generator builds and resumes once per entry costs more than the
+arithmetic it feeds.
 """
 
 from __future__ import annotations
@@ -308,6 +310,12 @@ _pairmap_map, _pairmap_src, _pairmap_dst, _pairmap_facts = _setters(PairMap)
 # its class's ``__init__`` checks in their normal form (exact tuples of ints,
 # lengths that match the charts, a map's rows sparse and sorted as
 # ``MonomialMap`` keeps them) and skips those checks.
+
+
+def _chart(coords: tuple[str, ...]) -> Chart:
+    chart = _new(Chart)
+    _chart_coords(chart, coords)
+    return chart
 
 
 def _divisor(mults: tuple[int, ...]) -> Divisor:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .pairs import Chart, Pair, PairMap, StructureError, Value, _divisor, _monomial_map, _pair, _setters, twist
+from .pairs import Pair, PairMap, StructureError, Value, _chart, _divisor, _monomial_map, _new, _pair, _setters, twist
 
 __all__ = ["QPair", "cube", "cube_projection", "cube_weight", "q_eq", "q_normalize", "q_rationals", "q_transition"]
 
@@ -36,6 +36,13 @@ class QPair(Value):
 _qpair_level, _qpair_pair = _setters(QPair)
 
 
+def _qpair(level: int, pair: Pair) -> QPair:  # a builder, as in ``pairs``
+    q = _new(QPair)
+    _qpair_level(q, level)
+    _qpair_pair(q, pair)
+    return q
+
+
 def q_rationals(q: QPair) -> tuple:
     """Read-only projection to the exact rational multiplicities, as ``Fraction``s."""
     from fractions import Fraction  # imported here: ``import modpairs`` stays free of it
@@ -54,7 +61,7 @@ def q_normalize(q: QPair) -> QPair:
     g = gcd(q.level, *mults)
     if g == 1:
         return q
-    return QPair(q.level // g, _pair(q.pair.chart, _divisor(tuple([m // g for m in mults]))))
+    return _qpair(q.level // g, _pair(q.pair.chart, _divisor(tuple([m // g for m in mults]))))
 
 
 def q_eq(a: QPair, b: QPair) -> bool:
@@ -72,7 +79,7 @@ def q_transition(q: QPair, m: int) -> QPair:
     """Pass to level ``level * m`` by scaling the integer divisor; value unchanged."""
     if type(m) is not int or m < 1:
         raise ValueError(f"transition factor must be a positive integer, got {m!r}")
-    return QPair(q.level * m, twist(q.pair, m))
+    return _qpair(q.level * m, twist(q.pair, m))
 
 
 def cube(p: Pair, n: int, coord: str = "inf") -> Pair:
@@ -87,8 +94,9 @@ def cube(p: Pair, n: int, coord: str = "inf") -> Pair:
         raise ValueError(f"cube weight must be a positive integer, got {n!r}")
     if coord in p.chart.coords:
         raise StructureError(f"fresh coordinate name {coord!r} collides with the chart")
-    chart = Chart(p.chart.coords + (coord,))
-    return _pair(chart, _divisor(p.divisor.mults + (n,)))
+    if not isinstance(coord, str) or not coord:  # the old names were checked with their chart
+        raise StructureError(f"coordinate names must be nonempty strings, got {coord!r}")
+    return _pair(_chart(p.chart.coords + (coord,)), _divisor(p.divisor.mults + (n,)))
 
 
 def cube_projection(p: Pair, n: int, coord: str = "inf") -> PairMap:

@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modpairs.blowup import (
     BlowupChart,
@@ -11,7 +12,7 @@ from modpairs.blowup import (
 )
 from modpairs.pairs import Chart, Divisor, MonomialMap, Pair, StructureError, pullback
 from oracles import blowup_transform_orders, reference_blowup_charts
-from strategies import blowup_specs
+from strategies import blowup_specs, pairs
 
 
 def spec(mults, center):
@@ -99,3 +100,37 @@ def test_modification_nests_in_blowup_condition(s):
 def test_closed_form_matches_reference(s):
     if classify(s) is not BlowupClass.INVALID:
         assert blowup_charts(s) == reference_blowup_charts(s)
+
+
+@st.composite
+def any_centers(draw):
+    """A pair whose divisor may be zero everywhere, and a center that may be every coordinate."""
+    pair = draw(pairs(1, 6, 3))
+    dim = pair.chart.dim
+    if draw(st.booleans()):
+        pair = Pair(pair.chart, Divisor((0,) * dim))
+    center = range(dim) if draw(st.booleans()) else draw(st.sets(st.integers(0, dim - 1), min_size=1))
+    return BlowupSpec(pair, center)
+
+
+@settings(max_examples=200)
+@given(any_centers())
+def test_classify_is_the_support_set_rule(s):
+    support = s.pair.divisor.support
+    if not s.center & support:
+        assert classify(s) is BlowupClass.INVALID
+    elif s.center <= support:
+        assert classify(s) is BlowupClass.MODIFICATION
+    else:
+        assert classify(s) is BlowupClass.SMOOTH_BLOWUP
+
+
+@settings(max_examples=150)
+@given(any_centers())
+def test_charts_match_the_reference_on_every_center(s):
+    if classify(s) is BlowupClass.INVALID:
+        for charts in (blowup_charts, reference_blowup_charts):
+            with pytest.raises(InvalidBlowupError):
+                charts(s)
+        return
+    assert blowup_charts(s) == reference_blowup_charts(s)

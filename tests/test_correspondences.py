@@ -64,6 +64,15 @@ class TestColim:
     def test_zero_source_coefficient(self):
         assert not in_colim_mcor(single(0, 1, 1, 1))
 
+    def test_zero_on_both_sides(self):
+        # n_x = 0 is allowed where n_y = 0 too, and fails at whichever record has n_y > 0
+        assert in_colim_mcor(single(0, 0, 1, 1)) is True
+        records = (CorrLocalRecord("a", 1, 1, 1, 1), CorrLocalRecord("b", 0, 2, 1, 1))
+        assert in_colim_mcor(NonConstantCorr(records)) is False
+
+    def test_constant(self):
+        assert in_colim_mcor(ConstantCorr(True)) is True and in_colim_mcor(ConstantCorr(False)) is False
+
     def test_mcor_implies_colim(self):
         c = single(3, 1, 1, 3)
         assert in_mcor(c) and in_colim_mcor(c)
@@ -179,6 +188,13 @@ def test_twist_threshold(c):
     assert in_colim_mcor(c) == (n_star is not None)
     for n in range(1, 9):
         assert in_mcor(scale_source_coeffs(c, n)) == (n_star is not None and n >= n_star)
+
+
+@settings(max_examples=150)
+@given(curve_corrs())
+def test_colim_is_exactly_a_least_twist_found(c):
+    answer = in_colim_mcor(c)
+    assert type(answer) is bool and answer == (corr_minimal_twist(c) is not None)
 
 
 @given(st.integers(1, 12), st.integers(0, 12), st.integers(0, 12))

@@ -6,15 +6,19 @@ cost holds that ratio flat, so it may change by at most 1.5x when the chart
 dimension ``d`` grows to ``4·d``.  Two models, each one pair on ``d``
 coordinates: the identity map ``x <- x``, and the blowup whose center is every
 coordinate, whose answer prints ``d`` chart maps of ``d`` assignments each.
-No wall time is measured.
+``classify`` reads its center alone, so on a one-coordinate center its own
+peak stays flat, to within a few bytes, from ``d`` to ``4·d``.  No wall time
+is measured.
 """
 
 import tracemalloc
 
 import pytest
 
+from modpairs.blowup import BlowupSpec, classify
 from modpairs.cli import run_command
 from modpairs.dsl import parse
+from modpairs.pairs import Chart, Divisor, Pair
 
 
 def _pair(d: int) -> str:
@@ -54,3 +58,21 @@ def test_peak_memory_grows_with_the_bytes_read_and_written(model, d):
     run_command(parse(model(4)), ["check-all"])  # first-call allocations stay out of the figures
     small, large = peak_per_byte(model(d)), peak_per_byte(model(4 * d))
     assert 1 / 1.5 <= large / small <= 1.5, (small, large)
+
+
+def classify_peak(d: int) -> int:
+    """Peak traced bytes of ``classify`` on a one-coordinate center of a chart of ``d`` coordinates."""
+    spec = BlowupSpec(Pair(Chart([f"x{i}" for i in range(d)]), Divisor((1,) * d)), {d // 2})
+    classify(spec)  # first-call allocations stay out of the figure
+    tracemalloc.start()
+    try:
+        classify(spec)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_classify_peak_is_flat_in_the_chart_dimension():
+    # a support set built over the whole chart would add about 65 bytes per coordinate
+    small, large = classify_peak(1000), classify_peak(4000)
+    assert large <= small + 256, (small, large)

@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -164,6 +166,35 @@ def test_eq_iff_normal_forms(a, b):
 def test_transition_composes(q, m1, m2):
     assert q_transition(q_transition(q, m1), m2) == q_transition(q, m1 * m2)
     assert q_rationals(q_transition(q, m1)) == q_rationals(q)
+
+
+def _exact(q) -> bool:
+    """Each value and field of exactly the class its public constructor stores."""
+    pair = q.pair if type(q) is QPair else q
+    return (type(pair) is Pair and type(pair.chart) is Chart and type(pair.divisor) is Divisor
+            and type(pair.chart.coords) is tuple and type(pair.divisor.mults) is tuple
+            and all([type(m) is int for m in pair.divisor.mults]) and (q is pair or type(q.level) is int))
+
+
+@given(pairs(max_dim=4), st.integers(1, 10**20), st.sampled_from(["inf", "a", "x", "w0"]))
+def test_cube_builds_what_the_constructors_build(p, n, coord):
+    if coord in p.chart.coords:
+        with pytest.raises(StructureError, match="collides with the chart"):
+            cube(p, n, coord)
+        return
+    got = cube(p, n, coord)
+    assert got == Pair(Chart(p.chart.coords + (coord,)), Divisor(p.divisor.mults + (n,))) and _exact(got)
+
+
+@given(qpairs(max_level=60, max_mult=60), st.integers(1, 6))
+def test_normal_form_and_transition_build_what_the_constructors_build(q, m):
+    mults = q.pair.divisor.mults
+    g = gcd(q.level, *mults)
+    normal = q_normalize(q)
+    assert normal == QPair(q.level // g, Pair(q.pair.chart, Divisor(tuple([x // g for x in mults]))))
+    assert _exact(normal) and (normal is q) == (g == 1)
+    moved = q_transition(q, m)
+    assert moved == QPair(q.level * m, Pair(q.pair.chart, Divisor(tuple([m * x for x in mults])))) and _exact(moved)
 
 
 @given(pairs(max_dim=4), st.integers(1, 6), st.integers(1, 6))

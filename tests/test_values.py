@@ -337,6 +337,9 @@ LINE, PLANE, OTHER = Chart(("x",)), Chart(("x", "y")), Chart(("y",))
         (lambda: CorrLocalRecord(5, 1, 1, 1, 1), "label must be a str, got int"),
         (lambda: CorrLocalRecord(None, 1, 1, 1, 1), "label must be a str, got NoneType"),
         (lambda: NonConstantCorr([CorrLocalRecord("a", 1, 1, 1, 1)] * 2), "record labels must be distinct"),
+        # the tests on a constant correspondence return its image as their answer, so it is a bool
+        (lambda: ConstantCorr("no"), "image_in_interior must be a bool, got str"),
+        (lambda: ConstantCorr(0), "image_in_interior must be a bool, got int"),
         (lambda: QPair(0, Pair(Chart(()), Divisor(()))), "level must be a positive integer, got 0"),
         (lambda: QPair(1, "x"), "pair must be a Pair, got str"),
         (lambda: QPair(1, None), "pair must be a Pair, got NoneType"),
@@ -488,12 +491,16 @@ def test_no_integer_field_breaks_the_round_trip(values):
          "fresh coordinate name 'x' collides with the chart"),
         (lambda: cube(Pair(LINE, Divisor((1,))), 1, ""), StructureError,
          "coordinate names must be nonempty strings, got ''"),
+        (lambda: cube(Pair(LINE, Divisor((1,))), 1, None), StructureError,
+         "coordinate names must be nonempty strings, got None"),
+        (lambda: cube(Pair(LINE, Divisor((1,))), 1, 5), StructureError,
+         "coordinate names must be nonempty strings, got 5"),
         (lambda: cube(Pair(LINE, Divisor((1,))), True), ValueError, "cube weight must be a positive integer, got True"),
         (lambda: q_eq(QPair(1, Pair(LINE, Divisor((1,)))), QPair(1, Pair(OTHER, Divisor((1,))))),
          StructureError, "cannot compare levelled divisors on different charts"),
     ],
     ids=["scaled-negative", "scaled-fraction", "twist-zero", "twist-bool", "q_transition-bool", "pullback-length",
-         "compose-mismatch", "cube-collision", "cube-empty", "cube-bool", "q_eq-charts"],
+         "compose-mismatch", "cube-collision", "cube-empty", "cube-none", "cube-int", "cube-bool", "q_eq-charts"],
 )
 def test_kernels_keep_their_checks(make, error, message):
     with pytest.raises(error) as info:
